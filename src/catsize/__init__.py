@@ -4,6 +4,10 @@ Assigns an effective particle number to states of the form
 |phi1>^(x)N + |phi2>^(x)N by three operational criteria -- decoherence-rate
 matching, single-copy GHZ distillation, and particle-loss suppression --
 with every closed form cross-validated against a dense brute-force oracle.
+
+Importing the package loads only the closed-form library; the oracle, the
+validation suite and the CLI are the submodules ``catsize.oracle``,
+``catsize.validation`` and ``catsize.cli``.
 """
 
 from .channels import (
@@ -15,7 +19,6 @@ from .channels import (
     singular_values_2x2,
     trace_norm,
 )
-from .cli import EffectiveSizeReport, build_effective_size_report
 from .core import (
     CatParams,
     branch_dyad,
@@ -57,6 +60,7 @@ from .loss import (
     loss_curve,
     loss_suppression_diagnostics,
 )
+from .report import EffectiveSizeReport, build_effective_size_report
 
 __version__ = "0.1.0"
 

@@ -95,6 +95,21 @@ class ChannelSpec:
         return choi
 
 
+def _as_2x2(x) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
+    return x
+
+
+def _norm_invariants(x) -> tuple[float, float]:
+    # T = ||X||_F^2 = s1^2 + s2^2 and D = |det X| = s1 s2
+    x = _as_2x2(x)
+    t = float(np.sum(np.abs(x) ** 2))
+    d = abs(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+    return t, d
+
+
 def apply_channel(ch: ChannelSpec, x: np.ndarray) -> np.ndarray:
     """Closed-form channel action on an arbitrary 2x2 operator.
 
@@ -102,9 +117,7 @@ def apply_channel(ch: ChannelSpec, x: np.ndarray) -> np.ndarray:
     depolarizing action is the linear extension X -> mu X + (1-mu) tr(X) I/2
     of the basis-dyad rule.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
+    x = _as_2x2(x)
     mu = ch.mu
     if ch.kind == DEPHASING:
         out = x.copy()
@@ -120,11 +133,7 @@ def singular_values_2x2(x: np.ndarray) -> tuple[float, float]:
     Uses the two invariants s1^2 + s2^2 = ||X||_F^2 and s1 s2 = |det X|:
         s1,2 = sqrt((T +- sqrt(T^2 - 4 D^2)) / 2),  T = ||X||_F^2, D = |det X|.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
-    t = float(np.sum(np.abs(x) ** 2))
-    d = abs(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+    t, d = _norm_invariants(x)
     disc = math.sqrt(max(t * t - 4.0 * d * d, 0.0))
     s1 = math.sqrt(max((t + disc) / 2.0, 0.0))
     s2 = math.sqrt(max((t - disc) / 2.0, 0.0))
@@ -136,9 +145,5 @@ def trace_norm(x: np.ndarray) -> float:
 
     (s1 + s2)^2 = ||X||_F^2 + 2 |det X|, so no SVD is needed.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
-    t = float(np.sum(np.abs(x) ** 2))
-    d = abs(x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0])
+    t, d = _norm_invariants(x)
     return math.sqrt(max(t + 2.0 * d, 0.0))

@@ -13,61 +13,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CatParams
 from .decoherence import decay_curve, effective_size_decoherence
-from .distillation import distillation_bound, outcome_distribution, simulate_protocol
+from .distillation import outcome_distribution, simulate_protocol
 from .loss import effective_size_loss, loss_curve
-from .serialize import dumps_json, fmt_float
+from .report import EffectiveSizeReport, build_effective_size_report
+from .serialize import csv_text, dumps_json
 from .validation import run_validation
 
 __all__ = ["EffectiveSizeReport", "build_effective_size_report", "main"]
-
-
-@dataclass(frozen=True)
-class EffectiveSizeReport:
-    """Effective sizes from all methods plus the N eps^2 reference scale."""
-
-    N: int
-    epsilon: float
-    n_decoherence: float
-    n_distill_mean: float
-    n_distill_upper_exact: float
-    n_distill_upper_asymptotic: float
-    n_loss: float
-    reference_N_eps_sq: float
-
-    def to_payload(self) -> dict:
-        return {
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "n_decoherence": self.n_decoherence,
-            "n_distill_mean": self.n_distill_mean,
-            "n_distill_upper_exact": self.n_distill_upper_exact,
-            "n_distill_upper_asymptotic": self.n_distill_upper_asymptotic,
-            "n_loss": self.n_loss,
-            "reference_N_eps_sq": self.reference_N_eps_sq,
-        }
-
-
-def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
-    """Aggregate every effective-size measure for one (N, epsilon)."""
-    if params.N < 2:
-        raise ValueError("effective-size report requires N >= 2")
-    bound = distillation_bound(params)
-    return EffectiveSizeReport(
-        N=params.N,
-        epsilon=params.epsilon,
-        n_decoherence=effective_size_decoherence(params),
-        n_distill_mean=bound.lower_bound_mean,
-        n_distill_upper_exact=bound.exact_bound,
-        n_distill_upper_asymptotic=bound.asymptotic_bound,
-        n_loss=effective_size_loss(params),
-        reference_N_eps_sq=params.N * params.epsilon**2,
-    )
 
 
 class _UsageError(Exception):
@@ -97,8 +54,15 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _default_n_ref(matched_size: float) -> int:
-    return max(1, round(matched_size))
+def _curve_grid(
+    args: argparse.Namespace, endpoint: float, matched_size: float
+) -> tuple[int, np.ndarray]:
+    # GHZ reference size (default: the rounded matched size, at least 1) and
+    # the grid 0..endpoint; linspace starts at exactly 0 for a finite endpoint
+    if args.steps < 2:
+        raise _UsageError(f"--steps must be >= 2, got {args.steps}")
+    n_ref = args.n_ref if args.n_ref is not None else max(1, round(matched_size))
+    return n_ref, np.linspace(0.0, endpoint, args.steps)
 
 
 def _cmd_effective_size(args: argparse.Namespace) -> int:
@@ -110,17 +74,10 @@ def _cmd_effective_size(args: argparse.Namespace) -> int:
 
 def _cmd_decoherence_curve(args: argparse.Namespace) -> int:
     params = CatParams(args.n, _resolve_epsilon(args))
-    if args.steps < 2:
-        raise _UsageError(f"--steps must be >= 2, got {args.steps}")
-    if not (args.gamma_t_max > 0.0):
-        raise _UsageError(f"--gamma-t-max must be > 0, got {args.gamma_t_max!r}")
-    n_ref = args.n_ref
-    if n_ref is None:
-        n_ref = _default_n_ref(effective_size_decoherence(params))
-    grid = np.linspace(0.0, args.gamma_t_max, args.steps)
-    grid[0] = 0.0
-    curve = decay_curve(params, n_ref, grid)
-    _emit(curve.to_csv(), args.output)
+    if not (0.0 < args.gamma_t_max < math.inf):
+        raise _UsageError(f"--gamma-t-max must be finite and > 0, got {args.gamma_t_max!r}")
+    n_ref, grid = _curve_grid(args, args.gamma_t_max, effective_size_decoherence(params))
+    _emit(decay_curve(params, n_ref, grid).to_csv(), args.output)
     return 0
 
 
@@ -139,17 +96,10 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
 
 def _cmd_loss_curve(args: argparse.Namespace) -> int:
     params = CatParams(args.n, _resolve_epsilon(args))
-    if args.steps < 2:
-        raise _UsageError(f"--steps must be >= 2, got {args.steps}")
     if not (0.0 < args.lambda_max <= 1.0):
         raise _UsageError(f"--lambda-max must lie in (0, 1], got {args.lambda_max!r}")
-    n_ref = args.n_ref
-    if n_ref is None:
-        n_ref = _default_n_ref(effective_size_loss(params))
-    grid = np.linspace(0.0, args.lambda_max, args.steps)
-    grid[0] = 0.0
-    curve = loss_curve(params, n_ref, grid)
-    _emit(curve.to_csv(), args.output)
+    n_ref, grid = _curve_grid(args, args.lambda_max, effective_size_loss(params))
+    _emit(loss_curve(params, n_ref, grid).to_csv(), args.output)
     return 0
 
 
@@ -159,29 +109,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"--max-n must lie in [2, 8] (size cap of the dense oracle), got {args.max_n}"
         )
     results = run_validation(args.max_n)
-    lines = ["status,name,max_err,tol"]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status},{r.name},{fmt_float(r.max_err)},{fmt_float(r.tol)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = [("PASS" if r.passed else "FAIL", r.name, r.max_err, r.tol) for r in results]
+    _emit(csv_text("status,name,max_err,tol", rows), args.output)
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"validation failed: {failures[0].name}", file=sys.stderr)
         return 1
     return 0
-
-
-def _add_state_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True, help="number of qubits N")
-    parser.add_argument(
-        "--epsilon", type=float, default=None, help="branch angle in radians, [0, pi/2]"
-    )
-    parser.add_argument(
-        "--epsilon-sq-overlap",
-        type=float,
-        default=None,
-        help="alternative input 1 - |<phi1|phi2>|^2; converted via eps = asin(sqrt(.))",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,18 +125,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "effective-size", help="all effective-size measures as one JSON report"
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="output path (default stdout)")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--n", type=int, required=True, help="number of qubits N")
+    state.add_argument(
+        "--epsilon", type=float, default=None, help="branch angle in radians, [0, pi/2]"
     )
-    _add_state_flags(p)
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_effective_size)
+    state.add_argument(
+        "--epsilon-sq-overlap",
+        type=float,
+        default=None,
+        help="alternative input 1 - |<phi1|phi2>|^2; converted via eps = asin(sqrt(.))",
+    )
 
-    p = sub.add_parser(
-        "decoherence-curve", help="GHZ vs cat off-diagonal decay curves as CSV"
+    def command(name, func, summary, parents=(state, output)):
+        p = sub.add_parser(name, parents=list(parents), help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    command(
+        "effective-size", _cmd_effective_size, "all effective-size measures as one JSON report"
     )
-    _add_state_flags(p)
-    p.add_argument("--gamma-t-max", type=float, default=1.0, help="grid endpoint, > 0")
+
+    p = command(
+        "decoherence-curve", _cmd_decoherence_curve, "GHZ vs cat off-diagonal decay curves as CSV"
+    )
+    p.add_argument(
+        "--gamma-t-max", type=float, default=1.0, help="grid endpoint, finite and > 0"
+    )
     p.add_argument("--steps", type=int, default=50, help="grid points, >= 2")
     p.add_argument(
         "--n-ref",
@@ -210,20 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="GHZ reference size (default: rounded N sin^2 eps, at least 1)",
     )
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_decoherence_curve)
 
-    p = sub.add_parser(
-        "distill-sim", help="exact and Monte Carlo distillation outcome distributions"
+    p = command(
+        "distill-sim", _cmd_distill_sim, "exact and Monte Carlo distillation outcome distributions"
     )
-    _add_state_flags(p)
     p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials, >= 1")
     p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_distill_sim)
 
-    p = sub.add_parser("loss-curve", help="GHZ vs cat loss-suppression curves as CSV")
-    _add_state_flags(p)
+    p = command("loss-curve", _cmd_loss_curve, "GHZ vs cat loss-suppression curves as CSV")
     p.add_argument(
         "--lambda-max", type=float, default=1.0, help="grid endpoint, in (0, 1]"
     )
@@ -234,15 +179,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="GHZ reference size (default: rounded N (1 - cos eps), at least 1)",
     )
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_loss_curve)
 
-    p = sub.add_parser("validate", help="run the oracle-equivalence suite")
+    p = command("validate", _cmd_validate, "run the oracle-equivalence suite", [output])
     p.add_argument(
         "--max-n", type=int, default=4, help="largest qubit count to check, in [2, 8]"
     )
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 

@@ -20,6 +20,7 @@ powers are formed by repeated multiplication.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,27 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 
 
+def _check_positive_int(value, name: str) -> int:
+    """value as a Python int; ValueError unless it is an integer >= 1 (bools rejected)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_grid(grid, name: str) -> np.ndarray:
+    """grid as a float array; ValueError unless 1-D, non-empty, finite, >= 0 and sorted."""
+    values = np.asarray(grid, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(values < 0.0):
+        raise ValueError(f"{name} contains negative values")
+    if np.any(np.diff(values) < 0.0):
+        raise ValueError(f"{name} must be sorted ascending")
+    return values
+
+
 @dataclass(frozen=True)
 class CatParams:
     """Number of qubits N and branch angle epsilon in [0, pi/2] radians."""
@@ -48,15 +70,14 @@ class CatParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        n = _check_positive_int(self.N, "N")
+        if n > sys.float_info.max:  # every closed form multiplies N into a double
+            raise ValueError(f"N must not exceed the largest double, got {n.bit_length()} bits")
         if not (0.0 <= self.epsilon <= HALF_PI):
             raise ValueError(
                 f"epsilon must lie in [0, pi/2], got {self.epsilon!r}"
             )
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", n)
         object.__setattr__(self, "epsilon", float(self.epsilon))
 
     @property

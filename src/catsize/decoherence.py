@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CHANNEL_KINDS, DEPHASING
-from .core import CatParams
+from .core import CatParams, _check_grid, _check_positive_int
+from .serialize import csv_text
 
 __all__ = [
     "DecayCurve",
@@ -37,8 +38,7 @@ __all__ = [
 
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_positive_int(n, "n")
     if not (gamma_t >= 0.0):
         raise ValueError(f"gamma_t must be >= 0, got {gamma_t!r}")
     return math.exp(-float(n) * gamma_t)
@@ -95,31 +95,20 @@ class DecayCurve:
 
     def to_csv(self) -> str:
         """CSV with header ``gamma_t,ghz_norm,cat_norm`` in that column order."""
-        from .serialize import fmt_float
-
-        lines = ["gamma_t,ghz_norm,cat_norm"]
-        for t, g, c in zip(self.times, self.ghz_norm, self.cat_norm):
-            lines.append(f"{fmt_float(t)},{fmt_float(g)},{fmt_float(c)}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.times, self.ghz_norm, self.cat_norm)
+        return csv_text("gamma_t,ghz_norm,cat_norm", rows)
 
 
 def decay_curve(params: CatParams, n_ref: int, grid) -> DecayCurve:
     """Evaluate both decay curves on a gamma_t grid.
 
-    The grid must be sorted ascending, contain no negative entries and start
-    at 0 (so both curves start at exactly 1).
+    The grid must be finite, sorted ascending, contain no negative entries
+    and start at 0 (so both curves start at exactly 1).
     """
-    if not isinstance(n_ref, (int, np.integer)) or isinstance(n_ref, bool) or n_ref < 1:
-        raise ValueError(f"n_ref must be a positive integer, got {n_ref!r}")
-    times = np.asarray(grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("grid must be a non-empty 1-D sequence")
-    if np.any(times < 0.0):
-        raise ValueError("grid contains negative gamma_t values")
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("grid must be sorted ascending")
+    n_ref = _check_positive_int(n_ref, "n_ref")
+    times = _check_grid(grid, "gamma_t grid")
     if times[0] != 0.0:
         raise ValueError("grid must start at gamma_t = 0")
-    ghz = np.array([ghz_offdiag_norm(int(n_ref), t) for t in times])
+    ghz = np.array([ghz_offdiag_norm(n_ref, t) for t in times])
     cat = np.array([cat_offdiag_norm(params, t) for t in times])
     return DecayCurve(times=times, ghz_norm=ghz, cat_norm=cat)

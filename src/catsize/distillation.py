@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import binom
 
-from .core import CatParams, entropy_s1
+from .core import CatParams, _check_positive_int, entropy_s1
 
 __all__ = [
     "FilterMeasurement",
@@ -88,15 +88,20 @@ def success_probability(params: CatParams, j: int, any_prior_success: bool) -> f
     Before the first success: p = (1 - c) / (1 + c^(N-j+1)).
     After any success the remaining parties are iid: p = 1 - c.
     """
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ValueError(f"measurement index must be an integer, got {j!r}")
-    if not (1 <= j <= params.N):
+    j = _check_positive_int(j, "measurement index")
+    if j > params.N:
         raise ValueError(f"measurement index {j} out of range 1..{params.N}")
     omc = params.one_minus_c
     if any_prior_success:
         return omc
-    remaining = params.N - int(j) + 1
+    remaining = params.N - j + 1
     return omc / (1.0 + math.exp(remaining * params.log_c))
+
+
+def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
+    # payload shared by the exact and the Monte Carlo distribution
+    q = [float(v) for v in q]
+    return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
 
 
 @dataclass(frozen=True)
@@ -113,14 +118,7 @@ class OutcomeDistribution:
     log_q: np.ndarray
 
     def to_payload(self) -> dict:
-        return {
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "q": [float(v) for v in self.q],
-            "source": "exact",
-            "trials": None,
-            "seed": None,
-        }
+        return _q_payload(self.N, self.epsilon, self.q, "exact", None, None)
 
 
 def outcome_distribution(params: CatParams) -> OutcomeDistribution:
@@ -182,14 +180,7 @@ class McResult:
         return self.counts / self.trials
 
     def to_payload(self) -> dict:
-        return {
-            "N": self.N,
-            "epsilon": self.epsilon,
-            "q": [float(v) for v in self.freq],
-            "source": "mc",
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return _q_payload(self.N, self.epsilon, self.freq, "mc", self.trials, self.seed)
 
 
 def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
@@ -202,8 +193,7 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     so each trial's stream is a function of (seed, trial index, N) only and
     aggregation is order-insensitive.
     """
-    if not isinstance(trials, (int, np.integer)) or isinstance(trials, bool) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = _check_positive_int(trials, "trials")
     n = params.N
     m = n - np.arange(1, n + 1) + 1  # remaining qubits at step j
     p_before = params.one_minus_c / (1.0 + np.exp(m * params.log_c))
@@ -228,7 +218,7 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
         counts += np.bincount(n_success, minlength=n + 1)
         done += rows
     return McResult(
-        N=n, epsilon=params.epsilon, counts=counts, trials=int(trials), seed=int(seed)
+        N=n, epsilon=params.epsilon, counts=counts, trials=trials, seed=int(seed)
     )
 
 

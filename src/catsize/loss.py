@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CatParams
+from .core import CatParams, _check_grid, _check_positive_int
+from .serialize import csv_text
 
 __all__ = [
     "LossModel",
@@ -49,8 +50,7 @@ class LossModel:
 
 def ghz_loss_suppression(n: int, loss: LossModel) -> float:
     """Expected off-diagonal element relative to no loss: (1 - lam)^n."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_positive_int(n, "n")
     if loss.lam == 1.0:
         return 0.0
     return math.exp(float(n) * math.log1p(-loss.lam))
@@ -121,25 +121,16 @@ class LossCurve:
 
     def to_csv(self) -> str:
         """CSV with header ``lambda,ghz_suppression,cat_suppression``."""
-        from .serialize import fmt_float
-
-        lines = ["lambda,ghz_suppression,cat_suppression"]
-        for lam, g, c in zip(self.lambdas, self.ghz_suppression, self.cat_suppression):
-            lines.append(f"{fmt_float(lam)},{fmt_float(g)},{fmt_float(c)}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.lambdas, self.ghz_suppression, self.cat_suppression)
+        return csv_text("lambda,ghz_suppression,cat_suppression", rows)
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas) -> LossCurve:
     """Evaluate both suppression curves on a lam grid in [0, 1]."""
-    if not isinstance(n_ref, (int, np.integer)) or isinstance(n_ref, bool) or n_ref < 1:
-        raise ValueError(f"n_ref must be a positive integer, got {n_ref!r}")
-    lams = np.asarray(lambdas, dtype=float)
-    if lams.ndim != 1 or lams.size == 0:
-        raise ValueError("lambda grid must be a non-empty 1-D sequence")
-    if np.any(lams < 0.0) or np.any(lams > 1.0):
+    n_ref = _check_positive_int(n_ref, "n_ref")
+    lams = _check_grid(lambdas, "lambda grid")
+    if lams[-1] > 1.0:
         raise ValueError("lambda grid must lie in [0, 1]")
-    if np.any(np.diff(lams) < 0.0):
-        raise ValueError("lambda grid must be sorted ascending")
-    ghz = np.array([ghz_loss_suppression(int(n_ref), LossModel(l)) for l in lams])
+    ghz = np.array([ghz_loss_suppression(n_ref, LossModel(l)) for l in lams])
     cat = np.array([cat_loss_suppression(params, LossModel(l)) for l in lams])
     return LossCurve(lambdas=lams, ghz_suppression=ghz, cat_suppression=cat)

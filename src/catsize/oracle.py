@@ -32,6 +32,8 @@ __all__ = [
     "ProtocolBranch",
     "kron_all",
     "kron_power",
+    "branch_vectors",
+    "cat_amplitudes",
     "build_cat_state",
     "build_ghz_state",
     "apply_product_channel",
@@ -71,21 +73,29 @@ def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
     return kron_all([mat] * n)
 
 
-def _branch_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
-    # built from the raw parameters, not the analysis-module constructors
+def branch_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
+    """(|phi1>, |phi2>) built from the raw parameters.
+
+    Deliberately separate from ``core.phi_vectors``, which it checks.
+    """
     phi1 = np.array([1.0, 0.0], dtype=complex)
     phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
     return phi1, phi2
 
 
-def build_cat_state(params: CatParams) -> np.ndarray:
-    """Normalized amplitudes of |phi1>^(x)N + |phi2>^(x)N."""
+def cat_amplitudes(params: CatParams) -> np.ndarray:
+    """Unnormalized amplitudes of |phi1>^(x)N + |phi2>^(x)N."""
     _check_qubits(params.N, MAX_STATE_QUBITS, "dense state vectors")
-    phi1, phi2 = _branch_vectors(params)
-    vec = (
+    phi1, phi2 = branch_vectors(params)
+    return (
         kron_all([phi1.reshape(2, 1)] * params.N).ravel()
         + kron_all([phi2.reshape(2, 1)] * params.N).ravel()
     )
+
+
+def build_cat_state(params: CatParams) -> np.ndarray:
+    """Normalized amplitudes of |phi1>^(x)N + |phi2>^(x)N."""
+    vec = cat_amplitudes(params)
     return vec / np.linalg.norm(vec)
 
 
@@ -99,18 +109,31 @@ def build_ghz_state(n: int) -> np.ndarray:
     return vec
 
 
-def _n_qubits_of_operator(op: np.ndarray) -> int:
-    dim = op.shape[0]
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    n = dim.bit_length() - 1
-    if 2**n != dim:
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
+def _qubit_count(size: int, what: str) -> int:
+    n = size.bit_length() - 1
+    if 2**n != size:
+        raise ValueError(f"{what} {size} is not a power of two")
     return n
 
 
+def _as_state(state) -> tuple[np.ndarray, int]:
+    # flat complex amplitudes and their qubit count
+    state = np.asarray(state, dtype=complex).ravel()
+    return state, _qubit_count(state.size, "state length")
+
+
+def _n_qubits_of_operator(op: np.ndarray) -> int:
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {op.shape}")
+    return _qubit_count(op.shape[0], "matrix dimension")
+
+
 def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
-    """Apply the single-qubit Kraus set to every qubit slot of a dense operator."""
+    """Apply the single-qubit Kraus set to every qubit slot of a dense operator.
+
+    The 2^n x 2^n operator is read as a 2n-qubit vector (row index first):
+    K op K^dag applies K to row slot q and conj(K) to column slot n + q.
+    """
     op = np.asarray(op, dtype=complex)
     n = _n_qubits_of_operator(op)
     _check_qubits(n, MAX_OPERATOR_QUBITS, "dense operators")
@@ -118,13 +141,10 @@ def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     completeness = sum(k.conj().T @ k for k in kraus)
     if np.max(np.abs(completeness - np.eye(2))) > 1e-12:
         raise ValueError("Kraus set fails completeness: sum K^dag K != I")
+    vec = op.ravel()
     for q in range(n):
-        acc = np.zeros_like(op)
-        for k in kraus:
-            kf = kron_all([np.eye(2**q), k, np.eye(2 ** (n - q - 1))])
-            acc += kf @ op @ kf.conj().T
-        op = acc
-    return op
+        vec = sum(apply_one_qubit(apply_one_qubit(vec, k, q), k.conj(), n + q) for k in kraus)
+    return vec.reshape(op.shape)
 
 
 def dense_trace_norm(op: np.ndarray) -> float:
@@ -137,10 +157,7 @@ def dense_trace_norm(op: np.ndarray) -> float:
 
 def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix of a pure state on the kept qubits (0-based)."""
-    state = np.asarray(state, dtype=complex).ravel()
-    n = state.size.bit_length() - 1
-    if 2**n != state.size:
-        raise ValueError(f"state length {state.size} is not a power of two")
+    state, n = _as_state(state)
     _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
     keep = list(keep)
     if any(q < 0 or q >= n for q in keep):
@@ -153,8 +170,7 @@ def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
 
 def partial_trace_to_first(state: np.ndarray) -> np.ndarray:
     """2x2 reduced state of qubit 1 (the most significant bit); needs N >= 2."""
-    state = np.asarray(state, dtype=complex).ravel()
-    n = state.size.bit_length() - 1
+    state, n = _as_state(state)
     if n < 2:
         raise ValueError("partial_trace_to_first requires N >= 2")
     return partial_trace_state(state, [0])
@@ -183,8 +199,7 @@ def partial_trace_operator(op: np.ndarray, keep) -> np.ndarray:
 
 def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 operator to one qubit slot of a state vector (0-based)."""
-    state = np.asarray(state, dtype=complex).ravel()
-    n = state.size.bit_length() - 1
+    state, n = _as_state(state)
     if not (0 <= qubit < n):
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     cube = state.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
@@ -201,7 +216,7 @@ def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     """
     if params.epsilon <= 0.0:
         raise ValueError("biorthonormal basis requires eps > 0")
-    phi1, phi2 = _branch_vectors(params)
+    phi1, phi2 = branch_vectors(params)
     basis = np.column_stack([phi1, phi2])
     k_sq = float(np.linalg.eigvalsh(basis @ basis.conj().T)[0])
     a = math.sqrt(k_sq) * np.linalg.inv(basis)
@@ -278,9 +293,13 @@ def enumerate_loss(params: CatParams, loss: LossModel) -> float:
     """
     n = params.N
     _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
-    phi1, phi2 = _branch_vectors(params)
+    phi1, phi2 = branch_vectors(params)
     dyad = np.outer(phi1, phi2.conj())
     full_block = kron_power(dyad, n)
+    # trace norm of the untraced block on k surviving qubits, k = 0..n
+    reference = [
+        float(np.linalg.svd(kron_power(dyad, k), compute_uv=False).sum()) for k in range(n + 1)
+    ]
     total = 0.0
     for mask in range(2**n):
         lost = [j for j in range(n) if (mask >> (n - 1 - j)) & 1]
@@ -290,7 +309,5 @@ def enumerate_loss(params: CatParams, loss: LossModel) -> float:
             continue
         traced = partial_trace_operator(full_block, kept)
         numer = float(np.linalg.svd(traced, compute_uv=False).sum())
-        reference = kron_power(dyad, len(kept))
-        denom = float(np.linalg.svd(reference, compute_uv=False).sum())
-        total += weight * numer / denom
+        total += weight * numer / reference[len(kept)]
     return total

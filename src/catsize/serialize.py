@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-__all__ = ["fmt_float", "dumps_json"]
+__all__ = ["fmt_float", "dumps_json", "csv_text"]
 
 
 def fmt_float(x: float) -> str:
@@ -42,3 +42,9 @@ def _encode(obj) -> str:
 def dumps_json(obj) -> str:
     """Serialize to a JSON string with 17-significant-digit floats."""
     return _encode(obj)
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row; strings as-is, numbers as fmt_float."""
+    lines = [",".join(v if isinstance(v, str) else fmt_float(v) for v in row) for row in rows]
+    return "\n".join([header, *lines]) + "\n"

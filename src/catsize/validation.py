@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -39,11 +40,7 @@ def _check_cat_state_norm(max_n: int) -> CheckResult:
     for n in range(2, max_n + 1):
         for eps in STANDARD_EPSILONS + (math.pi / 2,):
             params = CatParams(n, eps)
-            phi1 = np.array([1.0, 0.0], dtype=complex)
-            phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
-            raw = oracle.kron_all([phi1.reshape(2, 1)] * n).ravel() + oracle.kron_all(
-                [phi2.reshape(2, 1)] * n
-            ).ravel()
+            raw = oracle.cat_amplitudes(params)
             worst = max(
                 worst,
                 abs(float(np.vdot(raw, raw).real) - normalization_constant(params)),
@@ -61,9 +58,7 @@ def _check_ghz_reduction(max_n: int) -> CheckResult:
 
 
 def _evolved_block_norm(n: int, eps: float, kind: str, gamma_t: float) -> float:
-    params = CatParams(n, eps)
-    phi1 = np.array([1.0, 0.0], dtype=complex)
-    phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
+    phi1, phi2 = oracle.branch_vectors(CatParams(n, eps))
     block = oracle.kron_power(np.outer(phi1, phi2.conj()), n)
     evolved = oracle.apply_product_channel(block, channels.ChannelSpec(kind, gamma_t))
     return oracle.dense_trace_norm(evolved)
@@ -71,39 +66,32 @@ def _evolved_block_norm(n: int, eps: float, kind: str, gamma_t: float) -> float:
 
 def _check_decoherence(max_n: int, kind: str) -> CheckResult:
     worst = 0.0
-    for n in range(2, max_n + 1):
-        for eps in STANDARD_EPSILONS:
-            for gamma_t in STANDARD_GAMMA_TS:
-                closed = decoherence.cat_offdiag_norm(CatParams(n, eps), gamma_t, kind)
-                dense = _evolved_block_norm(n, eps, kind, gamma_t)
-                worst = max(worst, abs(dense - closed) / closed)
+    for n, eps, gamma_t in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_GAMMA_TS):
+        closed = decoherence.cat_offdiag_norm(CatParams(n, eps), gamma_t, kind)
+        dense = _evolved_block_norm(n, eps, kind, gamma_t)
+        worst = max(worst, abs(dense - closed) / closed)
     return _result(f"decoherence_closed_form_{kind}", worst, 1e-9)
 
 
 def _check_channel_equivalence(max_n: int) -> CheckResult:
     worst = 0.0
-    for n in range(2, max_n + 1):
-        for eps in STANDARD_EPSILONS:
-            for gamma_t in STANDARD_GAMMA_TS:
-                a = _evolved_block_norm(n, eps, channels.DEPHASING, gamma_t)
-                b = _evolved_block_norm(n, eps, channels.DEPOLARIZING, gamma_t)
-                worst = max(worst, abs(a - b) / a)
+    for n, eps, gamma_t in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_GAMMA_TS):
+        a = _evolved_block_norm(n, eps, channels.DEPHASING, gamma_t)
+        b = _evolved_block_norm(n, eps, channels.DEPOLARIZING, gamma_t)
+        worst = max(worst, abs(a - b) / a)
     return _result("channel_equivalence", worst, 1e-12)
 
 
 def _check_ghz_rate(max_n: int) -> CheckResult:
     dyad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     worst = 0.0
-    for n in range(1, max_n + 1):
-        for gamma_t in STANDARD_GAMMA_TS:
-            for kind in channels.CHANNEL_KINDS:
-                block = oracle.kron_power(dyad, n)
-                evolved = oracle.apply_product_channel(
-                    block, channels.ChannelSpec(kind, gamma_t)
-                )
-                dense = oracle.dense_trace_norm(evolved)
-                closed = decoherence.ghz_offdiag_norm(n, gamma_t)
-                worst = max(worst, abs(dense - closed) / closed)
+    grid = product(range(1, max_n + 1), STANDARD_GAMMA_TS, channels.CHANNEL_KINDS)
+    for n, gamma_t, kind in grid:
+        block = oracle.kron_power(dyad, n)
+        evolved = oracle.apply_product_channel(block, channels.ChannelSpec(kind, gamma_t))
+        dense = oracle.dense_trace_norm(evolved)
+        closed = decoherence.ghz_offdiag_norm(n, gamma_t)
+        worst = max(worst, abs(dense - closed) / closed)
     return _result("ghz_decay_rate", worst, 1e-12)
 
 
@@ -160,14 +148,12 @@ def _check_residual_factorization(max_n: int) -> CheckResult:
 
 def _check_loss(max_n: int) -> CheckResult:
     worst = 0.0
-    for n in range(2, max_n + 1):
-        for eps in STANDARD_EPSILONS:
-            for lam in STANDARD_LAMBDAS:
-                params = CatParams(n, eps)
-                model = loss.LossModel(lam)
-                dense = oracle.enumerate_loss(params, model)
-                closed = loss.cat_loss_suppression(params, model)
-                worst = max(worst, abs(dense - closed))
+    for n, eps, lam in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_LAMBDAS):
+        params = CatParams(n, eps)
+        model = loss.LossModel(lam)
+        dense = oracle.enumerate_loss(params, model)
+        closed = loss.cat_loss_suppression(params, model)
+        worst = max(worst, abs(dense - closed))
     return _result("loss_subset_expectation", worst, 1e-9)
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,6 +174,47 @@ def test_decoherence_curve_bad_flags(capsys):
         "--n", "8", "--epsilon", "0.5", "--gamma-t-max", "0",
     )
     assert code == 2
+
+
+def test_decoherence_curve_rejects_infinite_endpoint(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "decoherence-curve",
+        "--n", "100", "--epsilon", "0.1", "--gamma-t-max", "inf", "--steps", "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Warning" not in err
+
+
+def test_n_beyond_largest_double_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "effective-size", "--n", "1" + "0" * 400, "--epsilon", "0.1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "largest double" in err
+
+
+def test_import_loads_only_the_library():
+    import catsize
+
+    probe = (
+        "import sys, catsize\n"
+        "loaded = [m for m in ('catsize.cli', 'catsize.validation', 'catsize.oracle')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import catsize.cli\n"
+        "assert catsize.EffectiveSizeReport is catsize.cli.EffectiveSizeReport\n"
+        "assert catsize.build_effective_size_report is catsize.cli.build_effective_size_report\n"
+    )
+    src = os.path.dirname(os.path.dirname(catsize.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_distill_sim_payload(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ def test_params_validation():
     # boundary angles are legal fixtures
     CatParams(1, 0.0)
     CatParams(1, HALF_PI)
+
+
+def test_params_reject_n_beyond_largest_double():
+    # every closed form multiplies N into a double, so N must fit in one
+    with pytest.raises(ValueError, match="largest double"):
+        CatParams(10**400, 0.1)
+    with pytest.raises(ValueError):
+        CatParams(int(sys.float_info.max) + 1, 0.1)
+    assert CatParams(int(sys.float_info.max), 0.1).N == int(sys.float_info.max)
+    assert CatParams(10**38, 0.1).N == 10**38
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)

@@ -146,6 +146,10 @@ def test_decay_curve_validation():
         decay_curve(p, 2, [0.5, 1.0])  # does not start at 0
     with pytest.raises(ValueError):
         decay_curve(p, 2, [])
+    with pytest.raises(ValueError):
+        decay_curve(p, 1, [0.0, math.inf])  # non-finite
+    with pytest.raises(ValueError):
+        decay_curve(p, 1, [0.0, math.nan])
 
 
 def test_decay_curve_trivial_grid():

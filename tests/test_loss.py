@@ -135,3 +135,7 @@ def test_loss_curve_csv():
         loss_curve(CatParams(8, 0.5), 2, [0.0, 1.5])
     with pytest.raises(ValueError):
         loss_curve(CatParams(8, 0.5), 0, [0.0, 1.0])
+    # the grid checks shared with decay_curve
+    for bad in ([], [0.5, 0.2], [-0.1, 0.2], [0.0, math.nan], [[0.0, 0.5]]):
+        with pytest.raises(ValueError):
+            loss_curve(CatParams(8, 0.5), 2, bad)

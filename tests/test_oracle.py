@@ -92,6 +92,40 @@ def test_apply_product_channel_identity_at_zero_time():
         assert np.max(np.abs(out - op)) < 1e-12
 
 
+def _kron_factor_product_channel(op, ch):
+    # reference: conjugate by the full 2^n x 2^n factor I (x) K (x) I per qubit
+    n = op.shape[0].bit_length() - 1
+    for q in range(n):
+        acc = np.zeros_like(op)
+        for k in ch.kraus_operators():
+            kf = np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (n - q - 1)))
+            acc += kf @ op @ kf.conj().T
+        op = acc
+    return op
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_product_channel_matches_kron_factor_reference(n, kind):
+    rng = np.random.default_rng(100 + n)
+    dim = 2**n
+    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ch = ChannelSpec(kind, 0.37)
+    diff = np.max(np.abs(apply_product_channel(op, ch) - _kron_factor_product_channel(op, ch)))
+    assert diff <= 1e-14 * np.max(np.abs(op))
+
+
+def test_state_length_must_be_power_of_two():
+    m = np.eye(2)
+    for call in (
+        lambda s: apply_one_qubit(s, m, 0),
+        lambda s: partial_trace_state(s, [0]),
+        lambda s: partial_trace_to_first(s),
+    ):
+        with pytest.raises(ValueError, match="power of two"):
+            call(np.ones(6))
+
+
 def test_apply_product_channel_ghz_block():
     # dephasing scales (|0><1|)^(x)n by exp(-n gamma t) entrywise
     n, gt = 4, 0.7
