@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_gamma_t
+
 __all__ = [
     "DEPHASING",
     "DEPOLARIZING",
@@ -57,9 +59,7 @@ class ChannelSpec:
             raise ValueError(
                 f"kind must be one of {CHANNEL_KINDS}, got {self.kind!r}"
             )
-        if not (self.gamma_t >= 0.0):
-            raise ValueError(f"gamma_t must be >= 0, got {self.gamma_t!r}")
-        object.__setattr__(self, "gamma_t", float(self.gamma_t))
+        object.__setattr__(self, "gamma_t", _check_gamma_t(self.gamma_t))
 
     @property
     def mu(self) -> float:

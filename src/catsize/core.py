@@ -62,6 +62,17 @@ def _check_grid(grid, name: str) -> np.ndarray:
     return values
 
 
+def _check_gamma_t(gamma_t) -> float:
+    """gamma_t as a Python float; ValueError unless it is >= 0 (NaN rejected).
+
+    The float conversion makes an overflowing product such as -2 gamma_t
+    round to -inf quietly, where a numpy scalar would warn.
+    """
+    if not (gamma_t >= 0.0):
+        raise ValueError(f"gamma_t must be >= 0, got {gamma_t!r}")
+    return float(gamma_t)
+
+
 @dataclass(frozen=True)
 class CatParams:
     """Number of qubits N and branch angle epsilon in [0, pi/2] radians."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CHANNEL_KINDS, DEPHASING
-from .core import CatParams, _check_grid, _check_positive_int
+from .core import CatParams, _check_gamma_t, _check_grid, _check_positive_int
 from .serialize import csv_text
 
 __all__ = [
@@ -39,9 +39,7 @@ __all__ = [
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
     n = _check_positive_int(n, "n")
-    if not (gamma_t >= 0.0):
-        raise ValueError(f"gamma_t must be >= 0, got {gamma_t!r}")
-    return math.exp(-float(n) * gamma_t)
+    return math.exp(-float(n) * _check_gamma_t(gamma_t))
 
 
 def _log_cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
@@ -62,9 +60,7 @@ def cat_offdiag_norm(
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    if not (gamma_t >= 0.0):
-        raise ValueError(f"gamma_t must be >= 0, got {gamma_t!r}")
-    return math.exp(_log_cat_offdiag_norm(params, gamma_t))
+    return math.exp(_log_cat_offdiag_norm(params, _check_gamma_t(gamma_t)))
 
 
 def effective_size_decoherence(params: CatParams) -> float:

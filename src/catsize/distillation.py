@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom
 
 from .core import CatParams, _check_positive_int, entropy_s1
 
@@ -121,18 +119,114 @@ class OutcomeDistribution:
         return _q_payload(self.N, self.epsilon, self.q, "exact", None, None)
 
 
+# stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 1..15, from
+# mp.loggamma(n + 1) - (n + 1/2) mp.log(n) + n - mp.log(2 mp.pi) / 2 at
+# mp.dps = 40, printed with format(float(v), ".17g")
+_STIRLERR_SMALL = np.array([
+    0.081061466795327261, 0.041340695955409297, 0.027677925684998338,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.0092554621827127329,
+    0.0083305634333628708, 0.0075736754879518406, 0.0069428401072095299,
+    0.0064089941880042071, 0.0059513701127588475, 0.0055547335519628011,
+])
+_LN_2PI = math.log(2.0 * math.pi)
+# 1/3, 1/5, ..., 1/17: the near-branch series of bd0 in w = v^2 < 0.01;
+# the first omitted term is below 1e-18 of the result
+_BD0_COEFFS = tuple(1.0 / (2 * j + 1) for j in range(1, 9))
+
+
+def _stirlerr(n) -> np.ndarray:
+    """Stirling-series error ln n! - ln(sqrt(2 pi n) (n/e)^n) for integers n >= 1.
+
+    Tabulated for n <= 15; above that the 5-term series
+    1/(12n) - 1/(360n^3) + 1/(1260n^5) - 1/(1680n^7) + 1/(1188n^9),
+    whose first omitted term is below 1.2e-16 at n = 16.
+    """
+    n = np.asarray(n, dtype=float)
+    inv_sq = 1.0 / (n * n)
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv_sq / 1188) * inv_sq)
+                     * inv_sq) * inv_sq) / n
+    small = n <= 15
+    out[small] = _STIRLERR_SMALL[n[small].astype(np.intp) - 1]
+    return out
+
+
+def _bd0(x, m: float) -> np.ndarray:
+    """Deviance term x ln(x/m) + m - x >= 0 for x >= 1 and m > 0 (Loader 2000).
+
+    Near x = m, where |x - m| < 0.1 (x + m), the direct form cancels; there
+    it is (x - m) v + 2 x sum_j v^(2j+1)/(2j+1) with v = (x - m)/(x + m).
+    """
+    x = np.asarray(x, dtype=float)
+    # x / m overflows for subnormal m; for m < 1 <= x the difference of
+    # logs has no cancellation
+    out = np.log(x / m) if m >= 1.0 else np.log(x) - math.log(m)
+    out *= x
+    out += m
+    out -= x
+    # |x - m| < 0.1 (x + m) is 9m/11 < x < 11m/9, without float temporaries
+    near = (x > m * (9 / 11)) & (x < m * (11 / 9))
+    if near.any():
+        xn = x[near]
+        d = xn - m
+        v = d / (xn + m)
+        w = v * v
+        series = np.full_like(w, _BD0_COEFFS[-1])
+        for coeff in _BD0_COEFFS[-2::-1]:
+            series *= w
+            series += coeff
+        out[near] = d * v + 2.0 * xn * v * w * series
+    return out
+
+
+def _log_binom_pmf(n: int, p: float, q: float, log_p: float, log_q: float) -> np.ndarray:
+    """ln of the binomial pmf C(n, k) p^k q^(n-k) for k = 0..n.
+
+    Loader's saddle-point form ("Fast and Accurate Computation of Binomial
+    Probabilities", 2000, the algorithm behind R's dbinom):
+
+        ln pmf(k) = stirlerr(n) - stirlerr(k) - stirlerr(n-k)
+                    - bd0(k, n p) - bd0(n-k, n q) - ln(2 pi k (n-k) / n) / 2.
+
+    p and q = 1 - p are passed separately, with their logs, so that neither
+    is formed by a cancelling difference; the endpoints are n ln q and
+    n ln p.  Requires p, q > 0.  The error in ln pmf is mostly the rounding
+    of p and q, times |k - n p|: 3e-13 at n = 1e7 and p = 1 - cos(pi/4),
+    three sigma from the mode.
+    """
+    out = np.empty(n + 1)
+    out[0] = n * log_q
+    out[n] = n * log_p
+    if n > 1:
+        # k = 1..n; over its first n - 1 entries, the reversed array is n - k
+        k = np.arange(1.0, n + 1)
+        s = _stirlerr(k)
+        inner = out[1:n]
+        np.subtract(s[-1], s[:-1], out=inner)
+        inner -= s[-2::-1]
+        del s
+        inner -= _bd0(k[:-1], n * p)
+        inner -= _bd0(k[-2::-1], n * q)
+        # ln(2 pi k (n-k) / n) / 2
+        log_k = np.log(k)
+        lf = log_k[:-1] + log_k[-2::-1]
+        lf += _LN_2PI - log_k[-1]
+        lf *= 0.5
+        inner -= lf
+    return out
+
+
 def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     """Exact outcome distribution over n = 0..N.
 
-    Linear probabilities use the saddle-point binomial pmf (relative error
-    ~1e-15 at any N), which is what keeps sum(q) = 1 to 1e-12 at N = 1e6;
-    a pure log-gamma assembly drifts to ~4e-10 there because the absolute
-    error of lgamma grows with |lgamma|.  log_q is taken from the linear
-    values where they are representable and from the log-gamma assembly in
-    the underflowed tail.
+    One log-domain path: log_q = ln pmf - ln(1 + c^N), with ln pmf the
+    saddle-point binomial pmf with p = 1 - c (see _log_binom_pmf), then
+    log_q[0] = ln 2 + N ln c - ln(1 + c^N) and q = exp(log_q).  The
+    saddle-point form keeps sum(q) = 1 to 1e-12 at N = 1e6, where a
+    log-gamma assembly drifts to ~4e-10 because the absolute error of
+    lgamma grows with |lgamma|; log_q stays finite in the tail where q
+    underflows to 0.
     """
-    n_all = np.arange(params.N + 1)
-    cn = math.exp(params.log_cN)
     if params.one_minus_c == 0.0:
         q = np.zeros(params.N + 1)
         q[0] = 1.0
@@ -140,24 +234,14 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
         log_q[0] = 0.0
         return OutcomeDistribution(params.N, params.epsilon, q, log_q)
 
-    norm = 1.0 + cn
-    q = binom.pmf(n_all, params.N, params.one_minus_c) / norm
-    q[0] = 2.0 * cn / norm
-
-    log_norm = math.log1p(cn)
-    log_omc = math.log(params.one_minus_c)
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)
-    tail = ~np.isfinite(log_q)
-    if np.any(tail):
-        n_t = n_all[tail].astype(float)
-        log_binom = (
-            gammaln(params.N + 1.0) - gammaln(n_t + 1.0) - gammaln(params.N - n_t + 1.0)
-        )
-        log_q[tail] = (
-            n_t * log_omc + (params.N - n_t) * params.log_c + log_binom - log_norm
-        )
-    return OutcomeDistribution(params.N, params.epsilon, q, log_q)
+    c = params.c_eps
+    # ln(1 - c) as CatParams.log_c takes ln c: log1p where its argument is small
+    log_p = math.log1p(-c) if c < 0.5 else math.log(params.one_minus_c)
+    log_q = _log_binom_pmf(params.N, params.one_minus_c, c, log_p, params.log_c)
+    log_norm = math.log1p(math.exp(params.log_cN))
+    log_q -= log_norm
+    log_q[0] = math.log(2.0) + params.log_cN - log_norm
+    return OutcomeDistribution(params.N, params.epsilon, np.exp(log_q), log_q)
 
 
 def expected_n(params: CatParams) -> float:

@@ -9,6 +9,7 @@ contract for key order).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -16,8 +17,15 @@ __all__ = ["fmt_float", "dumps_json", "csv_text"]
 
 
 def fmt_float(x: float) -> str:
-    """Shortest-of-17-significant-digits decimal form of a double."""
-    return format(float(x), ".17g")
+    """Shortest-of-17-significant-digits decimal form of a finite double.
+
+    Raises ValueError on inf or nan, which have no JSON token and which no
+    CSV reader of this output expects.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    return format(x, ".17g")
 
 
 def _encode(obj) -> str:

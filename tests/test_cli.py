@@ -188,6 +188,22 @@ def test_decoherence_curve_rejects_infinite_endpoint(capsys):
     assert "Warning" not in err
 
 
+def test_decoherence_curve_near_largest_double(capsys):
+    # -2 gamma_t overflows to -inf on the way; no numpy warning reaches stderr
+    n, eps = 100, 0.2
+    code, out, err = run_cli(
+        capsys,
+        "decoherence-curve",
+        "--n", str(n), "--epsilon", str(eps), "--gamma-t-max", "1.7e308", "--steps", "3",
+    )
+    assert code == 0
+    assert err == ""
+    last = [float(v) for v in out.splitlines()[-1].split(",")]
+    assert last[0] == 1.7e308
+    assert last[1] == 0.0
+    assert last[2] == pytest.approx(math.cos(eps) ** n, rel=1e-12)
+
+
 def test_n_beyond_largest_double_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "effective-size", "--n", "1" + "0" * 400, "--epsilon", "0.1"
@@ -205,9 +221,11 @@ def test_import_loads_only_the_library():
         "loaded = [m for m in ('catsize.cli', 'catsize.validation', 'catsize.oracle')"
         " if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "import catsize.cli\n"
+        "import catsize.cli, catsize.validation\n"
         "assert catsize.EffectiveSizeReport is catsize.cli.EffectiveSizeReport\n"
         "assert catsize.build_effective_size_report is catsize.cli.build_effective_size_report\n"
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not scipy, scipy\n"
     )
     src = os.path.dirname(os.path.dirname(catsize.__file__))
     env = dict(os.environ, PYTHONPATH=src)

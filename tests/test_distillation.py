@@ -1,12 +1,15 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from mpmath import mp
 
 from catsize.core import CatParams, phi_vectors
 from catsize.distillation import (
+    _bd0,
+    _stirlerr,
     build_filter,
     distillation_bound,
     expected_n,
@@ -138,6 +141,73 @@ def test_outcome_distribution_log_tail_retained():
     assert np.all(dist.log_q[tail] < -700.0)
 
 
+def _mp_outcome(n, eps, k):
+    """(q_k, ln q_k) of the protocol in 40-digit arithmetic from the double eps."""
+    with mp.workdps(40):
+        e = mp.mpf(eps)
+        c, omc = mp.cos(e), 2 * mp.sin(e / 2) ** 2
+        norm = 1 + c**n
+        if k == 0:
+            q = 2 * c**n / norm
+        else:
+            q = mp.binomial(n, k) * omc**k * c ** (n - k) / norm
+        return q, mp.log(q)
+
+
+@pytest.mark.parametrize(
+    "n,eps",
+    [(n, eps) for n in (10, 10**3, 10**6, 10**7) for eps in (1 / math.sqrt(n), math.pi / 4)],
+)
+def test_outcome_distribution_matches_mpmath(n, eps):
+    # the saddle-point pmf against 40-digit binomials at k = 1, 2, the mode,
+    # the mode + 3 sigma, N/2 and N
+    p = CatParams(n, eps)
+    dist = outcome_distribution(p)
+    mode = math.floor((n + 1) * p.one_minus_c)
+    sigma = math.sqrt(n * p.one_minus_c * p.c_eps)
+    for k in sorted({1, 2, mode, min(n, mode + math.ceil(3 * sigma)), n // 2, n}):
+        q_ref, log_ref = _mp_outcome(n, eps, k)
+        assert abs(dist.log_q[k] - log_ref) <= 1e-12 * max(1.0, abs(log_ref)), k
+        if q_ref >= sys.float_info.min:
+            assert abs(dist.q[k] - q_ref) <= 1e-12 * q_ref, k
+
+
+def test_outcome_distribution_top_entry_near_half_pi():
+    # q_N = (1 - c)^N / (1 + c^N) with c ~ 1e-5: N ln(1 - c) must come from
+    # log1p(-c); the log of the rounded 1 - c is off by ~N ulp, 1e-10 here
+    n, eps = 10**6, HALF_PI - 1e-5
+    q_ref, _ = _mp_outcome(n, eps, n)
+    assert abs(outcome_distribution(CatParams(n, eps)).q[n] - q_ref) <= 1e-12 * q_ref
+
+
+def _mp_stirlerr(n):
+    with mp.workdps(40):
+        return mp.loggamma(n + 1) - (n + mp.mpf(1) / 2) * mp.log(n) + n - mp.log(2 * mp.pi) / 2
+
+
+def test_stirlerr_matches_loggamma():
+    # the table covers 1..15 and the 5-term series the rest; the first
+    # omitted series term is 1.1e-16 at n = 16 (stirlerr diverges at n = 0)
+    ns = list(range(1, 21)) + [10**6]
+    got = _stirlerr(np.array(ns, dtype=float))
+    for n, value in zip(ns, got):
+        assert abs(value - _mp_stirlerr(n)) <= 2e-16, n
+
+
+@pytest.mark.parametrize("m", [1000.0, 0.9, 5e-320])
+def test_bd0_matches_mpmath_on_both_branches(m):
+    # the near series holds for 9m/11 < x < 11m/9, i.e. |x - m| < 0.1 (x + m);
+    # for subnormal m, x / m overflows and the far branch must not use it
+    xs = [1.0, 2.0, m * 0.5, m * 9 / 11 * (1 - 1e-9), m * 9 / 11 * (1 + 1e-9), m, m + 1e-3,
+          m * 11 / 9 * (1 - 1e-9), m * 11 / 9 * (1 + 1e-9), m * 5.0]
+    xs = np.array([x for x in xs if x >= 1.0])
+    got = _bd0(xs, m)
+    for x, value in zip(xs, got):
+        with mp.workdps(40):
+            ref = mp.mpf(x) * mp.log(mp.mpf(x) / mp.mpf(m)) + mp.mpf(m) - mp.mpf(x)
+        assert abs(value - ref) <= 1e-14 * ref, x
+
+
 @pytest.mark.parametrize(
     "n,eps", [(2, PI_3), (8, 0.5), (40, 0.2), (10**4, 0.01), (10**6, 1e-3)]
 )
@@ -190,9 +260,10 @@ def test_simulation_matches_exact_distribution():
     emp = res.freq
     se = np.sqrt(exact * (1 - exact) / trials)
     assert np.all(np.abs(emp - exact) <= 4.0 * se)
-    # chi-squared goodness of fit at significance 1e-3 (2 dof)
+    # chi-squared goodness of fit at significance 1e-3 (2 dof); the 2-dof
+    # survival function is exp(-x/2), so the threshold is -2 ln(1e-3)
     stat = float((((res.counts - exact * trials) ** 2) / (exact * trials)).sum())
-    assert stat < chi2.isf(1e-3, df=2)
+    assert stat < -2.0 * math.log(1e-3)
 
 
 def test_simulation_mean_within_clt_bound():
