@@ -44,10 +44,14 @@ def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
 
 def _log_cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
     # (N/2) ln d with d - 1 = s^2 (exp(-2 gamma_t) - 1); the log1p/expm1 pair
-    # keeps full precision for small eps and small gamma_t, and reduces to
-    # -N gamma_t exactly-in-log-domain at eps = pi/2.
+    # keeps full precision for small eps and small gamma_t.  Where d < 1/2,
+    # d = c^2 + s^2 exp(-2 gamma_t) is a sum of nonnegative terms instead:
+    # at eps = pi/2, s^2 rounds to 1 and expm1 to -1 once gamma_t > ~18.4.
     s2 = params.s_eps**2
-    return 0.5 * params.N * math.log1p(s2 * math.expm1(-2.0 * gamma_t))
+    shrink = s2 * math.expm1(-2.0 * gamma_t)
+    if shrink >= -0.5:
+        return 0.5 * params.N * math.log1p(shrink)
+    return 0.5 * params.N * math.log(params.c_eps**2 + s2 * math.exp(-2.0 * gamma_t))
 
 
 def cat_offdiag_norm(

@@ -80,6 +80,26 @@ def build_filter(params: CatParams) -> FilterMeasurement:
     return FilterMeasurement(A=a, A_bar=_sqrtm_psd_2x2(complement), k_sq=k * k)
 
 
+# Largest N for which outcome_distribution and simulate_protocol build their
+# O(N) arrays.  Measured peaks: 40 bytes per N for outcome_distribution and
+# 25 for simulate_protocol (tracemalloc, N = 1e6 and 4e6), and about 129 for
+# the whole distill-sim process, mostly its two (N+1)-float payload lists (max
+# RSS 165 MiB at N = 1e6, 533 MiB at 4e6).  2^24 caps distill-sim near 2 GiB.
+MAX_DISTRIBUTION_N = 2**24
+# trials per block of the Monte Carlo sampler
+_MC_BLOCK = 1 << 16
+
+
+def _check_distribution_size(params: CatParams) -> int:
+    # refuse before allocating: the arrays grow linearly in N with no cap
+    if params.N > MAX_DISTRIBUTION_N:
+        raise ValueError(
+            f"N = {params.N} exceeds {MAX_DISTRIBUTION_N}, the largest N for which "
+            "the O(N) outcome distribution is built"
+        )
+    return params.N
+
+
 def success_probability(params: CatParams, j: int, any_prior_success: bool) -> float:
     """Probability of the A outcome in the j-th measurement (1-based).
 
@@ -98,7 +118,7 @@ def success_probability(params: CatParams, j: int, any_prior_success: bool) -> f
 
 def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
     # payload shared by the exact and the Monte Carlo distribution
-    q = [float(v) for v in q]
+    q = q.tolist()
     return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
 
 
@@ -227,6 +247,7 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     lgamma grows with |lgamma|; log_q stays finite in the tail where q
     underflows to 0.
     """
+    _check_distribution_size(params)
     if params.one_minus_c == 0.0:
         q = np.zeros(params.N + 1)
         q[0] = 1.0
@@ -270,37 +291,43 @@ class McResult:
 def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     """Monte Carlo simulation of the sequential measurement protocol.
 
-    Uses the compact protocol state (qubits measured so far, any prior
-    success) rather than state vectors, so a trial costs O(N).  Randomness
-    comes from the counter-based Philox generator keyed directly with the
-    seed; trial t consumes row t of a C-ordered (trials, N) uniform matrix,
-    so each trial's stream is a function of (seed, trial index, N) only and
-    aggregation is order-insensitive.
+    Event-driven, in O(N + trials) time and O(N + _MC_BLOCK) memory.  Until
+    the first success, step j succeeds with p_before (success_probability):
+    one uniform per trial picks that step j by inverse transform on the
+    cumulative log survival.  The N - j later parties succeed iid with
+    1 - c, so one Binomial(N - j, 1 - c) draw counts them.
+
+    Randomness comes from the Philox generator keyed directly with the
+    seed; each block of _MC_BLOCK trials draws its uniforms, then one
+    binomial per trial with a success, in trial order.
     """
     trials = _check_positive_int(trials, "trials")
-    n = params.N
-    m = n - np.arange(1, n + 1) + 1  # remaining qubits at step j
-    p_before = params.one_minus_c / (1.0 + np.exp(m * params.log_c))
-    p_tilde = params.one_minus_c
+    n = _check_distribution_size(params)
+    c, omc = params.c_eps, params.one_minus_c
+    # c^m for m = N..1 parties remaining at steps j = 1..N
+    c_m = np.exp(np.arange(n, 0.0, -1.0) * params.log_c)
+    if c >= 0.5:
+        # -ln(1 - p_before); p_before <= 1 - c <= 1/2, where log1p keeps precision
+        neg_log_stay = -np.log1p(-omc / (1.0 + c_m))
+    else:
+        # 1 - p_before = (c + c^m) / (1 + c^m), formed without cancellation:
+        # p_before itself rounds to 1 next to eps = pi/2
+        neg_log_stay = -np.log((c + c_m) / (1.0 + c_m))
+    del c_m
+    # -ln survival of steps 1..j, non-decreasing because every term is >= 0
+    neg_log_surv = np.cumsum(neg_log_stay, out=neg_log_stay)
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     counts = np.zeros(n + 1, dtype=np.int64)
-    step_idx = np.arange(n)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    done = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        u = rng.random((rows, n))
-        # first success scans the before-first-success thresholds; afterwards
-        # the remaining steps are iid with p_tilde -- identical to the
-        # sequential per-step rule with the same uniforms
-        before = u < p_before[None, :]
-        any_success = before.any(axis=1)
-        first = np.argmax(before, axis=1)
-        later = (step_idx[None, :] > first[:, None]) & (u < p_tilde)
-        n_success = np.where(any_success, 1 + later.sum(axis=1), 0)
-        counts += np.bincount(n_success, minlength=n + 1)
-        done += rows
+    for start in range(0, trials, _MC_BLOCK):
+        rows = min(_MC_BLOCK, trials - start)
+        # U = 1 - random() lies in (0, 1]; the first success is the first
+        # step whose survival falls below U, i.e. whose -ln survival
+        # exceeds -ln U; index n means no success
+        first = np.searchsorted(neg_log_surv, -np.log1p(-rng.random(rows)), side="right")
+        hit = first[first < n]
+        counts[0] += rows - hit.size
+        counts += np.bincount(1 + rng.binomial(n - 1 - hit, omc), minlength=n + 1)
     return McResult(
         N=n, epsilon=params.epsilon, counts=counts, trials=trials, seed=int(seed)
     )

@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = ["fmt_float", "dumps_json", "csv_text"]
 
+_FLOAT_BATCH = 4096
+
 
 def fmt_float(x: float) -> str:
     """Shortest-of-17-significant-digits decimal form of a finite double.
@@ -42,6 +44,15 @@ def _encode(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
+    if isinstance(obj, list) and set(map(type, obj)) == {float}:
+        # Python floats are formatted _FLOAT_BATCH to a call, with no Python
+        # call per value and small temporaries; %.17g is the fmt_float form.
+        # It writes inf and nan as "inf"/"nan", so an "n" anywhere marks a
+        # non-finite entry, which the per-value loop below refuses
+        batches = (obj[i : i + _FLOAT_BATCH] for i in range(0, len(obj), _FLOAT_BATCH))
+        text = ", ".join(", ".join(["%.17g"] * len(b)) % tuple(b) for b in batches)
+        if "n" not in text:
+            return "[" + text + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

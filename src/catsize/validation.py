@@ -64,22 +64,20 @@ def _evolved_block_norm(n: int, eps: float, kind: str, gamma_t: float) -> float:
     return oracle.dense_trace_norm(evolved)
 
 
-def _check_decoherence(max_n: int, kind: str) -> CheckResult:
-    worst = 0.0
+def _check_decoherence(max_n: int) -> list[CheckResult]:
+    # each dense block is evolved once per kind and serves the closed-form
+    # check of that kind and the channel-equivalence check
+    worst = dict.fromkeys(channels.CHANNEL_KINDS, 0.0)
+    worst_equiv = 0.0
     for n, eps, gamma_t in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_GAMMA_TS):
-        closed = decoherence.cat_offdiag_norm(CatParams(n, eps), gamma_t, kind)
-        dense = _evolved_block_norm(n, eps, kind, gamma_t)
-        worst = max(worst, abs(dense - closed) / closed)
-    return _result(f"decoherence_closed_form_{kind}", worst, 1e-9)
-
-
-def _check_channel_equivalence(max_n: int) -> CheckResult:
-    worst = 0.0
-    for n, eps, gamma_t in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_GAMMA_TS):
-        a = _evolved_block_norm(n, eps, channels.DEPHASING, gamma_t)
-        b = _evolved_block_norm(n, eps, channels.DEPOLARIZING, gamma_t)
-        worst = max(worst, abs(a - b) / a)
-    return _result("channel_equivalence", worst, 1e-12)
+        dense = {kind: _evolved_block_norm(n, eps, kind, gamma_t) for kind in worst}
+        for kind, norm in dense.items():
+            closed = decoherence.cat_offdiag_norm(CatParams(n, eps), gamma_t, kind)
+            worst[kind] = max(worst[kind], abs(norm - closed) / closed)
+        a, b = dense[channels.DEPHASING], dense[channels.DEPOLARIZING]
+        worst_equiv = max(worst_equiv, abs(a - b) / a)
+    closed_form = [_result(f"decoherence_closed_form_{k}", w, 1e-9) for k, w in worst.items()]
+    return [*closed_form, _result("channel_equivalence", worst_equiv, 1e-12)]
 
 
 def _check_ghz_rate(max_n: int) -> CheckResult:
@@ -164,9 +162,7 @@ def run_validation(max_n: int) -> list[CheckResult]:
     results = [
         _check_cat_state_norm(max_n),
         _check_ghz_reduction(max_n),
-        _check_decoherence(max_n, channels.DEPHASING),
-        _check_decoherence(max_n, channels.DEPOLARIZING),
-        _check_channel_equivalence(max_n),
+        *_check_decoherence(max_n),
         _check_ghz_rate(max_n),
         _check_reduced_rho1(max_n),
     ]

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from catsize import distillation
 from catsize.cli import build_effective_size_report, main
 from catsize.core import CatParams
 from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
@@ -186,6 +187,29 @@ def test_decoherence_curve_rejects_infinite_endpoint(capsys):
     assert out == ""
     assert err.startswith("error:")
     assert "Warning" not in err
+
+
+def test_decoherence_curve_ghz_limit_at_long_times(capsys):
+    # at eps = pi/2 the log1p argument rounds to -1 past gamma_t ~ 18.4
+    code, out, err = run_cli(
+        capsys,
+        "decoherence-curve",
+        "--n", "10", "--epsilon", "1.5707963267948966", "--gamma-t-max", "20",
+    )
+    assert code == 0
+    assert err == ""
+    assert len(out.splitlines()) == 51
+
+
+def test_distill_sim_refuses_n_above_the_size_cap(capsys, monkeypatch):
+    # a small injected cap; the check runs before any O(N) allocation
+    monkeypatch.setattr(distillation, "MAX_DISTRIBUTION_N", 10)
+    code, out, err = run_cli(capsys, "distill-sim", "--n", "11", "--epsilon", "0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: N = 11 exceeds 10")
+    code, _, _ = run_cli(capsys, "distill-sim", "--n", "10", "--epsilon", "0.5")
+    assert code == 0
 
 
 def test_decoherence_curve_near_largest_double(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from catsize.channels import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, ChannelSpec
 from catsize.core import CatParams, branch_dyad
@@ -39,6 +40,18 @@ def test_cat_reduces_to_ghz_at_half_pi(n, gamma_t):
     cat = cat_offdiag_norm(CatParams(n, HALF_PI), gamma_t)
     ghz = ghz_offdiag_norm(n, gamma_t)
     assert cat == pytest.approx(ghz, rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma_t", [20.0, 400.0])
+def test_cat_norm_at_half_pi_beyond_expm1_rounding(gamma_t):
+    # past gamma_t ~ 18.4, s^2 expm1(-2 gamma_t) rounds to -1 at eps = pi/2;
+    # the reference is d^(N/2) at the exact double eps, where c^2 = 3.7e-33
+    # takes over from exp(-2 gamma_t) at gamma_t ~ 37
+    with mp.workdps(40):
+        eps = mpf(HALF_PI)
+        d = mp.cos(eps) ** 2 + mp.sin(eps) ** 2 * mp.exp(-2 * mpf(gamma_t))
+        ref = float(d**5)
+    assert cat_offdiag_norm(CatParams(10, HALF_PI), gamma_t) == pytest.approx(ref, rel=1e-13)
 
 
 def test_cat_norm_time_zero_and_kind_independence():

@@ -1,11 +1,13 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from catsize import distillation
 from catsize.core import CatParams, phi_vectors
 from catsize.distillation import (
     _bd0,
@@ -276,6 +278,68 @@ def test_simulation_mean_within_clt_bound():
     var_exact = float((n_vals**2) @ exact) - mean_exact**2
     mean_emp = float(n_vals @ res.freq)
     assert abs(mean_emp - mean_exact) <= 4.0 * math.sqrt(var_exact / trials)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    # closed-form chi-square survival: exp(-x/2) sum_{i < dof/2} (x/2)^i / i!
+    # for even dof, erfc(sqrt(x/2)) + exp(-x/2) sum_{i=1}^{(dof-1)/2}
+    # (x/2)^(i-1/2) / Gamma(i + 1/2) for odd dof
+    h = x / 2.0
+    if dof % 2 == 0:
+        return math.exp(-h) * sum(h**i / math.factorial(i) for i in range(dof // 2))
+    tail = sum(h ** (i - 0.5) / math.gamma(i + 0.5) for i in range(1, (dof + 1) // 2))
+    return math.erfc(math.sqrt(h)) + math.exp(-h) * tail
+
+
+def test_chi2_sf_closed_form():
+    for dof in (1, 2, 5, 6):
+        for x in (0.5, 3.3, 20.0):
+            with mp.workdps(30):
+                ref = float(mp.gammainc(dof / 2, x / 2, mp.inf, regularized=True))
+            assert _chi2_sf(x, dof) == pytest.approx(ref, rel=1e-12)
+    # -2 ln(1e-3) is the 2-dof threshold at significance 1e-3
+    assert _chi2_sf(-2.0 * math.log(1e-3), 2) == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_simulation_headline_scale_pooled_chi_square():
+    # (N=1e6, eps=1e-3): 1e11 per-party uniforms for a per-party sampler.
+    # The bins from the first with expected count < 5 on are pooled into one
+    # tail bin, which starts one bin lower if it would hold < 5 itself
+    p = CatParams(10**6, 1e-3)
+    trials = 10**5
+    start = time.perf_counter()
+    res = simulate_protocol(p, trials, seed=2024)
+    elapsed = time.perf_counter() - start
+    expected = outcome_distribution(p).q * trials
+    cut = int(np.argmax(expected < 5.0))
+    cut -= int(expected[cut:].sum() < 5.0)
+    exp_bins = np.append(expected[:cut], expected[cut:].sum())
+    obs_bins = np.append(res.counts[:cut], res.counts[cut:].sum())
+    stat = float((((obs_bins - exp_bins) ** 2) / exp_bins).sum())
+    assert res.counts.sum() == trials
+    assert np.all(exp_bins >= 5.0)
+    assert _chi2_sf(stat, exp_bins.size - 1) > 1e-3
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 10**6])
+@pytest.mark.parametrize("eps", [0.0, 5e-324, HALF_PI])
+def test_simulation_domain_edges(n, eps):
+    # p_before rounds to 1 at eps = pi/2 and to 0 at the two small angles;
+    # any numpy RuntimeWarning fails the test
+    res = simulate_protocol(CatParams(n, eps), 1000, seed=9)
+    assert res.counts[n if eps == HALF_PI else 0] == 1000
+
+
+def test_distribution_size_cap(monkeypatch):
+    assert distillation.MAX_DISTRIBUTION_N >= 10**7
+    monkeypatch.setattr(distillation, "MAX_DISTRIBUTION_N", 10)
+    with pytest.raises(ValueError, match="exceeds 10"):
+        outcome_distribution(CatParams(11, 0.5))
+    with pytest.raises(ValueError, match="exceeds 10"):
+        simulate_protocol(CatParams(11, 0.5), 5, seed=0)
+    assert outcome_distribution(CatParams(10, 0.5)).q.size == 11
+    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).counts.sum() == 5
 
 
 def test_simulation_validation():
