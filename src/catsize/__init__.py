@@ -48,7 +48,6 @@ from .distillation import (
     expected_n,
     outcome_distribution,
     simulate_protocol,
-    success_probability,
 )
 from .loss import (
     LossCurve,
@@ -104,7 +103,6 @@ __all__ = [
     "reduced_rho1",
     "simulate_protocol",
     "singular_values_2x2",
-    "success_probability",
     "term_overlap",
     "trace_norm",
     "__version__",

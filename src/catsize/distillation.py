@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ __all__ = [
     "McResult",
     "DistillationBound",
     "build_filter",
-    "success_probability",
     "outcome_distribution",
     "expected_n",
     "simulate_protocol",
@@ -80,18 +80,24 @@ def build_filter(params: CatParams) -> FilterMeasurement:
     return FilterMeasurement(A=a, A_bar=_sqrtm_psd_2x2(complement), k_sq=k * k)
 
 
-# Largest N for which outcome_distribution and simulate_protocol build their
-# O(N) arrays.  Measured peaks: 40 bytes per N for outcome_distribution and
-# 25 for simulate_protocol (tracemalloc, N = 1e6 and 4e6), and about 129 for
-# the whole distill-sim process, mostly its two (N+1)-float payload lists (max
-# RSS 165 MiB at N = 1e6, 533 MiB at 4e6).  2^24 caps distill-sim near 2 GiB.
-MAX_DISTRIBUTION_N = 2**24
+# Largest N for which distill-sim builds its two (N+1)-entry payload lists.
+# The pmf window and the sampler no longer grow with N; what does is the
+# payload (8 bytes per N for each list of one shared 0.0) and its JSON text
+# (about 6 bytes per N, held at most twice, plus its encoding for output).
+# Measured max RSS of the process: 156 MiB at N = 4e6, 334 MiB at 1e7 (31
+# bytes per N between them) and 1.8 GiB at 2^26, the cap, which keeps
+# distill-sim under 2 GiB.
+MAX_DISTRIBUTION_N = 2**26
 # trials per block of the Monte Carlo sampler
 _MC_BLOCK = 1 << 16
+# log_q below this is left out of the stored window: exp underflows to 0.0
+# below about -745.13, and the margin covers the rounding of the window ends
+_LOG_Q_FLOOR = -750.0
+_LN2 = math.log(2.0)
 
 
 def _check_distribution_size(params: CatParams) -> int:
-    # refuse before allocating: the arrays grow linearly in N with no cap
+    # refuse before allocating: the payload grows linearly in N with no cap
     if params.N > MAX_DISTRIBUTION_N:
         raise ValueError(
             f"N = {params.N} exceeds {MAX_DISTRIBUTION_N}, the largest N for which "
@@ -100,25 +106,8 @@ def _check_distribution_size(params: CatParams) -> int:
     return params.N
 
 
-def success_probability(params: CatParams, j: int, any_prior_success: bool) -> float:
-    """Probability of the A outcome in the j-th measurement (1-based).
-
-    Before the first success: p = (1 - c) / (1 + c^(N-j+1)).
-    After any success the remaining parties are iid: p = 1 - c.
-    """
-    j = _check_positive_int(j, "measurement index")
-    if j > params.N:
-        raise ValueError(f"measurement index {j} out of range 1..{params.N}")
-    omc = params.one_minus_c
-    if any_prior_success:
-        return omc
-    remaining = params.N - j + 1
-    return omc / (1.0 + math.exp(remaining * params.log_c))
-
-
 def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
     # payload shared by the exact and the Monte Carlo distribution
-    q = q.tolist()
     return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
 
 
@@ -126,17 +115,39 @@ def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
 class OutcomeDistribution:
     """Distribution q_0..q_N of the number of distilled GHZ parties.
 
-    q holds linear-domain probabilities (deep-tail entries underflow to 0);
-    log_q retains the tail in log form for diagnostics.
+    Only the window k = lo..lo + len(log_q_window) - 1 is stored, as ln q_k;
+    every q_k outside it underflows to 0.  q (linear domain) and log_q (the
+    whole log-domain pmf, finite in the tails where q is 0) are dense arrays
+    over k = 0..N, built on first use: 8 and about 40 bytes per N.
     """
 
-    N: int
-    epsilon: float
-    q: np.ndarray
-    log_q: np.ndarray
+    params: CatParams
+    lo: int
+    log_q_window: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.params.N
+
+    @property
+    def epsilon(self) -> float:
+        return self.params.epsilon
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        q = np.zeros(self.N + 1)
+        q[self.lo : self.lo + self.log_q_window.size] = np.exp(self.log_q_window)
+        return q
+
+    @cached_property
+    def log_q(self) -> np.ndarray:
+        return _log_q(self.params, 0, self.N)
 
     def to_payload(self) -> dict:
-        return _q_payload(self.N, self.epsilon, self.q, "exact", None, None)
+        # a list of one shared 0.0 costs 8 bytes an entry and no float object
+        q = [0.0] * (self.N + 1)
+        q[self.lo : self.lo + self.log_q_window.size] = np.exp(self.log_q_window).tolist()
+        return _q_payload(self.N, self.epsilon, q, "exact", None, None)
 
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 1..15, from
@@ -199,8 +210,10 @@ def _bd0(x, m: float) -> np.ndarray:
     return out
 
 
-def _log_binom_pmf(n: int, p: float, q: float, log_p: float, log_q: float) -> np.ndarray:
-    """ln of the binomial pmf C(n, k) p^k q^(n-k) for k = 0..n.
+def _log_binom_pmf(
+    n: int, p: float, q: float, log_p: float, log_q: float, lo: int, hi: int
+) -> np.ndarray:
+    """ln of the binomial pmf C(n, k) p^k q^(n-k) for k = lo..hi.
 
     Loader's saddle-point form ("Fast and Accurate Computation of Binomial
     Probabilities", 2000, the algorithm behind R's dbinom):
@@ -210,30 +223,86 @@ def _log_binom_pmf(n: int, p: float, q: float, log_p: float, log_q: float) -> np
 
     p and q = 1 - p are passed separately, with their logs, so that neither
     is formed by a cancelling difference; the endpoints are n ln q and
-    n ln p.  Requires p, q > 0.  The error in ln pmf is mostly the rounding
-    of p and q, times |k - n p|: 3e-13 at n = 1e7 and p = 1 - cos(pi/4),
-    three sigma from the mode.
+    n ln p.  Requires p, q > 0 and 0 <= lo <= hi <= n.  Each entry is the
+    same sequence of elementwise numpy operations whatever the window, so a
+    window's entries are bit-identical to the same k of the whole pmf
+    (lo = 0, hi = n).  The error in ln pmf is mostly the rounding of p and
+    q, times |k - n p|: 3e-13 at n = 1e7 and p = 1 - cos(pi/4), three sigma
+    from the mode.
     """
-    out = np.empty(n + 1)
-    out[0] = n * log_q
-    out[n] = n * log_p
-    if n > 1:
-        # k = 1..n; over its first n - 1 entries, the reversed array is n - k
-        k = np.arange(1.0, n + 1)
-        s = _stirlerr(k)
-        inner = out[1:n]
-        np.subtract(s[-1], s[:-1], out=inner)
-        inner -= s[-2::-1]
-        del s
-        inner -= _bd0(k[:-1], n * p)
-        inner -= _bd0(k[-2::-1], n * q)
+    out = np.empty(hi - lo + 1)
+    if lo == 0:
+        out[0] = n * log_q
+    if hi == n:
+        out[-1] = n * log_p
+    k_lo, k_hi = max(lo, 1), min(hi, n - 1)
+    if k_lo <= k_hi:
+        k = np.arange(float(k_lo), k_hi + 1.0)
+        n_k = n - k
+        # stirlerr(n) and ln n as numpy computes them inside an array
+        n_arr = np.array([float(n)])
+        inner = out[k_lo - lo : k_hi - lo + 1]
+        np.subtract(_stirlerr(n_arr)[0], _stirlerr(k), out=inner)
+        inner -= _stirlerr(n_k)
+        inner -= _bd0(k, n * p)
+        inner -= _bd0(n_k, n * q)
         # ln(2 pi k (n-k) / n) / 2
-        log_k = np.log(k)
-        lf = log_k[:-1] + log_k[-2::-1]
-        lf += _LN_2PI - log_k[-1]
+        lf = np.log(k)
+        lf += np.log(n_k)
+        lf += _LN_2PI - np.log(n_arr)[0]
         lf *= 0.5
         inner -= lf
     return out
+
+
+def _log_q(params: CatParams, lo: int, hi: int) -> np.ndarray:
+    """ln q_k for k = lo..hi: ln pmf - ln(1 + c^N), and ln 2 + N ln c - ln(1 + c^N) at k = 0."""
+    if params.one_minus_c == 0.0:
+        # eps = 0 (or so small that 1 - c rounds to 0): q_0 = 1
+        out = np.full(hi - lo + 1, -np.inf)
+        if lo == 0:
+            out[0] = 0.0
+        return out
+    c = params.c_eps
+    # ln(1 - c) as CatParams.log_c takes ln c: log1p where its argument is small
+    log_p = math.log1p(-c) if c < 0.5 else math.log(params.one_minus_c)
+    log_q = _log_binom_pmf(params.N, params.one_minus_c, c, log_p, params.log_c, lo, hi)
+    log_norm = math.log1p(math.exp(params.log_cN))
+    log_q -= log_norm
+    if lo == 0:
+        log_q[0] = _LN2 + params.log_cN - log_norm
+    return log_q
+
+
+def _window(params: CatParams) -> tuple[int, int]:
+    # the k range where log_q >= _LOG_Q_FLOOR.  ln pmf is concave in k, so
+    # it rises to the mode and falls after it, and a bisection on each side
+    # finds the ends.  q_0 carries an extra factor 2; every q_k from k = 1
+    # to the mode is at least q_0 / 2, so when q_0 clears the floor the
+    # window simply extends to 0
+    n = params.N
+    if params.one_minus_c == 0.0:
+        return 0, 0
+
+    def clears(k: int) -> bool:
+        return bool(_log_q(params, k, k)[0] >= _LOG_Q_FLOOR)
+
+    mode = min(max(math.floor((n + 1) * params.one_minus_c), 1), n)
+    lo, top = 1, mode
+    while lo < top:
+        mid = (lo + top) // 2
+        if clears(mid):
+            top = mid
+        else:
+            lo = mid + 1
+    bottom, hi = mode, n
+    while bottom < hi:
+        mid = (bottom + hi + 1) // 2
+        if clears(mid):
+            bottom = mid
+        else:
+            hi = mid - 1
+    return (0 if clears(0) else lo), hi
 
 
 def outcome_distribution(params: CatParams) -> OutcomeDistribution:
@@ -244,25 +313,18 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     log_q[0] = ln 2 + N ln c - ln(1 + c^N) and q = exp(log_q).  The
     saddle-point form keeps sum(q) = 1 to 1e-12 at N = 1e6, where a
     log-gamma assembly drifts to ~4e-10 because the absolute error of
-    lgamma grows with |lgamma|; log_q stays finite in the tail where q
-    underflows to 0.
+    lgamma grows with |lgamma|.
+
+    Only the window of k where log_q >= -750 is computed and stored; exp
+    gives exactly 0.0 below about -745.  Two bisections on the concave
+    ln pmf find it in O(log N) scalar evaluations, so time and memory are
+    O(width + log N), not O(N).  The width grows like sqrt(N (1 - c) c):
+    157 entries at N = 1e6 and eps = 1e-3 (instead of N + 1), 35080 at
+    eps = pi/4, 448 at N = 2^26 and eps = 1e-3.
     """
     _check_distribution_size(params)
-    if params.one_minus_c == 0.0:
-        q = np.zeros(params.N + 1)
-        q[0] = 1.0
-        log_q = np.full(params.N + 1, -np.inf)
-        log_q[0] = 0.0
-        return OutcomeDistribution(params.N, params.epsilon, q, log_q)
-
-    c = params.c_eps
-    # ln(1 - c) as CatParams.log_c takes ln c: log1p where its argument is small
-    log_p = math.log1p(-c) if c < 0.5 else math.log(params.one_minus_c)
-    log_q = _log_binom_pmf(params.N, params.one_minus_c, c, log_p, params.log_c)
-    log_norm = math.log1p(math.exp(params.log_cN))
-    log_q -= log_norm
-    log_q[0] = math.log(2.0) + params.log_cN - log_norm
-    return OutcomeDistribution(params.N, params.epsilon, np.exp(log_q), log_q)
+    lo, hi = _window(params)
+    return OutcomeDistribution(params, lo, _log_q(params, lo, hi))
 
 
 def expected_n(params: CatParams) -> float:
@@ -272,30 +334,81 @@ def expected_n(params: CatParams) -> float:
 
 @dataclass(frozen=True)
 class McResult:
-    """Empirical outcome counts from a seeded protocol simulation."""
+    """Empirical outcome counts from a seeded protocol simulation.
+
+    Only the outcomes that occurred are stored: outcomes[i] parties were
+    distilled in tallies[i] trials, outcomes ascending.  counts and freq are
+    dense over 0..N.
+    """
 
     N: int
     epsilon: float
-    counts: np.ndarray
+    outcomes: np.ndarray
+    tallies: np.ndarray
     trials: int
     seed: int
+
+    @property
+    def counts(self) -> np.ndarray:
+        counts = np.zeros(self.N + 1, dtype=np.int64)
+        counts[self.outcomes] = self.tallies
+        return counts
 
     @property
     def freq(self) -> np.ndarray:
         return self.counts / self.trials
 
     def to_payload(self) -> dict:
-        return _q_payload(self.N, self.epsilon, self.freq, "mc", self.trials, self.seed)
+        q = [0.0] * (self.N + 1)
+        for k, f in zip(self.outcomes.tolist(), (self.tallies / self.trials).tolist()):
+            q[k] = f
+        return _q_payload(self.N, self.epsilon, q, "mc", self.trials, self.seed)
+
+
+def _first_success(params: CatParams, e: np.ndarray) -> np.ndarray:
+    """Index j - 1 of each trial's first successful step j, or N for none.
+
+    e = -ln U holds each trial's exponential variate.  Until the first
+    success, step j (with m = N - j + 1 parties left) fails with probability
+    (c + c^m) / (1 + c^m), and the product telescopes: the log survival of
+    steps 1..J is
+
+        -ln S(J) = J a + ln(1 + c^N) - ln(1 + c^(N-J)),   a = -ln c,
+
+    increasing in J.  The first success is the smallest J with
+    -ln S(J) > e.  The last term lies in [0, ln 2], so J lies within
+    ln 2 / a + 2 steps of (e - ln(1 + c^N)) / a, and a vectorised bisection
+    over that bracket (or over 1..N + 1 when it is wider) finds it in
+    O(log min(N, 1 / a)) steps, with no table of length N.
+    """
+    n, log_c = params.N, params.log_c
+    a = -log_c
+    log_norm = math.log1p(math.exp(params.log_cN))
+    lo = np.ones_like(e)
+    hi = np.full_like(e, n + 1.0)  # N + 1: no success in steps 1..N
+    if a * n > _LN2:
+        x = (e - log_norm) / a
+        np.clip(np.floor(x), 1.0, n + 1.0, out=lo)
+        np.clip(np.floor(x + _LN2 / a) + 2.0, 1.0, n + 1.0, out=hi)
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return (lo - 1.0).astype(np.int64)
+        mid = np.floor((lo + hi) / 2.0)
+        past = mid * a + log_norm - np.log1p(np.exp((n - mid) * log_c)) > e
+        np.copyto(hi, mid, where=open_ & past)
+        np.copyto(lo, mid + 1.0, where=open_ & ~past)
 
 
 def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     """Monte Carlo simulation of the sequential measurement protocol.
 
-    Event-driven, in O(N + trials) time and O(N + _MC_BLOCK) memory.  Until
-    the first success, step j succeeds with p_before (success_probability):
-    one uniform per trial picks that step j by inverse transform on the
-    cumulative log survival.  The N - j later parties succeed iid with
-    1 - c, so one Binomial(N - j, 1 - c) draw counts them.
+    Event-driven, in O(trials log min(N, 1 / (1 - c))) time and
+    O(_MC_BLOCK + outcomes seen) memory, independent of N.  One uniform
+    U = 1 - random() in (0, 1] per trial picks its first successful step j
+    by inverse transform on the closed-form log survival (_first_success);
+    the N - j later parties succeed iid with 1 - c, so one
+    Binomial(N - j, 1 - c) draw counts them.
 
     Randomness comes from the Philox generator keyed directly with the
     seed; each block of _MC_BLOCK trials draws its uniforms, then one
@@ -303,33 +416,26 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     """
     trials = _check_positive_int(trials, "trials")
     n = _check_distribution_size(params)
-    c, omc = params.c_eps, params.one_minus_c
-    # c^m for m = N..1 parties remaining at steps j = 1..N
-    c_m = np.exp(np.arange(n, 0.0, -1.0) * params.log_c)
-    if c >= 0.5:
-        # -ln(1 - p_before); p_before <= 1 - c <= 1/2, where log1p keeps precision
-        neg_log_stay = -np.log1p(-omc / (1.0 + c_m))
-    else:
-        # 1 - p_before = (c + c^m) / (1 + c^m), formed without cancellation:
-        # p_before itself rounds to 1 next to eps = pi/2
-        neg_log_stay = -np.log((c + c_m) / (1.0 + c_m))
-    del c_m
-    # -ln survival of steps 1..j, non-decreasing because every term is >= 0
-    neg_log_surv = np.cumsum(neg_log_stay, out=neg_log_stay)
-
+    omc = params.one_minus_c
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    counts = np.zeros(n + 1, dtype=np.int64)
+    outcomes = np.zeros(0, dtype=np.int64)
+    tallies = np.zeros(0, dtype=np.int64)
     for start in range(0, trials, _MC_BLOCK):
         rows = min(_MC_BLOCK, trials - start)
-        # U = 1 - random() lies in (0, 1]; the first success is the first
-        # step whose survival falls below U, i.e. whose -ln survival
-        # exceeds -ln U; index n means no success
-        first = np.searchsorted(neg_log_surv, -np.log1p(-rng.random(rows)), side="right")
-        hit = first[first < n]
-        counts[0] += rows - hit.size
-        counts += np.bincount(1 + rng.binomial(n - 1 - hit, omc), minlength=n + 1)
+        first = _first_success(params, -np.log1p(-rng.random(rows)))
+        hit = first < n
+        # no success leaves 0 parties; after step j, 1 + Binomial(N - j)
+        block = np.zeros(rows, dtype=np.int64)
+        block[hit] = 1 + rng.binomial(n - 1 - first[hit], omc)
+        seen, count = np.unique(block, return_counts=True)
+        merged = np.union1d(outcomes, seen)
+        merged_tallies = np.zeros(merged.size, dtype=np.int64)
+        merged_tallies[np.searchsorted(merged, outcomes)] += tallies
+        merged_tallies[np.searchsorted(merged, seen)] += count
+        outcomes, tallies = merged, merged_tallies
     return McResult(
-        N=n, epsilon=params.epsilon, counts=counts, trials=trials, seed=int(seed)
+        N=n, epsilon=params.epsilon, outcomes=outcomes, tallies=tallies,
+        trials=trials, seed=int(seed),
     )
 
 

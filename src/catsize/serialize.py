@@ -8,7 +8,9 @@ contract for key order).
 
 from __future__ import annotations
 
+import functools
 import json
+import marshal
 import math
 
 import numpy as np
@@ -30,6 +32,56 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+@functools.lru_cache(maxsize=4)
+def _zero_run(size: int) -> tuple[bytes, str]:
+    # marshal image and JSON text of [0.0] * size: a full batch and the
+    # last, shorter batch of a list or two
+    return marshal.dumps([0.0] * size, 2), ", ".join(["0"] * size)
+
+
+def _is_zero_batch(batch: list) -> bool:
+    # every entry the Python float +0.0.  list.count(0.0) cannot tell: -0.0,
+    # 0 and False compare equal to 0.0 but print differently.  The marshal
+    # image of the batch holds each float's 8 bytes and tags ints and bools
+    # by type, so it equals that of [0.0] * len(batch) only for +0.0 floats
+    if type(batch[0]) is not float or batch[0] != 0.0:
+        return False
+    try:
+        image = marshal.dumps(batch, 2)
+    except ValueError:  # e.g. a numpy scalar, which marshal cannot write
+        return False
+    return image == _zero_run(len(batch))[0]
+
+
+def _float_list_json(values: list) -> str | None:
+    """JSON text of a list of Python floats, each in the fmt_float form.
+
+    Returns None for any other list, and for non-finite entries, which the
+    per-value path refuses with fmt_float's error.  Values go _FLOAT_BATCH
+    to one %.17g call (the fmt_float form), with no Python call per value
+    and small temporaries; a batch of +0.0 is one cached string, so a long
+    run of zeros costs a C-level scan instead of formatting.  One join
+    builds the text, so it is copied once.
+    """
+    parts = ["["]
+    for i in range(0, len(values), _FLOAT_BATCH):
+        batch = values[i : i + _FLOAT_BATCH]
+        if i:
+            parts.append(", ")
+        if _is_zero_batch(batch):
+            parts.append(_zero_run(len(batch))[1])
+            continue
+        if set(map(type, batch)) != {float}:
+            return None
+        text = ", ".join(["%.17g"] * len(batch)) % tuple(batch)
+        # %.17g writes inf and nan as "inf"/"nan"
+        if "n" in text:
+            return None
+        parts.append(text)
+    parts.append("]")
+    return "".join(parts)
+
+
 def _encode(obj) -> str:
     if obj is None:
         return "null"
@@ -42,17 +94,18 @@ def _encode(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, list) and set(map(type, obj)) == {float}:
-        # Python floats are formatted _FLOAT_BATCH to a call, with no Python
-        # call per value and small temporaries; %.17g is the fmt_float form.
-        # It writes inf and nan as "inf"/"nan", so an "n" anywhere marks a
-        # non-finite entry, which the per-value loop below refuses
-        batches = (obj[i : i + _FLOAT_BATCH] for i in range(0, len(obj), _FLOAT_BATCH))
-        text = ", ".join(", ".join(["%.17g"] * len(b)) % tuple(b) for b in batches)
-        if "n" not in text:
-            return "[" + text + "]"
+        # one join over all pieces, so that a long value is copied once
+        pieces = ["{"]
+        for k, v in obj.items():
+            if len(pieces) > 1:
+                pieces.append(", ")
+            pieces += [json.dumps(str(k)), ": ", _encode(v)]
+        pieces.append("}")
+        return "".join(pieces)
+    if isinstance(obj, list):
+        text = _float_list_json(obj)
+        if text is not None:
+            return text
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

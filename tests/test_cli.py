@@ -122,6 +122,33 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["effective-size", "--n", "10", "--epsilon", "nan"],
+        ["effective-size", "--n", "10", "--epsilon", "inf"],
+        ["effective-size", "--n", "10", "--epsilon", "-inf"],
+        ["effective-size", "--n", "10", "--epsilon=-inf"],
+        ["distill-sim", "--n", "10", "--epsilon", "nan"],
+        ["effective-size", "--n", "10", "--epsilon-sq-overlap", "nan"],
+        ["decoherence-curve", "--n", "10", "--epsilon", "0.5", "--gamma-t-max", "nan"],
+        ["loss-curve", "--n", "10", "--epsilon", "0.5", "--lambda-max", "nan"],
+        ["loss-curve", "--n", "10", "--epsilon", "0.5", "--lambda-max", "inf"],
+    ],
+)
+def test_non_finite_flags_exit_2(capsys, argv):
+    # every range check is false for nan, so nan is refused like any bad
+    # value; argparse itself refuses "-inf" as a missing argument
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_decoherence_curve_minimal(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,22 +2,25 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from catsize import distillation
-from catsize.core import CatParams, phi_vectors
+from catsize.core import CatParams, _check_positive_int, phi_vectors
 from catsize.distillation import (
     _bd0,
+    _first_success,
     _stirlerr,
     build_filter,
     distillation_bound,
     expected_n,
     outcome_distribution,
     simulate_protocol,
-    success_probability,
 )
 from catsize.oracle import biorthonormal_filter
 
@@ -78,6 +81,56 @@ def test_filter_matches_numeric_biorthonormal_construction(eps):
     # the PSD root of the rank-deficient complement is only conditioned to
     # sqrt(machine eps) in the null direction
     assert np.max(np.abs(filt.A_bar - a_bar_num)) < 1e-7
+
+
+def success_probability(params: CatParams, j: int, any_prior_success: bool) -> float:
+    """Probability of the A outcome in the j-th measurement (1-based).
+
+    Before the first success: p = (1 - c) / (1 + c^(N-j+1)).
+    After any success the remaining parties are iid: p = 1 - c.
+    """
+    j = _check_positive_int(j, "measurement index")
+    if j > params.N:
+        raise ValueError(f"measurement index {j} out of range 1..{params.N}")
+    omc = params.one_minus_c
+    if any_prior_success:
+        return omc
+    remaining = params.N - j + 1
+    return omc / (1.0 + math.exp(remaining * params.log_c))
+
+
+def _reference_neg_log_survival(params: CatParams) -> np.ndarray:
+    """-ln survival of steps 1..j, j = 1..N, as a cumulative sum of per-step hazards.
+
+    The reference for distillation._first_success, which uses the
+    telescoped closed form instead of this O(N) table.
+    """
+    n, c, omc = params.N, params.c_eps, params.one_minus_c
+    # c^m for m = N..1 parties remaining at steps j = 1..N
+    c_m = np.exp(np.arange(n, 0.0, -1.0) * params.log_c)
+    if c >= 0.5:
+        # -ln(1 - p_before); p_before <= 1 - c <= 1/2, where log1p keeps precision
+        neg_log_stay = -np.log1p(-omc / (1.0 + c_m))
+    else:
+        # 1 - p_before = (c + c^m) / (1 + c^m), formed without cancellation:
+        # p_before itself rounds to 1 next to eps = pi/2
+        neg_log_stay = -np.log((c + c_m) / (1.0 + c_m))
+    return np.cumsum(neg_log_stay, out=neg_log_stay)
+
+
+def _reference_simulate(params: CatParams, trials: int, seed: int) -> np.ndarray:
+    """Dense counts from the table sampler, with the draw order of simulate_protocol."""
+    n, omc = params.N, params.one_minus_c
+    neg_log_surv = _reference_neg_log_survival(params)
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, trials, distillation._MC_BLOCK):
+        rows = min(distillation._MC_BLOCK, trials - start)
+        first = np.searchsorted(neg_log_surv, -np.log1p(-rng.random(rows)), side="right")
+        hit = first[first < n]
+        counts[0] += rows - hit.size
+        counts += np.bincount(1 + rng.binomial(n - 1 - hit, omc), minlength=n + 1)
+    return counts
 
 
 def test_success_probability_values():
@@ -141,6 +194,53 @@ def test_outcome_distribution_log_tail_retained():
     assert np.any(tail)  # deep tail underflows in linear domain
     assert np.all(np.isfinite(dist.log_q[tail]))
     assert np.all(dist.log_q[tail] < -700.0)
+
+
+WINDOW_GRID = [
+    (n, eps)
+    for n in (1, 2, 8, 10**3, 10**6)
+    for eps in (0.0, 5e-324, 1e-3, 1 / math.sqrt(n), math.pi / 4, HALF_PI - 1e-8, HALF_PI)
+]
+
+
+@pytest.mark.parametrize("n,eps", WINDOW_GRID)
+def test_window_matches_the_dense_pmf(n, eps):
+    # the stored window against the same pmf evaluated over k = 0..N
+    p = CatParams(n, eps)
+    dist = outcome_distribution(p)
+    dense_log_q = distillation._log_q(p, 0, n)
+    dense_q = np.exp(dense_log_q)
+    assert dist.to_payload()["q"] == dense_q.tolist()
+    np.testing.assert_array_equal(dist.q, dense_q)
+    nonzero = np.flatnonzero(dense_q)
+    assert dist.lo <= nonzero[0]
+    assert nonzero[-1] < dist.lo + dist.log_q_window.size
+    if p.one_minus_c > 0.0:
+        assert np.all(np.isfinite(dist.log_q))
+    else:
+        # 1 - c rounds to 0: q_k = 0 exactly for k >= 1
+        assert dist.log_q[0] == 0.0 and np.all(dist.log_q[1:] == -np.inf)
+
+
+_EDGE_EPS = [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(HALF_PI, 0.0), HALF_PI]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5000),
+    eps=st.sampled_from(_EDGE_EPS) | st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True),
+)
+def test_distributions_over_the_input_domain(n, eps):
+    p = CatParams(n, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dist = outcome_distribution(p)
+        q = dist.to_payload()["q"]
+        dense_q = np.exp(distillation._log_q(p, 0, n)).tolist()
+        mc = simulate_protocol(p, 300, seed=n)
+    assert q == dense_q
+    assert abs(math.fsum(q) - 1.0) <= 1e-12
+    assert int(mc.tallies.sum()) == 300
 
 
 def _mp_outcome(n, eps, k):
@@ -340,6 +440,39 @@ def test_distribution_size_cap(monkeypatch):
         simulate_protocol(CatParams(11, 0.5), 5, seed=0)
     assert outcome_distribution(CatParams(10, 0.5)).q.size == 11
     assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).counts.sum() == 5
+
+
+SAMPLER_GRID = [
+    (n, eps)
+    for n in (1, 2, 50, 10**3, 10**6)
+    for eps in (5e-324, 1e-3, 0.05, math.pi / 4, 1.5, HALF_PI)
+]
+
+
+@pytest.mark.parametrize("n,eps", SAMPLER_GRID)
+def test_first_success_matches_the_hazard_table(n, eps):
+    # the bisection on the closed-form survival against searchsorted on the
+    # cumulative per-step hazards, on the same uniforms, U = 1 included
+    p = CatParams(n, eps)
+    table = _reference_neg_log_survival(p)
+    e = -np.log(np.append(1.0 - np.random.default_rng(n).random(4096), 1.0))
+    np.testing.assert_array_equal(_first_success(p, e), np.searchsorted(table, e, side="right"))
+    # the largest e, 53 ln 2 from U = 2^-53, ties with -ln S(106) =
+    # 106 ln sqrt(2) at eps = pi/4 to within rounding, so there the two may
+    # differ by one step
+    top = np.array([53 * math.log(2.0)])
+    assert abs(int(_first_success(p, top)[0]) - int(np.searchsorted(table, top[0], "right"))) <= 1
+
+
+@pytest.mark.parametrize(
+    "n,eps,trials", [(8, 0.5, 3000), (50, 1.5, 500), (10**3, 0.05, 2000), (10**6, 1e-3, 200)]
+)
+def test_simulation_matches_the_table_sampler(n, eps, trials):
+    # same seed, same draw order: the same counts as the O(N)-table sampler
+    p = CatParams(n, eps)
+    res = simulate_protocol(p, trials, seed=31)
+    np.testing.assert_array_equal(res.counts, _reference_simulate(p, trials, 31))
+    assert np.all(res.tallies > 0) and np.all(np.diff(res.outcomes) > 0)
 
 
 def test_simulation_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catsize.serialize import csv_text, dumps_json, fmt_float
+from catsize.serialize import _FLOAT_BATCH, csv_text, dumps_json, fmt_float
 
 
 def test_finite_values_round_trip():
@@ -34,3 +34,31 @@ def test_mixed_lists_keep_their_tokens():
     assert dumps_json([1, 2.5, True, False, None, "x"]) == '[1, 2.5, true, false, null, "x"]'
     assert dumps_json([10**20, 1.0]) == "[100000000000000000000, 1]"
     assert dumps_json([np.float64(0.1), 0.5]) == "[0.10000000000000001, 0.5]"
+    # zeros that are not the float +0.0 keep their own tokens
+    assert dumps_json([0.0, 0, False, np.float64(0.0), -0.0]) == "[0, 0, false, 0, -0]"
+
+
+def _per_value(values):
+    return "[" + ", ".join(fmt_float(v) for v in values) + "]"
+
+
+@pytest.mark.parametrize("size", [_FLOAT_BATCH - 1, _FLOAT_BATCH, _FLOAT_BATCH + 1])
+def test_zero_runs_match_the_per_value_form(size):
+    # a batch of +0.0 is written from one cached string; -0.0 and a
+    # subnormal inside a run, in the first or the last batch, must not be
+    zeros = [0.0] * size
+    assert dumps_json(zeros) == _per_value(zeros)
+    assert dumps_json(np.zeros(size).tolist()) == _per_value(zeros)  # distinct objects
+    for i in (0, size // 2, size - 1):
+        for value in (-0.0, 5e-324):
+            values = zeros.copy()
+            values[i] = value
+            assert dumps_json(values) == _per_value(values), (i, value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_value_inside_a_zero_run_is_refused(bad):
+    values = [0.0] * (2 * _FLOAT_BATCH)
+    values[_FLOAT_BATCH + 7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_json({"q": values})
