@@ -89,12 +89,8 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
     exact = outcome_distribution(params)
     empirical = simulate_protocol(params, args.trials, args.seed)
-    # no name holds the payload or its text, so each is freed as soon as
-    # the next step has copied it
-    _emit(
-        dumps_json({"exact": exact.to_payload(), "mc": empirical.to_payload()}) + "\n",
-        args.output,
-    )
+    payload = {"exact": exact.to_payload(), "mc": empirical.to_payload()}
+    _emit(dumps_json(payload) + "\n", args.output)
     return 0
 
 

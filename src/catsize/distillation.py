@@ -80,14 +80,19 @@ def build_filter(params: CatParams) -> FilterMeasurement:
     return FilterMeasurement(A=a, A_bar=_sqrtm_psd_2x2(complement), k_sq=k * k)
 
 
-# Largest N for which distill-sim builds its two (N+1)-entry payload lists.
-# The pmf window and the sampler no longer grow with N; what does is the
-# payload (8 bytes per N for each list of one shared 0.0) and its JSON text
-# (about 6 bytes per N, held at most twice, plus its encoding for output).
-# Measured max RSS of the process: 156 MiB at N = 4e6, 334 MiB at 1e7 (31
-# bytes per N between them) and 1.8 GiB at 2^26, the cap, which keeps
-# distill-sim under 2 GiB.
+# Largest N accepted by outcome_distribution and simulate_protocol.  The
+# pmf window and the sampler do not grow with N; what does is each
+# to_payload list (8 bytes per N of one shared 0.0) and, in distill-sim,
+# its JSON text (about 6 bytes per N, held at most twice, plus its encoding
+# for output).  Measured max RSS of distill-sim: 156 MiB at N = 4e6, 334
+# MiB at 1e7 (31 bytes per N between them) and 1.8 GiB at 2^26, the cap,
+# which keeps it under 2 GiB.
 MAX_DISTRIBUTION_N = 2**26
+# Largest N for which the dense arrays over k = 0..N (q, log_q, counts,
+# freq) are built.  log_q peaks at 48 bytes per N while it is built
+# (measured at N = 2^22 and 2^23) and the others hold 8 bytes per N each,
+# so a caller holding all four stays near 1.2 GiB at 2^24, under 2 GiB.
+MAX_DENSE_N = 2**24
 # trials per block of the Monte Carlo sampler
 _MC_BLOCK = 1 << 16
 # log_q below this is left out of the stored window: exp underflows to 0.0
@@ -106,6 +111,15 @@ def _check_distribution_size(params: CatParams) -> int:
     return params.N
 
 
+def _check_dense_size(n: int) -> int:
+    if n > MAX_DENSE_N:
+        raise ValueError(
+            f"N = {n} exceeds {MAX_DENSE_N}, the largest N for which dense "
+            "arrays over 0..N are built"
+        )
+    return n
+
+
 def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
     # payload shared by the exact and the Monte Carlo distribution
     return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
@@ -118,7 +132,8 @@ class OutcomeDistribution:
     Only the window k = lo..lo + len(log_q_window) - 1 is stored, as ln q_k;
     every q_k outside it underflows to 0.  q (linear domain) and log_q (the
     whole log-domain pmf, finite in the tails where q is 0) are dense arrays
-    over k = 0..N, built on first use: 8 and about 40 bytes per N.
+    over k = 0..N, built on first use: 8 and at most 48 bytes per N, and
+    refused above MAX_DENSE_N.
     """
 
     params: CatParams
@@ -135,13 +150,13 @@ class OutcomeDistribution:
 
     @cached_property
     def q(self) -> np.ndarray:
-        q = np.zeros(self.N + 1)
+        q = np.zeros(_check_dense_size(self.N) + 1)
         q[self.lo : self.lo + self.log_q_window.size] = np.exp(self.log_q_window)
         return q
 
     @cached_property
     def log_q(self) -> np.ndarray:
-        return _log_q(self.params, 0, self.N)
+        return _log_q(self.params, 0, _check_dense_size(self.N))
 
     def to_payload(self) -> dict:
         # a list of one shared 0.0 costs 8 bytes an entry and no float object
@@ -338,7 +353,7 @@ class McResult:
 
     Only the outcomes that occurred are stored: outcomes[i] parties were
     distilled in tallies[i] trials, outcomes ascending.  counts and freq are
-    dense over 0..N.
+    dense over 0..N, refused above MAX_DENSE_N.
     """
 
     N: int
@@ -350,7 +365,7 @@ class McResult:
 
     @property
     def counts(self) -> np.ndarray:
-        counts = np.zeros(self.N + 1, dtype=np.int64)
+        counts = np.zeros(_check_dense_size(self.N) + 1, dtype=np.int64)
         counts[self.outcomes] = self.tallies
         return counts
 
@@ -376,20 +391,14 @@ def _first_success(params: CatParams, e: np.ndarray) -> np.ndarray:
         -ln S(J) = J a + ln(1 + c^N) - ln(1 + c^(N-J)),   a = -ln c,
 
     increasing in J.  The first success is the smallest J with
-    -ln S(J) > e.  The last term lies in [0, ln 2], so J lies within
-    ln 2 / a + 2 steps of (e - ln(1 + c^N)) / a, and a vectorised bisection
-    over that bracket (or over 1..N + 1 when it is wider) finds it in
-    O(log min(N, 1 / a)) steps, with no table of length N.
+    -ln S(J) > e, and a vectorised bisection over J = 1..N + 1 finds it in
+    O(log N) steps, with no table of length N.
     """
     n, log_c = params.N, params.log_c
     a = -log_c
     log_norm = math.log1p(math.exp(params.log_cN))
     lo = np.ones_like(e)
     hi = np.full_like(e, n + 1.0)  # N + 1: no success in steps 1..N
-    if a * n > _LN2:
-        x = (e - log_norm) / a
-        np.clip(np.floor(x), 1.0, n + 1.0, out=lo)
-        np.clip(np.floor(x + _LN2 / a) + 2.0, 1.0, n + 1.0, out=hi)
     while True:
         open_ = lo < hi
         if not open_.any():
@@ -403,12 +412,11 @@ def _first_success(params: CatParams, e: np.ndarray) -> np.ndarray:
 def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     """Monte Carlo simulation of the sequential measurement protocol.
 
-    Event-driven, in O(trials log min(N, 1 / (1 - c))) time and
-    O(_MC_BLOCK + outcomes seen) memory, independent of N.  One uniform
-    U = 1 - random() in (0, 1] per trial picks its first successful step j
-    by inverse transform on the closed-form log survival (_first_success);
-    the N - j later parties succeed iid with 1 - c, so one
-    Binomial(N - j, 1 - c) draw counts them.
+    Event-driven, in O(trials log N) time and O(_MC_BLOCK + outcomes seen)
+    memory, independent of N.  One uniform U = 1 - random() in (0, 1] per
+    trial picks its first successful step j by inverse transform on the
+    closed-form log survival (_first_success); the N - j later parties
+    succeed iid with 1 - c, so one Binomial(N - j, 1 - c) draw counts them.
 
     Randomness comes from the Philox generator keyed directly with the
     seed; each block of _MC_BLOCK trials draws its uniforms, then one

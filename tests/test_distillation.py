@@ -2,12 +2,9 @@ import json
 import math
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
 from catsize import distillation
@@ -222,27 +219,6 @@ def test_window_matches_the_dense_pmf(n, eps):
         assert dist.log_q[0] == 0.0 and np.all(dist.log_q[1:] == -np.inf)
 
 
-_EDGE_EPS = [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(HALF_PI, 0.0), HALF_PI]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.integers(1, 5000),
-    eps=st.sampled_from(_EDGE_EPS) | st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True),
-)
-def test_distributions_over_the_input_domain(n, eps):
-    p = CatParams(n, eps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        dist = outcome_distribution(p)
-        q = dist.to_payload()["q"]
-        dense_q = np.exp(distillation._log_q(p, 0, n)).tolist()
-        mc = simulate_protocol(p, 300, seed=n)
-    assert q == dense_q
-    assert abs(math.fsum(q) - 1.0) <= 1e-12
-    assert int(mc.tallies.sum()) == 300
-
-
 def _mp_outcome(n, eps, k):
     """(q_k, ln q_k) of the protocol in 40-digit arithmetic from the double eps."""
     with mp.workdps(40):
@@ -440,6 +416,27 @@ def test_distribution_size_cap(monkeypatch):
         simulate_protocol(CatParams(11, 0.5), 5, seed=0)
     assert outcome_distribution(CatParams(10, 0.5)).q.size == 11
     assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).counts.sum() == 5
+
+
+def test_dense_arrays_size_cap(monkeypatch):
+    # the window, the sparse counts and the payloads stay available above
+    # the dense cap; only the dense arrays over 0..N are refused
+    assert distillation.MAX_DENSE_N >= 10**6
+    monkeypatch.setattr(distillation, "MAX_DENSE_N", 10)
+    params = CatParams(11, 0.5)
+    dist = outcome_distribution(params)
+    res = simulate_protocol(params, 5, seed=0)
+    for name in ("q", "log_q"):
+        with pytest.raises(ValueError, match="exceeds 10"):
+            getattr(dist, name)
+    for name in ("counts", "freq"):
+        with pytest.raises(ValueError, match="exceeds 10"):
+            getattr(res, name)
+    assert len(dist.to_payload()["q"]) == len(res.to_payload()["q"]) == 12
+    assert res.tallies.sum() == 5
+    small = outcome_distribution(CatParams(10, 0.5))
+    assert small.q.size == small.log_q.size == 11
+    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).freq.size == 11
 
 
 SAMPLER_GRID = [
