@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterMeasurement:
     """Two-outcome local measurement {A, A_bar} with A^dag A + A_bar^dag A_bar = I.
 
@@ -125,7 +125,7 @@ def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
     return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Distribution q_0..q_N of the number of distilled GHZ parties.
 
@@ -347,7 +347,7 @@ def expected_n(params: CatParams) -> float:
     return params.one_minus_c * params.N / (1.0 + math.exp(params.log_cN))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McResult:
     """Empirical outcome counts from a seeded protocol simulation.
 

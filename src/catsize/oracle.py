@@ -1,11 +1,13 @@
 """Brute-force ground truth on dense state vectors and operators.
 
 Everything here is deliberately naive: states are full 2^N amplitude
-vectors, operators full 2^N x 2^N matrices, channels act through generic
-Kraus conjugation, trace norms come from a dense SVD, and the measurement
-protocol is enumerated over all 2^N outcome strings.  The closed forms in
-the analysis modules are validated against these routines; the oracle never
-calls them (shared code is limited to the parameter types).
+vectors, operators full 2^N x 2^N matrices, channels act on the full dense
+operator through the superoperator built from their Kraus set, trace norms
+come from a dense SVD, and the measurement protocol (all 2^N outcome
+strings) and qubit loss (all 2^N lost subsets) are enumerated exhaustively.
+The closed forms in the analysis modules are validated against these
+routines; the oracle never calls them (shared code is limited to the
+parameter types).
 
 Convention, fixed package-wide: qubit 1 is the MOST significant bit of the
 amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
@@ -16,8 +18,10 @@ operators, 8 for exhaustive enumerations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -131,8 +135,12 @@ def _n_qubits_of_operator(op: np.ndarray) -> int:
 def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """Apply the single-qubit Kraus set to every qubit slot of a dense operator.
 
-    The 2^n x 2^n operator is read as a 2n-qubit vector (row index first):
-    K op K^dag applies K to row slot q and conj(K) to column slot n + q.
+    The 2^n x 2^n operator is read as a 2n-qubit tensor (row index first):
+    K op K^dag applies K to row slot q and conj(K) to column slot n + q, so
+    the channel on qubit q is the 4x4 superoperator S = sum_K K (x) conj(K)
+    contracted with that (row, column) slot pair, one contraction per qubit.
+    The contraction is a plain einsum, not a BLAS matmul: threaded BLAS is
+    slow and erratic on products this thin.
     """
     op = np.asarray(op, dtype=complex)
     n = _n_qubits_of_operator(op)
@@ -141,10 +149,16 @@ def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     completeness = sum(k.conj().T @ k for k in kraus)
     if np.max(np.abs(completeness - np.eye(2))) > 1e-12:
         raise ValueError("Kraus set fails completeness: sum K^dag K != I")
-    vec = op.ravel()
+    # S[(i k), (j l)] = sum_K K[i, j] conj(K[k, l])
+    sup = sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in kraus).reshape(4, 4)
+    out = op
     for q in range(n):
-        vec = sum(apply_one_qubit(apply_one_qubit(vec, k, q), k.conj(), n + q) for k in kraus)
-    return vec.reshape(op.shape)
+        # axes (row bits above q, row bit q, rest, column bit q, column bits below q)
+        shape = (2**q, 2, 2 ** (n - 1), 2, 2 ** (n - q - 1))
+        pairs = out.reshape(shape).transpose(1, 3, 0, 2, 4).reshape(4, -1)
+        mixed = np.einsum("xy,ym->xm", sup, pairs).reshape(2, 2, *shape[::2])
+        out = mixed.transpose(2, 0, 3, 1, 4)
+    return out.reshape(op.shape)
 
 
 def dense_trace_norm(op: np.ndarray) -> float:
@@ -286,28 +300,36 @@ def ghz_fidelity(branch: ProtocolBranch, n_qubits: int) -> float:
 def enumerate_loss(params: CatParams, loss: LossModel) -> float:
     """Expected relative off-diagonal magnitude under random qubit loss.
 
-    Sums over all 2^N loss subsets with weight lam^k (1-lam)^(N-k); each
-    term is the trace norm of the off-diagonal block traced over the lost
-    qubits, relative to the trace norm of the untraced block on the same
-    surviving qubits.
+    Sums over all 2^N loss subsets with weight lam^(N-k) (1-lam)^k, where k
+    qubits survive; each term is the trace norm of the off-diagonal block
+    traced over the lost qubits, relative to the trace norm of the untraced
+    block on the same k surviving qubits.
     """
     n = params.N
     _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
+    ratios = _loss_ratio_sums(params)
+    return sum(loss.lam ** (n - k) * (1.0 - loss.lam) ** k * r for k, r in enumerate(ratios))
+
+
+@functools.lru_cache(maxsize=1)
+def _loss_ratio_sums(params: CatParams) -> tuple[float, ...]:
+    """Summed trace-norm ratios of the C(N, k) loss subsets that keep k qubits, k = 0..N.
+
+    They do not depend on lambda, so one (N, eps) is traced once for every
+    loss rate; the cache keeps the last point, which a lambda-innermost loop
+    reuses.  Each k takes one stacked SVD of its traced blocks, and their sum
+    is normalized by the trace norm of the untraced k-qubit block.
+    """
+    n = params.N
     phi1, phi2 = branch_vectors(params)
     dyad = np.outer(phi1, phi2.conj())
     full_block = kron_power(dyad, n)
-    # trace norm of the untraced block on k surviving qubits, k = 0..n
-    reference = [
-        float(np.linalg.svd(kron_power(dyad, k), compute_uv=False).sum()) for k in range(n + 1)
-    ]
-    total = 0.0
-    for mask in range(2**n):
-        lost = [j for j in range(n) if (mask >> (n - 1 - j)) & 1]
-        kept = [j for j in range(n) if j not in lost]
-        weight = loss.lam ** len(lost) * (1.0 - loss.lam) ** len(kept)
-        if weight == 0.0:
-            continue
-        traced = partial_trace_operator(full_block, kept)
-        numer = float(np.linalg.svd(traced, compute_uv=False).sum())
-        total += weight * numer / reference[len(kept)]
-    return total
+    sums = []
+    for k in range(n + 1):
+        kept_sets = list(combinations(range(n), k))
+        stack = np.empty((len(kept_sets), 2**k, 2**k), dtype=complex)
+        for i, kept in enumerate(kept_sets):
+            stack[i] = partial_trace_operator(full_block, kept)
+        numer = np.linalg.svd(stack, compute_uv=False).sum()
+        sums.append(float(numer) / dense_trace_norm(kron_power(dyad, k)))
+    return tuple(sums)

@@ -57,25 +57,25 @@ def _check_ghz_reduction(max_n: int) -> CheckResult:
     return _result("ghz_reduction_at_eps_half_pi", worst, 1e-15)
 
 
-def _evolved_block_norm(n: int, eps: float, kind: str, gamma_t: float) -> float:
-    phi1, phi2 = oracle.branch_vectors(CatParams(n, eps))
-    block = oracle.kron_power(np.outer(phi1, phi2.conj()), n)
-    evolved = oracle.apply_product_channel(block, channels.ChannelSpec(kind, gamma_t))
-    return oracle.dense_trace_norm(evolved)
-
-
 def _check_decoherence(max_n: int) -> list[CheckResult]:
-    # each dense block is evolved once per kind and serves the closed-form
-    # check of that kind and the channel-equivalence check
+    # each dense block is built once per (n, eps); its evolved norm per kind
+    # and gamma_t serves the closed-form check of that kind and the
+    # channel-equivalence check
     worst = dict.fromkeys(channels.CHANNEL_KINDS, 0.0)
     worst_equiv = 0.0
-    for n, eps, gamma_t in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_GAMMA_TS):
-        dense = {kind: _evolved_block_norm(n, eps, kind, gamma_t) for kind in worst}
-        for kind, norm in dense.items():
-            closed = decoherence.cat_offdiag_norm(CatParams(n, eps), gamma_t, kind)
-            worst[kind] = max(worst[kind], abs(norm - closed) / closed)
-        a, b = dense[channels.DEPHASING], dense[channels.DEPOLARIZING]
-        worst_equiv = max(worst_equiv, abs(a - b) / a)
+    for n, eps in product(range(2, max_n + 1), STANDARD_EPSILONS):
+        params = CatParams(n, eps)
+        phi1, phi2 = oracle.branch_vectors(params)
+        block = oracle.kron_power(np.outer(phi1, phi2.conj()), n)
+        for gamma_t in STANDARD_GAMMA_TS:
+            dense = {}
+            for kind in worst:
+                evolved = oracle.apply_product_channel(block, channels.ChannelSpec(kind, gamma_t))
+                dense[kind] = oracle.dense_trace_norm(evolved)
+                closed = decoherence.cat_offdiag_norm(params, gamma_t, kind)
+                worst[kind] = max(worst[kind], abs(dense[kind] - closed) / closed)
+            a, b = dense[channels.DEPHASING], dense[channels.DEPOLARIZING]
+            worst_equiv = max(worst_equiv, abs(a - b) / a)
     closed_form = [_result(f"decoherence_closed_form_{k}", w, 1e-9) for k, w in worst.items()]
     return [*closed_form, _result("channel_equivalence", worst_equiv, 1e-12)]
 
@@ -103,8 +103,9 @@ def _check_reduced_rho1(max_n: int) -> CheckResult:
     return _result("reduced_rho1_vs_partial_trace", worst, 1e-12)
 
 
-def _check_protocol(max_n: int) -> tuple[CheckResult, CheckResult, CheckResult]:
+def _check_protocol(max_n: int) -> tuple[CheckResult, ...]:
     worst_q = 0.0
+    worst_mean = 0.0
     worst_fid = 0.0
     worst_complete = 0.0
     for n in range(2, max_n + 1):
@@ -113,6 +114,9 @@ def _check_protocol(max_n: int) -> tuple[CheckResult, CheckResult, CheckResult]:
             q_dense, branches = oracle.enumerate_protocol(params)
             q_closed = distillation.outcome_distribution(params).q
             worst_q = max(worst_q, float(np.max(np.abs(q_dense - q_closed))))
+            mean = float(np.dot(np.arange(n + 1), q_dense))
+            expected = distillation.expected_n(params)
+            worst_mean = max(worst_mean, abs(mean - expected) / expected)
             for branch in branches:
                 if branch.n_success >= 1 and branch.state is not None:
                     fid = oracle.ghz_fidelity(branch, n)
@@ -124,6 +128,7 @@ def _check_protocol(max_n: int) -> tuple[CheckResult, CheckResult, CheckResult]:
             )
     return (
         _result("protocol_distribution", worst_q, 1e-10),
+        _result("protocol_mean_vs_expected_n", worst_mean, 1e-12),
         _result("protocol_ghz_fidelity", worst_fid, 1e-10),
         _result("measurement_completeness", worst_complete, 1e-12),
     )

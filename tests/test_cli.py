@@ -356,6 +356,27 @@ def test_validate_small_grid(capsys):
     assert len(lines) > 10
 
 
+def test_validate_row_names_are_pinned(capsys):
+    # a refactor of the suite must not drop or reorder a check silently
+    code, out, _ = run_cli(capsys, "validate", "--max-n", "2")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+        "cat_state_normalization",
+        "ghz_reduction_at_eps_half_pi",
+        "decoherence_closed_form_dephasing",
+        "decoherence_closed_form_depolarizing",
+        "channel_equivalence",
+        "ghz_decay_rate",
+        "reduced_rho1_vs_partial_trace",
+        "protocol_distribution",
+        "protocol_mean_vs_expected_n",
+        "protocol_ghz_fidelity",
+        "measurement_completeness",
+        "residual_factorization",
+        "loss_subset_expectation",
+    ]
+
+
 def test_validate_out_of_range(capsys):
     code, _, err = run_cli(capsys, "validate", "--max-n", "20")
     assert code == 2

@@ -320,6 +320,21 @@ def test_simulation_deterministic_and_reproducible():
     assert a.counts.sum() == 2000
 
 
+def test_array_results_compare_by_identity_and_hash():
+    # numpy-array fields would make a generated __eq__ raise and __hash__ fail
+    p = CatParams(8, 0.5)
+    for make in (
+        lambda: outcome_distribution(p),
+        lambda: simulate_protocol(p, 100, seed=3),
+        lambda: build_filter(p),
+    ):
+        a, b = make(), make()
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 def test_simulation_half_pi_always_succeeds():
     res = simulate_protocol(CatParams(5, HALF_PI), 500, seed=1)
     assert res.counts[5] == 500

@@ -105,7 +105,7 @@ def _kron_factor_product_channel(op, ch):
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_apply_product_channel_matches_kron_factor_reference(n, kind):
     rng = np.random.default_rng(100 + n)
     dim = 2**n
@@ -247,3 +247,36 @@ def test_enumerate_loss_cases():
     assert enumerate_loss(p6, model) == pytest.approx(
         (1 - 0.3 * (1 - math.cos(0.7))) ** 6, rel=1e-12
     )
+
+
+def _per_subset_loss_reference(params, loss):
+    # reference: one partial trace and one SVD per loss subset, for each lambda
+    n = params.N
+    phi1 = np.array([1.0, 0.0], dtype=complex)
+    phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
+    dyad = np.outer(phi1, phi2.conj())
+    full_block = kron_power(dyad, n)
+    # trace norm of the untraced block on k surviving qubits, k = 0..n
+    reference = [
+        float(np.linalg.svd(kron_power(dyad, k), compute_uv=False).sum()) for k in range(n + 1)
+    ]
+    total = 0.0
+    for mask in range(2**n):
+        lost = [j for j in range(n) if (mask >> (n - 1 - j)) & 1]
+        kept = [j for j in range(n) if j not in lost]
+        weight = loss.lam ** len(lost) * (1.0 - loss.lam) ** len(kept)
+        if weight == 0.0:
+            continue
+        traced = partial_trace_operator(full_block, kept)
+        numer = float(np.linalg.svd(traced, compute_uv=False).sum())
+        total += weight * numer / reference[len(kept)]
+    return total
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.3, math.pi / 4, HALF_PI])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_loss_matches_per_subset_reference(n, eps):
+    params = CatParams(n, eps)
+    for lam in (0.0, 0.1, 0.5, 1.0):
+        model = LossModel(lam)
+        assert abs(enumerate_loss(params, model) - _per_subset_loss_reference(params, model)) <= 1e-13
