@@ -5,105 +5,74 @@ Assigns an effective particle number to states of the form
 matching, single-copy GHZ distillation, and particle-loss suppression --
 with every closed form cross-validated against a dense brute-force oracle.
 
-Importing the package loads only the closed-form library; the oracle, the
-validation suite and the CLI are the submodules ``catsize.oracle``,
+Importing the package loads none of its submodules: each exported name is
+imported from its submodule on first access.  The closed forms (``core``,
+``decoherence``, ``loss``, ``report``) need only the standard library;
+the array names (``channels``, ``distillation``, the 2x2 helpers of
+``core``) load numpy when they are first used.  The oracle, the validation
+suite and the CLI are the submodules ``catsize.oracle``,
 ``catsize.validation`` and ``catsize.cli``.
 """
 
-from .channels import (
-    CHANNEL_KINDS,
-    DEPHASING,
-    DEPOLARIZING,
-    ChannelSpec,
-    apply_channel,
-    singular_values_2x2,
-    trace_norm,
-)
-from .core import (
-    CatParams,
-    branch_dyad,
-    entropy_bits_2x2,
-    entropy_s1,
-    log_term_overlap,
-    normalization_constant,
-    phi_vectors,
-    reduced_rho1,
-    term_overlap,
-)
-from .decoherence import (
-    DecayCurve,
-    cat_offdiag_norm,
-    decay_curve,
-    effective_size_decoherence,
-    effective_size_decoherence_fd,
-    ghz_offdiag_norm,
-)
-from .distillation import (
-    DistillationBound,
-    FilterMeasurement,
-    McResult,
-    OutcomeDistribution,
-    build_filter,
-    distillation_bound,
-    expected_n,
-    outcome_distribution,
-    simulate_protocol,
-)
-from .loss import (
-    LossCurve,
-    LossModel,
-    cat_loss_suppression,
-    effective_size_loss,
-    effective_size_loss_fd,
-    ghz_loss_suppression,
-    loss_curve,
-    loss_suppression_diagnostics,
-)
-from .report import EffectiveSizeReport, build_effective_size_report
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatParams",
-    "ChannelSpec",
-    "DecayCurve",
-    "DistillationBound",
-    "EffectiveSizeReport",
-    "FilterMeasurement",
-    "LossCurve",
-    "LossModel",
-    "McResult",
-    "OutcomeDistribution",
-    "CHANNEL_KINDS",
-    "DEPHASING",
-    "DEPOLARIZING",
-    "apply_channel",
-    "branch_dyad",
-    "build_effective_size_report",
-    "build_filter",
-    "cat_loss_suppression",
-    "cat_offdiag_norm",
-    "decay_curve",
-    "distillation_bound",
-    "effective_size_decoherence",
-    "effective_size_decoherence_fd",
-    "effective_size_loss",
-    "effective_size_loss_fd",
-    "entropy_bits_2x2",
-    "entropy_s1",
-    "expected_n",
-    "ghz_loss_suppression",
-    "ghz_offdiag_norm",
-    "log_term_overlap",
-    "loss_curve",
-    "loss_suppression_diagnostics",
-    "normalization_constant",
-    "outcome_distribution",
-    "phi_vectors",
-    "reduced_rho1",
-    "simulate_protocol",
-    "singular_values_2x2",
-    "term_overlap",
-    "trace_norm",
-    "__version__",
-]
+# exported name -> submodule that defines it
+_EXPORTS = {
+    "CatParams": "core",
+    "ChannelSpec": "channels",
+    "DecayCurve": "decoherence",
+    "DistillationBound": "core",
+    "EffectiveSizeReport": "report",
+    "FilterMeasurement": "distillation",
+    "LossCurve": "loss",
+    "LossModel": "loss",
+    "McResult": "distillation",
+    "OutcomeDistribution": "distillation",
+    "CHANNEL_KINDS": "core",
+    "DEPHASING": "core",
+    "DEPOLARIZING": "core",
+    "apply_channel": "channels",
+    "branch_dyad": "core",
+    "build_effective_size_report": "report",
+    "build_filter": "distillation",
+    "cat_loss_suppression": "loss",
+    "cat_offdiag_norm": "decoherence",
+    "decay_curve": "decoherence",
+    "distillation_bound": "core",
+    "effective_size_decoherence": "decoherence",
+    "effective_size_decoherence_fd": "decoherence",
+    "effective_size_loss": "loss",
+    "effective_size_loss_fd": "loss",
+    "entropy_bits_2x2": "core",
+    "entropy_s1": "core",
+    "expected_n": "core",
+    "ghz_loss_suppression": "loss",
+    "ghz_offdiag_norm": "decoherence",
+    "log_term_overlap": "core",
+    "loss_curve": "loss",
+    "loss_suppression_diagnostics": "loss",
+    "normalization_constant": "core",
+    "outcome_distribution": "distillation",
+    "phi_vectors": "core",
+    "reduced_rho1": "core",
+    "simulate_protocol": "distillation",
+    "singular_values_2x2": "channels",
+    "term_overlap": "core",
+    "trace_norm": "channels",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

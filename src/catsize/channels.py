@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_gamma_t
+from .core import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, _check_gamma_t
 
 __all__ = [
     "DEPHASING",
@@ -36,10 +36,6 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
 ]
-
-DEPHASING = "dephasing"
-DEPOLARIZING = "depolarizing"
-CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

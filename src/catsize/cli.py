@@ -11,20 +11,36 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 
-import numpy as np
-
 from .core import CatParams
 from .decoherence import decay_curve, effective_size_decoherence
-from .distillation import outcome_distribution, simulate_protocol
 from .loss import effective_size_loss, loss_curve
 from .report import EffectiveSizeReport, build_effective_size_report
 from .serialize import csv_text, dumps_json
-from .validation import run_validation
 
 __all__ = ["EffectiveSizeReport", "build_effective_size_report", "main"]
+
+# The numpy-backed commands, imported on first use so that the closed-form
+# commands never load numpy.  They are module attributes like the eager
+# imports above, and the handlers look them up on the module (_CLI), so a
+# caller may replace any of them.
+_LAZY = {
+    "outcome_distribution": ".distillation",
+    "simulate_protocol": ".distillation",
+    "run_validation": ".validation",
+}
+_CLI = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __package__), name)
+    globals()[name] = value
+    return value
 
 
 class _UsageError(Exception):
@@ -56,13 +72,22 @@ def _emit(text: str, output: str | None) -> None:
 
 def _curve_grid(
     args: argparse.Namespace, endpoint: float, matched_size: float
-) -> tuple[int, np.ndarray]:
+) -> tuple[int, list[float]]:
     # GHZ reference size (default: the rounded matched size, at least 1) and
-    # the grid 0..endpoint; linspace starts at exactly 0 for a finite endpoint
+    # the grid 0..endpoint, bit for bit np.linspace(0.0, endpoint, steps):
+    # i * step, or (i / div) * endpoint where step underflows to 0, and the
+    # last point exactly endpoint
     if args.steps < 2:
         raise _UsageError(f"--steps must be >= 2, got {args.steps}")
     n_ref = args.n_ref if args.n_ref is not None else max(1, round(matched_size))
-    return n_ref, np.linspace(0.0, endpoint, args.steps)
+    div = args.steps - 1
+    step = endpoint / div
+    if step == 0.0:
+        grid = [i / div * endpoint for i in range(div)]
+    else:
+        grid = [i * step for i in range(div)]
+    grid.append(endpoint)
+    return n_ref, grid
 
 
 def _cmd_effective_size(args: argparse.Namespace) -> int:
@@ -87,8 +112,8 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}")
     if not (0 <= args.seed < 2**64):
         raise _UsageError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
-    exact = outcome_distribution(params)
-    empirical = simulate_protocol(params, args.trials, args.seed)
+    exact = _CLI.outcome_distribution(params)
+    empirical = _CLI.simulate_protocol(params, args.trials, args.seed)
     payload = {"exact": exact.to_payload(), "mc": empirical.to_payload()}
     _emit(dumps_json(payload) + "\n", args.output)
     return 0
@@ -108,7 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--max-n must lie in [2, 8] (size cap of the dense oracle), got {args.max_n}"
         )
-    results = run_validation(args.max_n)
+    results = _CLI.run_validation(args.max_n)
     rows = [("PASS" if r.passed else "FAIL", r.name, r.max_err, r.tol) for r in results]
     _emit(csv_text("status,name,max_err,tol", rows), args.output)
     failures = [r for r in results if not r.passed]

@@ -15,17 +15,29 @@ product state.
 All powers of cos(eps) are carried in log domain: the regimes of interest
 (N up to 1e7, eps down to 1e-3 and below) underflow double precision if
 powers are formed by repeated multiplication.
+
+The scalar closed forms need only the standard library; the array helpers
+(phi_vectors, branch_dyad, reduced_rho1, entropy_bits_2x2,
+check_density_2x2) import numpy when called, so importing this module
+loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Integral
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
+    "DEPHASING",
+    "DEPOLARIZING",
+    "CHANNEL_KINDS",
     "CatParams",
     "phi_vectors",
     "branch_dyad",
@@ -36,28 +48,43 @@ __all__ = [
     "entropy_s1",
     "entropy_bits_2x2",
     "check_density_2x2",
+    "expected_n",
+    "DistillationBound",
+    "distillation_bound",
 ]
 
 HALF_PI = math.pi / 2.0
 
+# the two single-qubit channel kinds (see catsize.channels)
+DEPHASING = "dephasing"
+DEPOLARIZING = "depolarizing"
+CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
+
 
 def _check_positive_int(value, name: str) -> int:
     """value as a Python int; ValueError unless it is an integer >= 1 (bools rejected)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
 
-def _check_grid(grid, name: str) -> np.ndarray:
-    """grid as a float array; ValueError unless 1-D, non-empty, finite, >= 0 and sorted."""
-    values = np.asarray(grid, dtype=float)
-    if values.ndim != 1 or values.size == 0:
+def _is_sequence(value) -> bool:
+    return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
+
+
+def _check_grid(grid, name: str) -> tuple[float, ...]:
+    """grid as a tuple of floats; ValueError unless 1-D, non-empty, finite, >= 0 and sorted."""
+    if hasattr(grid, "tolist"):  # a numpy array or scalar, read without importing numpy
+        grid = grid.tolist()
+    items = list(grid) if _is_sequence(grid) else []
+    if not items or any(type(v) is not float and _is_sequence(v) for v in items):
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(values)):
+    values = tuple(map(float, items))
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    if np.any(values < 0.0):
+    if min(values) < 0.0:
         raise ValueError(f"{name} contains negative values")
-    if np.any(np.diff(values) < 0.0):
+    if list(values) != sorted(values):
         raise ValueError(f"{name} must be sorted ascending")
     return values
 
@@ -124,6 +151,8 @@ class CatParams:
 
 def phi_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     """The two single-qubit branch vectors (|phi1>, |phi2>)."""
+    import numpy as np
+
     phi1 = np.array([1.0, 0.0], dtype=complex)
     phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
     return phi1, phi2
@@ -131,6 +160,8 @@ def phi_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
 
 def branch_dyad(params: CatParams) -> np.ndarray:
     """The single-qubit off-diagonal dyad |phi1><phi2| = c|0><0| + s|0><1|."""
+    import numpy as np
+
     return np.array(
         [[params.c_eps, params.s_eps], [0.0, 0.0]], dtype=complex
     )
@@ -168,6 +199,8 @@ def reduced_rho1(params: CatParams) -> np.ndarray:
 
     Requires N >= 2 (the c^(N-2) term).
     """
+    import numpy as np
+
     if params.N < 2:
         raise ValueError("reduced_rho1 requires N >= 2")
     c, s = params.c_eps, params.s_eps
@@ -213,12 +246,44 @@ def entropy_s1(params: CatParams) -> float:
     return _binary_entropy_bits(lam_minus, disc)
 
 
+def expected_n(params: CatParams) -> float:
+    """Mean number of GHZ parties distilled by the single-copy filter, (1 - c) N / (1 + c^N)."""
+    return params.one_minus_c * params.N / (1.0 + math.exp(params.log_cN))
+
+
+@dataclass(frozen=True)
+class DistillationBound:
+    """Protocol mean together with the entropy upper bounds on distillation.
+
+    exact_bound = N * S1 bounds the mean distilled-GHZ size per copy of any
+    asymptotic multi-copy protocol; asymptotic_bound is its small-eps,
+    large-N-eps^2 leading form -N eps^2 log2(eps) / 2.
+    """
+
+    exact_bound: float
+    asymptotic_bound: float
+    lower_bound_mean: float
+
+
+def distillation_bound(params: CatParams) -> DistillationBound:
+    """Evaluate the distillation bounds (requires N >= 2 for the entropy)."""
+    eps = params.epsilon
+    asymptotic = 0.0 if eps == 0.0 else -params.N * eps * eps * math.log2(eps) / 2.0
+    return DistillationBound(
+        exact_bound=params.N * entropy_s1(params),
+        asymptotic_bound=asymptotic,
+        lower_bound_mean=expected_n(params),
+    )
+
+
 def entropy_bits_2x2(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits of a 2x2 density matrix.
 
     Closed-form eigenvalues from trace and determinant; eigenvalues are
     clamped to [0, 1] with 0 log 0 := 0 before the p log2 p sum.
     """
+    import numpy as np
+
     rho = np.asarray(rho)
     t = float(np.trace(rho).real)
     det = float(np.linalg.det(rho).real)
@@ -233,6 +298,8 @@ def entropy_bits_2x2(rho: np.ndarray) -> float:
 
 def check_density_2x2(rho: np.ndarray, tol: float = 1e-12) -> None:
     """Raise if rho is not Hermitian / unit-trace / PSD within tol."""
+    import numpy as np
+
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")

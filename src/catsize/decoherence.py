@@ -20,10 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channels import CHANNEL_KINDS, DEPHASING
-from .core import CatParams, _check_gamma_t, _check_grid, _check_positive_int
+from .core import (
+    CHANNEL_KINDS,
+    DEPHASING,
+    CatParams,
+    _check_gamma_t,
+    _check_grid,
+    _check_positive_int,
+)
 from .serialize import csv_text
 
 __all__ = [
@@ -59,8 +63,11 @@ def cat_offdiag_norm(
 ) -> float:
     """Scaled off-diagonal trace norm d^(N/2) of the cat state.
 
-    The value is the same for both channel kinds; the kind argument is
-    accepted (and validated) to mirror the channel-evolution call sites.
+    The value is the same for both channel kinds.  kind stays because the
+    callers that check this closed form against dense evolution --
+    ``validate``'s ``decoherence_closed_form_<kind>`` rows and acceptance
+    criteria 1 and 2 -- pass the kind they evolved with, so each row names
+    the channel it covers and an unknown kind is refused here.
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
@@ -89,9 +96,9 @@ def effective_size_decoherence_fd(params: CatParams, h: float = 1e-6) -> float:
 class DecayCurve:
     """Tabulated off-diagonal norms on a gamma_t grid, both starting at 1."""
 
-    times: np.ndarray
-    ghz_norm: np.ndarray
-    cat_norm: np.ndarray
+    times: tuple[float, ...]
+    ghz_norm: tuple[float, ...]
+    cat_norm: tuple[float, ...]
 
     def to_csv(self) -> str:
         """CSV with header ``gamma_t,ghz_norm,cat_norm`` in that column order."""
@@ -109,6 +116,6 @@ def decay_curve(params: CatParams, n_ref: int, grid) -> DecayCurve:
     times = _check_grid(grid, "gamma_t grid")
     if times[0] != 0.0:
         raise ValueError("grid must start at gamma_t = 0")
-    ghz = np.array([ghz_offdiag_norm(n_ref, t) for t in times])
-    cat = np.array([cat_offdiag_norm(params, t) for t in times])
+    ghz = tuple(ghz_offdiag_norm(n_ref, t) for t in times)
+    cat = tuple(cat_offdiag_norm(params, t) for t in times)
     return DecayCurve(times=times, ghz_norm=ghz, cat_norm=cat)

@@ -26,7 +26,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CatParams, _check_positive_int, entropy_s1
+# the mean and the entropy bounds are closed forms of the scalar layer
+from .core import (
+    CatParams,
+    DistillationBound,
+    _check_positive_int,
+    distillation_bound,
+    expected_n,
+)
 
 __all__ = [
     "FilterMeasurement",
@@ -342,11 +349,6 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     return OutcomeDistribution(params, lo, _log_q(params, lo, hi))
 
 
-def expected_n(params: CatParams) -> float:
-    """Mean number of distilled GHZ parties, (1 - c) N / (1 + c^N)."""
-    return params.one_minus_c * params.N / (1.0 + math.exp(params.log_cN))
-
-
 @dataclass(frozen=True, eq=False)
 class McResult:
     """Empirical outcome counts from a seeded protocol simulation.
@@ -444,29 +446,4 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     return McResult(
         N=n, epsilon=params.epsilon, outcomes=outcomes, tallies=tallies,
         trials=trials, seed=int(seed),
-    )
-
-
-@dataclass(frozen=True)
-class DistillationBound:
-    """Protocol mean together with the entropy upper bounds on distillation.
-
-    exact_bound = N * S1 bounds the mean distilled-GHZ size per copy of any
-    asymptotic multi-copy protocol; asymptotic_bound is its small-eps,
-    large-N-eps^2 leading form -N eps^2 log2(eps) / 2.
-    """
-
-    exact_bound: float
-    asymptotic_bound: float
-    lower_bound_mean: float
-
-
-def distillation_bound(params: CatParams) -> DistillationBound:
-    """Evaluate the distillation bounds (requires N >= 2 for the entropy)."""
-    eps = params.epsilon
-    asymptotic = 0.0 if eps == 0.0 else -params.N * eps * eps * math.log2(eps) / 2.0
-    return DistillationBound(
-        exact_bound=params.N * entropy_s1(params),
-        asymptotic_bound=asymptotic,
-        lower_bound_mean=expected_n(params),
     )

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CatParams, _check_grid, _check_positive_int
 from .serialize import csv_text
 
@@ -115,9 +113,9 @@ def loss_suppression_diagnostics(params: CatParams, loss: LossModel) -> dict:
 class LossCurve:
     """Tabulated suppressions on a lam grid."""
 
-    lambdas: np.ndarray
-    ghz_suppression: np.ndarray
-    cat_suppression: np.ndarray
+    lambdas: tuple[float, ...]
+    ghz_suppression: tuple[float, ...]
+    cat_suppression: tuple[float, ...]
 
     def to_csv(self) -> str:
         """CSV with header ``lambda,ghz_suppression,cat_suppression``."""
@@ -131,6 +129,6 @@ def loss_curve(params: CatParams, n_ref: int, lambdas) -> LossCurve:
     lams = _check_grid(lambdas, "lambda grid")
     if lams[-1] > 1.0:
         raise ValueError("lambda grid must lie in [0, 1]")
-    ghz = np.array([ghz_loss_suppression(n_ref, LossModel(l)) for l in lams])
-    cat = np.array([cat_loss_suppression(params, LossModel(l)) for l in lams])
+    ghz = tuple(ghz_loss_suppression(n_ref, LossModel(l)) for l in lams)
+    cat = tuple(cat_loss_suppression(params, LossModel(l)) for l in lams)
     return LossCurve(lambdas=lams, ghz_suppression=ghz, cat_suppression=cat)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .core import CatParams
+from .core import CatParams, distillation_bound
 from .decoherence import effective_size_decoherence
-from .distillation import distillation_bound
 from .loss import effective_size_loss
 
 __all__ = ["EffectiveSizeReport", "build_effective_size_report"]

@@ -12,8 +12,8 @@ import functools
 import json
 import marshal
 import math
-
-import numpy as np
+import sys
+from numbers import Integral, Real
 
 __all__ = ["fmt_float", "dumps_json", "csv_text"]
 
@@ -82,14 +82,20 @@ def _float_list_json(values: list) -> str | None:
     return "".join(parts)
 
 
+def _is_ndarray(obj) -> bool:
+    # an ndarray exists only once numpy is loaded, so none is imported here
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(obj, np.ndarray)
+
+
 def _encode(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, Integral):  # numpy registers its integer types here
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, Real):
         return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -106,7 +112,7 @@ def _encode(obj) -> str:
         text = _float_list_json(obj)
         if text is not None:
             return text
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)) or _is_ndarray(obj):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

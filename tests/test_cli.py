@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from catsize import distillation
-from catsize.cli import build_effective_size_report, main
+from catsize.cli import _curve_grid, build_effective_size_report, main
 from catsize.core import CatParams
 from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
 from catsize.distillation import expected_n, outcome_distribution
@@ -411,3 +412,22 @@ def test_distill_sim_mean_sanity(capsys):
     exact = outcome_distribution(p).q
     var = float((np.arange(9) ** 2) @ exact) - expected_n(p) ** 2
     assert abs(mean - expected_n(p)) < 4.0 * math.sqrt(var / 20000)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 7, 50, 1001, 100003])
+@pytest.mark.parametrize(
+    "endpoint",
+    [5e-324, 1e-310, 1e-300, 0.1, 1 / 3, 1.0, 18.5, 400.0, 1e300, 1.7976931348623157e308],
+)
+def test_curve_grid_is_linspace(steps, endpoint):
+    # the curve grid is built without numpy, bit for bit np.linspace; the
+    # subnormal endpoints take the branch where the step underflows to 0
+    args = argparse.Namespace(steps=steps, n_ref=None)
+    n_ref, grid = _curve_grid(args, endpoint, 3.4)
+    assert n_ref == 3
+    # linspace scales the last point too before it sets it to endpoint, and
+    # that product may overflow (endpoint near the largest double)
+    with np.errstate(over="ignore"):
+        expected = np.linspace(0.0, endpoint, steps).tolist()
+    assert grid == expected
+    assert all(type(v) is float for v in grid)

@@ -6,6 +6,7 @@ import pytest
 
 from catsize.core import (
     CatParams,
+    _check_grid,
     branch_dyad,
     check_density_2x2,
     entropy_bits_2x2,
@@ -206,3 +207,36 @@ def test_check_density_rejects_bad_matrices():
         check_density_2x2(np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(ValueError):
         check_density_2x2(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize(
+    "grid", [[0.0, 0.5, 0.5, 2.0], (0.0, 1.0), np.array([0.0, 0.25, 1.0]), np.arange(3)]
+)
+def test_check_grid_accepts_lists_tuples_and_1d_arrays(grid):
+    values = _check_grid(grid, "grid")
+    assert type(values) is tuple
+    assert all(type(v) is float for v in values)
+    assert list(values) == np.asarray(grid, dtype=float).tolist()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([], "grid must be a non-empty 1-D sequence"),
+        (0.5, "grid must be a non-empty 1-D sequence"),
+        ([[0.0, 1.0]], "grid must be a non-empty 1-D sequence"),
+        (np.zeros((2, 2)), "grid must be a non-empty 1-D sequence"),
+        (np.zeros((1, 1)), "grid must be a non-empty 1-D sequence"),
+        ([0.0, math.nan], "grid must be finite"),
+        ([0.0, math.inf], "grid must be finite"),
+        ([-1.0, 0.0], "grid contains negative values"),
+        ([0.0, 2.0, 1.0], "grid must be sorted ascending"),
+        # the checks run in this order over the whole grid
+        ([-1.0, math.nan], "grid must be finite"),
+        ([1.0, 0.0, -1.0], "grid contains negative values"),
+    ],
+)
+def test_check_grid_messages(grid, message):
+    with pytest.raises(ValueError) as info:
+        _check_grid(grid, "grid")
+    assert str(info.value) == message

@@ -1,0 +1,141 @@
+"""Import graph: the closed-form package and commands never load numpy.
+
+Each probe runs in a fresh interpreter, since this test process has numpy
+loaded already.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import catsize
+
+SRC = os.path.dirname(os.path.dirname(catsize.__file__))
+
+
+def run_probe(code: str) -> None:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def main_probe(argv: list[str], code: int, numpy_loaded: bool) -> str:
+    # cli.main on argv with stdout and stderr discarded; checks the exit code
+    # and whether numpy was loaded
+    return (
+        "import contextlib, io, sys\n"
+        "from catsize import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        rc = cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        rc = exc.code\n"
+        f"assert rc == {code}, rc\n"
+        f"assert ('numpy' in sys.modules) is {numpy_loaded}\n"
+    )
+
+
+def test_import_catsize_loads_no_submodule_and_no_numpy():
+    run_probe(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import catsize\n"
+        "assert set(sys.modules) - before == {'catsize'}, set(sys.modules) - before\n"
+        "import catsize.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for name in ('catsize.distillation', 'catsize.channels', 'catsize.validation',\n"
+        "             'catsize.oracle'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
+
+
+def test_scalar_names_load_no_numpy():
+    # the closed forms live in the numpy-free layer, whatever module a name
+    # is documented under
+    run_probe(
+        "import sys, catsize\n"
+        "p = catsize.CatParams(10**6, 1e-3)\n"
+        "catsize.expected_n(p), catsize.distillation_bound(p), catsize.entropy_s1(p)\n"
+        "catsize.build_effective_size_report(p).to_payload()\n"
+        "catsize.decay_curve(p, 1, [0.0, 0.5]).to_csv()\n"
+        "catsize.loss_curve(p, 1, [0.0, 0.5]).to_csv()\n"
+        "catsize.cat_offdiag_norm(p, 0.5, catsize.DEPOLARIZING)\n"
+        "assert 'numpy' not in sys.modules\n"
+        "catsize.phi_vectors(p)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["effective-size", "--n", "1000000", "--epsilon", "0.001"], 0),
+        (["effective-size", "--n", "1000000", "--epsilon-sq-overlap", "1e-6"], 0),
+        (["decoherence-curve", "--n", "100", "--epsilon", "0.2", "--steps", "101"], 0),
+        (["loss-curve", "--n", "100", "--epsilon", "0.2", "--steps", "101"], 0),
+        (["--help"], 0),
+        (["decoherence-curve", "--n", "100", "--epsilon", "0.2", "--steps", "1"], 2),
+    ],
+)
+def test_closed_form_commands_load_no_numpy(argv, code):
+    run_probe(main_probe(argv, code, numpy_loaded=False))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"],
+        ["validate", "--max-n", "2"],
+    ],
+)
+def test_array_commands_load_numpy(argv):
+    run_probe(main_probe(argv, 0, numpy_loaded=True))
+
+
+def test_star_import_binds_every_export():
+    run_probe(
+        "import importlib\n"
+        "import catsize\n"
+        "namespace = {}\n"
+        "exec('from catsize import *', namespace)\n"
+        "missing = set(catsize.__all__) - set(namespace)\n"
+        "assert not missing, missing\n"
+        "for name in catsize.__all__:\n"
+        "    if name == '__version__':\n"
+        "        continue\n"
+        "    module = importlib.import_module('catsize.' + catsize._EXPORTS[name])\n"
+        "    assert namespace[name] is getattr(module, name), name\n"
+        "assert set(catsize.__all__) <= set(dir(catsize))\n"
+    )
+
+
+def test_moved_names_stay_where_callers_found_them():
+    # the mean, the bound and the channel kinds moved into the numpy-free core
+    from catsize import channels, distillation
+
+    assert distillation.expected_n is catsize.expected_n
+    assert distillation.distillation_bound is catsize.distillation_bound
+    assert distillation.DistillationBound is catsize.DistillationBound
+    assert channels.CHANNEL_KINDS is catsize.CHANNEL_KINDS
+    with pytest.raises(AttributeError):
+        catsize.no_such_name  # noqa: B018
+
+
+def test_cli_numpy_commands_are_replaceable_attributes(monkeypatch, capsys):
+    # the handlers call through the module attribute, so a replacement is seen
+    from catsize import cli
+
+    calls = []
+
+    def fake_validation(max_n):
+        calls.append(max_n)
+        return []
+
+    monkeypatch.setattr(cli, "run_validation", fake_validation)
+    assert cli.main(["validate", "--max-n", "3"]) == 0
+    assert calls == [3]
+    assert capsys.readouterr().out == "status,name,max_err,tol\n"
+    with pytest.raises(AttributeError):
+        cli.no_such_name  # noqa: B018

@@ -62,3 +62,41 @@ def test_non_finite_value_inside_a_zero_run_is_refused(bad):
     values[_FLOAT_BATCH + 7] = bad
     with pytest.raises(ValueError, match="non-finite"):
         dumps_json({"q": values})
+
+
+@pytest.mark.parametrize(
+    "value, token",
+    [
+        (np.int64(-7), "-7"),
+        (np.int64(2**62), "4611686018427387904"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.array([0.5, 1e-300, 3.0]), "[0.5, 1e-300, 3]"),
+    ],
+)
+def test_numpy_values_keep_their_tokens(value, token):
+    # the serializer never imports numpy; it recognises numpy integers and
+    # floats through the numbers ABCs and an ndarray once numpy is loaded
+    assert dumps_json({"v": value}) == '{"v": ' + token + "}"
+    assert dumps_json([value, 1.0]) == "[" + token + ", 1]"
+    if np.ndim(value) == 0:
+        row, line = ("x", value), "x," + fmt_float(value)
+    else:
+        row, line = tuple(value), ",".join(fmt_float(v) for v in value)
+    assert csv_text("a,b", [row]) == "a,b\n" + line + "\n"
+
+
+def test_numpy_int_in_csv_is_a_float_token():
+    assert csv_text("a", [(np.int64(2**62),)]) == "a\n4.6116860184273879e+18\n"
+
+
+def test_numpy_bool_and_inf_keep_their_behaviour():
+    for obj in ({"v": np.bool_(True)}, [np.bool_(False), 1.0]):
+        with pytest.raises(TypeError, match="cannot serialize object of type bool"):
+            dumps_json(obj)
+    assert csv_text("a,b", [("x", np.bool_(True))]) == "a,b\nx,1\n"
+    for obj in ({"v": np.float64(np.inf)}, [np.float64(np.inf), 1.0]):
+        with pytest.raises(ValueError, match="cannot serialize non-finite value inf"):
+            dumps_json(obj)
+    with pytest.raises(ValueError, match="cannot serialize non-finite value inf"):
+        csv_text("a,b", [("x", np.float64(np.inf))])
