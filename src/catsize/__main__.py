@@ -1,6 +1,42 @@
+"""Process entry of the ``catsize`` command: ``python -m catsize`` and the
+installed console script both call :func:`main`.
+
+The dense matrices the commands meet are at most 256 x 256 and the
+distribution code uses elementwise ufuncs only, so a BLAS thread pool buys
+no wall time here; threaded OpenBLAS even runs each oracle SVD slower while
+burning a second core.  The entry therefore asks for one BLAS thread, in
+the environment, before numpy can load.  A thread count the user has set
+always wins, and importing the package or calling ``catsize.cli.main``
+in-process leaves ``os.environ`` alone.
+"""
+
+import os
 import sys
 
-from .cli import main
+# thread-count variables of the BLAS builds numpy ships with or links
+# (OpenBLAS, MKL, BLIS, Accelerate) and of OpenMP, which the OpenMP builds
+# of OpenBLAS and MKL follow
+_BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+# a user setting of any of these states a thread choice the entry keeps
+_USER_THREAD_VARS = (*_BLAS_THREAD_VARS, "NUMEXPR_NUM_THREADS")
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the CLI with one BLAS thread unless numpy is loaded or the user
+    has set a thread-count variable."""
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _USER_THREAD_VARS):
+        for var in _BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+    from .cli import main as cli_main
+
+    return cli_main(argv)
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -66,8 +66,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _curve_grid(
@@ -224,4 +227,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # through the process entry, which sets the BLAS thread default
+    from .__main__ import main as _entry
+
+    sys.exit(_entry())

@@ -65,10 +65,23 @@ def _check_qubits(n: int, cap: int, what: str) -> None:
 
 
 def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of arrays (identity for empty input)."""
+    """Kronecker product of a sequence of matrices (identity for empty input).
+
+    Each step multiplies the running (r, c) product and the next (rm, cm)
+    factor broadcast to (r, rm, c, cm) and reshapes to (r rm, c cm): the
+    products ``np.kron`` forms, bit for bit, without its per-call shape
+    handling.  A 1-D factor counts as one row, as in ``np.kron``; any other
+    non-2-D factor is refused.
+    """
     out = np.array([[1.0 + 0.0j]])
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        if m.ndim == 1:
+            m = m.reshape(1, -1)
+        elif m.ndim != 2:
+            raise ValueError(f"kron_all takes 1-D or 2-D factors, got shape {m.shape}")
+        (r, c), (rm, cm) = out.shape, m.shape
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r * rm, c * cm)
     return out
 
 
@@ -139,8 +152,9 @@ def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     K op K^dag applies K to row slot q and conj(K) to column slot n + q, so
     the channel on qubit q is the 4x4 superoperator S = sum_K K (x) conj(K)
     contracted with that (row, column) slot pair, one contraction per qubit.
-    The contraction is a plain einsum, not a BLAS matmul: threaded BLAS is
-    slow and erratic on products this thin.
+    The contraction is a plain einsum, not a BLAS matmul: threaded BLAS (a
+    library caller's default; the CLI entry asks for one thread) is slow and
+    erratic on products this thin.
     """
     op = np.asarray(op, dtype=complex)
     n = _n_qubits_of_operator(op)
@@ -199,16 +213,23 @@ def partial_trace_operator(op: np.ndarray, keep) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     n = _n_qubits_of_operator(op)
     _check_qubits(n, MAX_OPERATOR_QUBITS, "dense operators")
-    keep = sorted(keep)
+    keep = tuple(sorted(keep))
     if any(q < 0 or q >= n for q in keep):
         raise ValueError("kept qubit index out of range")
-    tensor = op.reshape((2,) * (2 * n))
+    traced = np.einsum(_trace_subscripts(n, keep), op.reshape((2,) * (2 * n)))
+    dim = 2 ** len(keep)
+    return traced.reshape(dim, dim)
+
+
+@functools.lru_cache(maxsize=2**(MAX_OPERATOR_QUBITS + 1))
+def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
+    # einsum subscripts of partial_trace_operator (the cache holds every kept
+    # set of every operator size): row slot q is letter q, column slot q is
+    # letter n + q if q is kept and letter q (traced) if not
     row = [_LETTERS[q] for q in range(n)]
     col = [_LETTERS[n + q] if q in keep else _LETTERS[q] for q in range(n)]
     out = "".join(_LETTERS[q] for q in keep) + "".join(_LETTERS[n + q] for q in keep)
-    traced = np.einsum("".join(row) + "".join(col) + "->" + out, tensor)
-    dim = 2 ** len(keep)
-    return traced.reshape(dim, dim)
+    return "".join(row) + "".join(col) + "->" + out
 
 
 def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
@@ -260,19 +281,24 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBran
     """Exhaustive Born-rule branching of the filtering protocol.
 
     Returns the exact outcome distribution aggregated over success counts
-    together with every branch, for fidelity checks downstream.
+    together with every branch (in mask order), for fidelity checks
+    downstream.  The tree is walked level by level: qubit j's Abar and A
+    act once on each unnormalized vector of the 2^j outcome prefixes, so
+    the walk takes 2^(N+1) - 2 one-qubit applications, not N 2^N, and each
+    leaf is the same chain of operations as applying the mask's operators
+    qubit by qubit.
     """
     n = params.N
     _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
     a, a_bar = biorthonormal_filter(params)
-    psi = build_cat_state(params)
+    # prefix p of qubits 1..j sits at index p, so appending the outcome of
+    # qubit j + 1 as the low bit keeps the list in mask order
+    level = [build_cat_state(params)]
+    for j in range(n):
+        level = [apply_one_qubit(vec, op, j) for vec in level for op in (a_bar, a)]
     q = np.zeros(n + 1)
     branches: list[ProtocolBranch] = []
-    for mask in range(2**n):
-        vec = psi
-        for j in range(n):
-            op = a if (mask >> (n - 1 - j)) & 1 else a_bar
-            vec = apply_one_qubit(vec, op, j)
+    for mask, vec in enumerate(level):
         prob = float(np.vdot(vec, vec).real)
         successes = bin(mask).count("1")
         q[successes] += prob

@@ -93,14 +93,35 @@ def _check_ghz_rate(max_n: int) -> CheckResult:
     return _result("ghz_decay_rate", worst, 1e-12)
 
 
-def _check_reduced_rho1(max_n: int) -> CheckResult:
+# Tolerance of n_distill_upper_exact = N S1 against -N sum(lam log2 lam) over
+# the eigvalsh eigenvalues of the dense rho1.  The rho1 row holds every dense
+# entry within 1e-12 of the closed form, so each eigenvalue moves by at most
+# the perturbation's 2-norm, <= 2e-12 for a 2x2 (Weyl).  -x log2 x has slope
+# |log2 x + 1/ln 2|: at most 15.9 at the grid's smallest eigenvalue 6.27e-6
+# (N = 2, eps = 0.1) and 1.45 at the larger one, so N S1 moves by at most
+# 8 * (15.9 + 1.45) * 2e-12 = 2.8e-10 for N <= 8.  The closed form (from
+# the determinant) and eigvalsh add a few ulp times the same slopes, far
+# below that; 1e-9 rounds the bound up to a decade.
+_ENTROPY_BOUND_TOL = 1e-9
+
+
+def _check_reduced_rho1(max_n: int) -> tuple[CheckResult, CheckResult]:
+    # the dense rho1 of each point also gives the entropy bound N S1
     worst = 0.0
+    worst_bound = 0.0
     for n in range(2, max_n + 1):
         for eps in STANDARD_EPSILONS + (math.pi / 2,):
             params = CatParams(n, eps)
             dense = oracle.partial_trace_to_first(oracle.build_cat_state(params))
             worst = max(worst, float(np.max(np.abs(dense - reduced_rho1(params)))))
-    return _result("reduced_rho1_vs_partial_trace", worst, 1e-12)
+            lams = np.linalg.eigvalsh(dense)
+            bound = -n * sum(lam * math.log2(lam) for lam in lams.tolist() if lam > 0.0)
+            exact = distillation.distillation_bound(params).exact_bound
+            worst_bound = max(worst_bound, abs(bound - exact))
+    return (
+        _result("reduced_rho1_vs_partial_trace", worst, 1e-12),
+        _result("n_distill_upper_exact", worst_bound, _ENTROPY_BOUND_TOL),
+    )
 
 
 def _check_protocol(max_n: int) -> tuple[CheckResult, ...]:
@@ -164,14 +185,15 @@ def run_validation(max_n: int) -> list[CheckResult]:
     """Run every oracle-equivalence check for N = 2..max_n (max_n in [2, 8])."""
     if not (2 <= max_n <= 8):
         raise ValueError(f"max_n must lie in [2, 8], got {max_n}")
-    results = [
+    rho1_row, entropy_row = _check_reduced_rho1(max_n)
+    return [
         _check_cat_state_norm(max_n),
         _check_ghz_reduction(max_n),
         *_check_decoherence(max_n),
         _check_ghz_rate(max_n),
-        _check_reduced_rho1(max_n),
+        rho1_row,
+        *_check_protocol(max_n),
+        _check_residual_factorization(max_n),
+        _check_loss(max_n),
+        entropy_row,
     ]
-    results.extend(_check_protocol(max_n))
-    results.append(_check_residual_factorization(max_n))
-    results.append(_check_loss(max_n))
-    return results

@@ -375,6 +375,7 @@ def test_validate_row_names_are_pinned(capsys):
         "measurement_completeness",
         "residual_factorization",
         "loss_subset_expectation",
+        "n_distill_upper_exact",
     ]
 
 
@@ -396,6 +397,27 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["N"] == 10
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run_cli(
+        capsys, "effective-size", "--n", "10", "--epsilon", "0.3", "--output", str(missing)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_output_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "validate", "--max-n", "2", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_distill_sim_mean_sanity(capsys):

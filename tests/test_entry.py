@@ -1,0 +1,91 @@
+"""BLAS thread policy of the process entry (``catsize.__main__.main``).
+
+``python -m catsize`` and the console script ask for one BLAS thread before
+numpy loads, unless the user has set a thread-count variable; the library
+and an in-process ``cli.main`` leave the environment alone.  Each probe runs
+in a fresh interpreter, since this test process has numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import catsize
+from catsize.__main__ import _BLAS_THREAD_VARS, _USER_THREAD_VARS
+
+SRC = os.path.dirname(os.path.dirname(catsize.__file__))
+DISTILL = ["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"]
+
+
+def run_probe(code: str, **env_vars: str) -> dict:
+    # runs code with none of the thread variables set except env_vars and
+    # returns the JSON object it prints last
+    env = {k: v for k, v in os.environ.items() if k not in _USER_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def entry_probe(argv: list[str], preload_numpy: bool = False) -> str:
+    # the command as ``python -m catsize argv`` runs it, stdout discarded;
+    # prints the thread variables it leaves and the process's thread count
+    return (
+        "import contextlib, io, json, os, runpy, sys\n"
+        + ("import numpy\n" if preload_numpy else "")
+        + f"sys.argv = ['catsize', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('catsize', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "assert 'numpy' in sys.modules\n"
+        "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        f"env = {{v: os.environ.get(v) for v in {_USER_THREAD_VARS!r}}}\n"
+        "print(json.dumps({'env': env, 'threads': threads}))\n"
+    )
+
+
+def test_entry_sets_one_blas_thread_by_default():
+    out = run_probe(entry_probe(DISTILL))
+    assert out["env"] == {v: "1" if v in _BLAS_THREAD_VARS else None for v in _USER_THREAD_VARS}
+    if out["threads"] is not None:
+        # no BLAS worker threads beside the main thread
+        assert out["threads"] == 1
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_user_thread_setting_wins(var):
+    out = run_probe(entry_probe(DISTILL), **{var: "2"})
+    assert out["env"] == {v: "2" if v == var else None for v in _USER_THREAD_VARS}
+
+
+def test_entry_leaves_the_environment_once_numpy_is_loaded():
+    # too late to matter: the BLAS library read its settings on load
+    out = run_probe(entry_probe(DISTILL, preload_numpy=True))
+    assert out["env"] == dict.fromkeys(_USER_THREAD_VARS)
+
+
+def test_library_and_in_process_cli_leave_the_environment_alone():
+    out = run_probe(
+        "import contextlib, io, json, os\n"
+        "before = dict(os.environ)\n"
+        "import catsize, catsize.__main__\n"
+        "from catsize import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({DISTILL!r}) == 0\n"
+        "    assert cli.main(['validate', '--max-n', '2']) == 0\n"
+        "print(json.dumps({'same': dict(os.environ) == before}))\n"
+    )
+    assert out == {"same": True}
+
+
+def test_console_script_is_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(SRC), "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"catsize": "catsize.__main__:main"}

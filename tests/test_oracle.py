@@ -7,6 +7,7 @@ from catsize.channels import CHANNEL_KINDS, DEPHASING, ChannelSpec
 from catsize.core import CatParams, normalization_constant
 from catsize.distillation import outcome_distribution
 from catsize.loss import LossModel, cat_loss_suppression
+from catsize import oracle
 from catsize.oracle import (
     apply_one_qubit,
     apply_product_channel,
@@ -17,6 +18,7 @@ from catsize.oracle import (
     enumerate_loss,
     enumerate_protocol,
     ghz_fidelity,
+    kron_all,
     kron_power,
     partial_trace_operator,
     partial_trace_state,
@@ -193,6 +195,96 @@ def test_apply_one_qubit_matches_kron():
         (2, np.kron(np.kron(np.eye(2), np.eye(2)), m)),
     ]:
         np.testing.assert_allclose(apply_one_qubit(state, m, q), full @ state, atol=1e-12)
+
+
+def _chained_kron(mats):
+    out = np.array([[1.0 + 0.0j]])
+    for m in mats:
+        out = np.kron(out, np.asarray(m, dtype=complex))
+    return out
+
+
+_RNG = np.random.default_rng(31)
+_COLUMN = _RNG.normal(size=(2, 1)) + 1j * _RNG.normal(size=(2, 1))
+_ROW = _RNG.normal(size=(1, 2)) + 1j * _RNG.normal(size=(1, 2))
+_SQUARE = _RNG.normal(size=(2, 2)) + 1j * _RNG.normal(size=(2, 2))
+_FLAT = _RNG.normal(size=3) + 1j * _RNG.normal(size=3)
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        [],
+        [_COLUMN] * 4,
+        [_ROW] * 4,
+        [_SQUARE, -_SQUARE.T, _SQUARE.conj()],
+        [_COLUMN, _SQUARE, _ROW, np.arange(6.0).reshape(3, 2), [[1, -2]], np.eye(2)],
+        [np.array([[0.0, -0.0], [-1.0, 2.0]])] * 3,
+        # 1-D factors count as rows, as in np.kron
+        [_FLAT],
+        [_FLAT, _FLAT[:2]],
+        [_SQUARE, _FLAT, _COLUMN, [1.0, -1.0]],
+    ],
+)
+def test_kron_all_equals_chained_np_kron(mats):
+    got, want = kron_all(mats), _chained_kron(mats)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
+def test_kron_all_refuses_factors_of_other_ranks():
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        kron_all([_SQUARE, np.complex128(2.0)])
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        kron_all([np.ones((2, 2, 2))])
+
+
+def _per_mask_protocol(params):
+    # reference: every mask applies its N operators to the cat state from
+    # scratch, N 2^N one-qubit applications
+    n = params.N
+    a, a_bar = biorthonormal_filter(params)
+    psi = build_cat_state(params)
+    q = np.zeros(n + 1)
+    branches = []
+    for mask in range(2**n):
+        vec = psi
+        for j in range(n):
+            op = a if (mask >> (n - 1 - j)) & 1 else a_bar
+            vec = apply_one_qubit(vec, op, j)
+        prob = float(np.vdot(vec, vec).real)
+        successes = bin(mask).count("1")
+        q[successes] += prob
+        state = vec / math.sqrt(prob) if prob > 1e-300 else None
+        branches.append((mask, successes, prob, state))
+    return q, branches
+
+
+@pytest.mark.parametrize("eps", [0.1, math.pi / 4, HALF_PI - 0.1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_protocol_equals_the_per_mask_loop(n, eps, monkeypatch):
+    params = CatParams(n, eps)
+    q_ref, ref = _per_mask_protocol(params)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return apply_one_qubit(*args)
+
+    monkeypatch.setattr(oracle, "apply_one_qubit", counted)
+    q, branches = enumerate_protocol(params)
+    assert len(calls) == 2 ** (n + 1) - 2
+    assert q.tobytes() == q_ref.tobytes()
+    assert len(branches) == len(ref) == 2**n
+    for branch, (mask, successes, prob, state) in zip(branches, ref):
+        assert (branch.mask, branch.n_success, branch.probability) == (mask, successes, prob)
+        if state is None:
+            assert branch.state is None
+        else:
+            assert np.array_equal(branch.state, state)
+            assert branch.state.tobytes() == state.tobytes()
 
 
 def test_enumerate_protocol_hand_case():
