@@ -6,11 +6,12 @@ matching, single-copy GHZ distillation, and particle-loss suppression --
 with every closed form cross-validated against a dense brute-force oracle.
 
 Importing the package loads none of its submodules: each exported name is
-imported from its submodule on first access.  The closed forms (``core``,
+imported from its submodule on first access, and each name has exactly one
+home, the submodule that defines it.  The closed forms (``core``,
 ``decoherence``, ``loss``, ``report``) need only the standard library;
-the array names (``channels``, ``distillation``, the 2x2 helpers of
-``core``) load numpy when they are first used.  The oracle, the validation
-suite and the CLI are the submodules ``catsize.oracle``,
+the array names (``distillation``, ``core.reduced_rho1`` and the oracle's
+``ChannelSpec``) load numpy when they are first used.  The oracle, the
+validation suite and the CLI are the submodules ``catsize.oracle``,
 ``catsize.validation`` and ``catsize.cli``.
 """
 
@@ -21,7 +22,7 @@ __version__ = "0.1.0"
 # exported name -> submodule that defines it
 _EXPORTS = {
     "CatParams": "core",
-    "ChannelSpec": "channels",
+    "ChannelSpec": "oracle",
     "DecayCurve": "decoherence",
     "DistillationBound": "core",
     "EffectiveSizeReport": "report",
@@ -33,8 +34,6 @@ _EXPORTS = {
     "CHANNEL_KINDS": "core",
     "DEPHASING": "core",
     "DEPOLARIZING": "core",
-    "apply_channel": "channels",
-    "branch_dyad": "core",
     "build_effective_size_report": "report",
     "build_filter": "distillation",
     "cat_loss_suppression": "loss",
@@ -42,25 +41,16 @@ _EXPORTS = {
     "decay_curve": "decoherence",
     "distillation_bound": "core",
     "effective_size_decoherence": "decoherence",
-    "effective_size_decoherence_fd": "decoherence",
     "effective_size_loss": "loss",
-    "effective_size_loss_fd": "loss",
-    "entropy_bits_2x2": "core",
     "entropy_s1": "core",
     "expected_n": "core",
     "ghz_loss_suppression": "loss",
     "ghz_offdiag_norm": "decoherence",
-    "log_term_overlap": "core",
     "loss_curve": "loss",
-    "loss_suppression_diagnostics": "loss",
     "normalization_constant": "core",
     "outcome_distribution": "distillation",
-    "phi_vectors": "core",
     "reduced_rho1": "core",
     "simulate_protocol": "distillation",
-    "singular_values_2x2": "channels",
-    "term_overlap": "core",
-    "trace_norm": "channels",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -16,10 +16,9 @@ All powers of cos(eps) are carried in log domain: the regimes of interest
 (N up to 1e7, eps down to 1e-3 and below) underflow double precision if
 powers are formed by repeated multiplication.
 
-The scalar closed forms need only the standard library; the array helpers
-(phi_vectors, branch_dyad, reduced_rho1, entropy_bits_2x2,
-check_density_2x2) import numpy when called, so importing this module
-loads no numpy.
+The scalar closed forms need only the standard library; reduced_rho1,
+the one array-valued form, imports numpy when called, so importing this
+module loads no numpy.
 """
 
 from __future__ import annotations
@@ -39,15 +38,9 @@ __all__ = [
     "DEPOLARIZING",
     "CHANNEL_KINDS",
     "CatParams",
-    "phi_vectors",
-    "branch_dyad",
-    "term_overlap",
-    "log_term_overlap",
     "normalization_constant",
     "reduced_rho1",
     "entropy_s1",
-    "entropy_bits_2x2",
-    "check_density_2x2",
     "expected_n",
     "DistillationBound",
     "distillation_bound",
@@ -55,7 +48,7 @@ __all__ = [
 
 HALF_PI = math.pi / 2.0
 
-# the two single-qubit channel kinds (see catsize.channels)
+# the two single-qubit channel kinds (see catsize.oracle.ChannelSpec)
 DEPHASING = "dephasing"
 DEPOLARIZING = "depolarizing"
 CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
@@ -149,42 +142,6 @@ class CatParams:
         return self.N * self.log_c
 
 
-def phi_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
-    """The two single-qubit branch vectors (|phi1>, |phi2>)."""
-    import numpy as np
-
-    phi1 = np.array([1.0, 0.0], dtype=complex)
-    phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
-    return phi1, phi2
-
-
-def branch_dyad(params: CatParams) -> np.ndarray:
-    """The single-qubit off-diagonal dyad |phi1><phi2| = c|0><0| + s|0><1|."""
-    import numpy as np
-
-    return np.array(
-        [[params.c_eps, params.s_eps], [0.0, 0.0]], dtype=complex
-    )
-
-
-def log_term_overlap(params: CatParams) -> float:
-    """ln of |<phi1|phi2>|^(2N) = 2N ln cos(eps).
-
-    Structured so that log_term_overlap(N, eps) is exactly
-    N * log_term_overlap(1, eps) in floating point.
-    """
-    return params.N * (2.0 * params.log_c)
-
-
-def term_overlap(params: CatParams) -> float:
-    """Overlap of the two N-qubit branches, cos(eps)^(2N), in [0, 1].
-
-    Underflows gracefully to 0.0 for large N; use log_term_overlap when
-    the log is needed.
-    """
-    return math.exp(log_term_overlap(params))
-
-
 def normalization_constant(params: CatParams) -> float:
     """K = ||phi1^(x)N + phi2^(x)N||^2 = 2 (1 + cos(eps)^N), in [2, 4]."""
     return 2.0 * (1.0 + math.exp(params.log_cN))
@@ -239,7 +196,10 @@ def entropy_s1(params: CatParams) -> float:
         raise ValueError("entropy_s1 requires N >= 2")
     s2 = params.s_eps**2
     cN = math.exp(params.log_cN)
-    one_minus_c2Nm2 = -math.expm1((2 * params.N - 2) * params.log_c)
+    # the exponent in float arithmetic: the int 2 N - 2 can exceed the largest
+    # double, while the float product at worst rounds to -inf, where
+    # 1 - c^(2N-2) is 1
+    one_minus_c2Nm2 = -math.expm1(2.0 * ((params.N - 1) * params.log_c))
     det = s2 * one_minus_c2Nm2 / (2.0 + 2.0 * cN) ** 2
     disc = math.sqrt(max(1.0 - 4.0 * det, 0.0))
     lam_minus = 2.0 * det / (1.0 + disc)
@@ -274,38 +234,3 @@ def distillation_bound(params: CatParams) -> DistillationBound:
         asymptotic_bound=asymptotic,
         lower_bound_mean=expected_n(params),
     )
-
-
-def entropy_bits_2x2(rho: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a 2x2 density matrix.
-
-    Closed-form eigenvalues from trace and determinant; eigenvalues are
-    clamped to [0, 1] with 0 log 0 := 0 before the p log2 p sum.
-    """
-    import numpy as np
-
-    rho = np.asarray(rho)
-    t = float(np.trace(rho).real)
-    det = float(np.linalg.det(rho).real)
-    disc = math.sqrt(max(t * t - 4.0 * det, 0.0))
-    s = 0.0
-    for lam in ((t - disc) / 2.0, (t + disc) / 2.0):
-        lam = min(max(lam, 0.0), 1.0)
-        if lam > 0.0:
-            s -= lam * math.log2(lam)
-    return s
-
-
-def check_density_2x2(rho: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise if rho is not Hermitian / unit-trace / PSD within tol."""
-    import numpy as np
-
-    rho = np.asarray(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -tol:
-        raise ValueError("matrix has a negative eigenvalue")

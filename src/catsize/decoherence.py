@@ -35,7 +35,6 @@ __all__ = [
     "ghz_offdiag_norm",
     "cat_offdiag_norm",
     "effective_size_decoherence",
-    "effective_size_decoherence_fd",
     "decay_curve",
 ]
 
@@ -77,19 +76,6 @@ def cat_offdiag_norm(
 def effective_size_decoherence(params: CatParams) -> float:
     """Effective GHZ size by decay-rate matching at t -> 0+: N sin(eps)^2."""
     return params.N * params.s_eps**2
-
-
-def effective_size_decoherence_fd(params: CatParams, h: float = 1e-6) -> float:
-    """Secondary numeric route: -(d/d gamma_t) ln cat_offdiag_norm at 0.
-
-    Central finite difference with step h; agrees with the closed form
-    N sin(eps)^2 to ~1e-6 relative for the default step.
-    """
-    if not (h > 0.0):
-        raise ValueError("finite-difference step h must be positive")
-    up = _log_cat_offdiag_norm(params, h)
-    down = _log_cat_offdiag_norm(params, -h)
-    return -(up - down) / (2.0 * h)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ The number of successes n is distributed as
     q_0 = 2 c^N / (1 + c^N),
 
 with mean <n> = (1 - c) N / (1 + c^N).  The asymptotic multi-copy yield is
-bounded above by N S1 in terms of the single-qubit entropy.
+bounded above by N S1 in terms of the single-qubit entropy.  The mean and
+the bounds need no arrays: they are ``core.expected_n`` and
+``core.distillation_bound``.
 """
 
 from __future__ import annotations
@@ -23,28 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-# the mean and the entropy bounds are closed forms of the scalar layer
-from .core import (
-    CatParams,
-    DistillationBound,
-    _check_positive_int,
-    distillation_bound,
-    expected_n,
-)
+from .core import CatParams, _check_positive_int
 
 __all__ = [
     "FilterMeasurement",
     "OutcomeDistribution",
     "McResult",
-    "DistillationBound",
     "build_filter",
     "outcome_distribution",
-    "expected_n",
     "simulate_protocol",
-    "distillation_bound",
 ]
 
 
@@ -382,6 +375,13 @@ class McResult:
         return _q_payload(self.N, self.epsilon, q, "mc", self.trials, self.seed)
 
 
+def _check_seed(seed) -> int:
+    """seed as a Python int; ValueError unless an integer in [0, 2^64) (bools rejected)."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or not (0 <= seed < 2**64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return int(seed)
+
+
 def _first_success(params: CatParams, e: np.ndarray) -> np.ndarray:
     """Index j - 1 of each trial's first successful step j, or N for none.
 
@@ -425,9 +425,10 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     binomial per trial with a success, in trial order.
     """
     trials = _check_positive_int(trials, "trials")
+    seed = _check_seed(seed)
     n = _check_distribution_size(params)
     omc = params.one_minus_c
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     outcomes = np.zeros(0, dtype=np.int64)
     tallies = np.zeros(0, dtype=np.int64)
     for start in range(0, trials, _MC_BLOCK):
@@ -445,5 +446,5 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
         outcomes, tallies = merged, merged_tallies
     return McResult(
         N=n, epsilon=params.epsilon, outcomes=outcomes, tallies=tallies,
-        trials=trials, seed=int(seed),
+        trials=trials, seed=seed,
     )

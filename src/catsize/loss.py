@@ -28,8 +28,6 @@ __all__ = [
     "ghz_loss_suppression",
     "cat_loss_suppression",
     "effective_size_loss",
-    "effective_size_loss_fd",
-    "loss_suppression_diagnostics",
     "loss_curve",
 ]
 
@@ -78,35 +76,6 @@ def cat_loss_suppression(params: CatParams, loss: LossModel) -> float:
 def effective_size_loss(params: CatParams) -> float:
     """Effective GHZ size by loss-rate matching at lam -> 0: N (1 - cos eps)."""
     return params.N * params.one_minus_c
-
-
-def effective_size_loss_fd(params: CatParams, h: float = 1e-6) -> float:
-    """Numeric route: -(d/d lam) ln cat_loss_suppression at lam = 0.
-
-    Central finite difference with step h; the suppression formula extends
-    smoothly to small negative lam.
-    """
-    if not (h > 0.0):
-        raise ValueError("finite-difference step h must be positive")
-    omc = params.one_minus_c
-    up = params.N * math.log1p(-h * omc)
-    down = params.N * math.log1p(h * omc)
-    return -(up - down) / (2.0 * h)
-
-
-def loss_suppression_diagnostics(params: CatParams, loss: LossModel) -> dict:
-    """Exact expectation vs the typical-value estimate exp(-lam N (1 - cos eps)).
-
-    The exact binomial expectation never exceeds the typical-value form;
-    the ratio quantifies how peaked the loss distribution is.
-    """
-    exact = cat_loss_suppression(params, loss)
-    typical = math.exp(-loss.lam * params.N * params.one_minus_c)
-    return {
-        "exact": exact,
-        "typical_value": typical,
-        "ratio": exact / typical if typical > 0.0 else math.inf,
-    }
 
 
 @dataclass(frozen=True)

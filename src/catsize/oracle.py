@@ -7,13 +7,22 @@ come from a dense SVD, and the measurement protocol (all 2^N outcome
 strings) and qubit loss (all 2^N lost subsets) are enumerated exhaustively.
 The closed forms in the analysis modules are validated against these
 routines; the oracle never calls them (shared code is limited to the
-parameter types).
+parameter types and their checks).
 
 Convention, fixed package-wide: qubit 1 is the MOST significant bit of the
 amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
 
 Size caps are hard errors: 14 qubits for state vectors, 10 for dense
 operators, 8 for exhaustive enumerations.
+
+Two single-qubit channels are supported (``ChannelSpec``), both at a
+dimensionless time gamma_t with mu = exp(-gamma_t):
+
+  dephasing:     E(rho) = p0 rho + (1 - p0) sz rho sz,  p0 = (1 + mu)/2.
+                 Diagonal entries fixed, off-diagonal entries scaled by mu.
+  depolarizing:  E(rho) = sum_i p_i si rho si with p0 = (3 mu + 1)/4 and
+                 p1 = p2 = p3 = (1 - mu)/4; equivalently the linear map
+                 X -> mu X + (1 - mu) tr(X) I/2.
 """
 
 from __future__ import annotations
@@ -25,11 +34,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import ChannelSpec
-from .core import CatParams
+from .core import CHANNEL_KINDS, DEPHASING, CatParams, _check_gamma_t
 from .loss import LossModel
 
 __all__ = [
+    "ChannelSpec",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
+    "IDENTITY_2",
     "MAX_STATE_QUBITS",
     "MAX_OPERATOR_QUBITS",
     "MAX_ENUM_QUBITS",
@@ -57,6 +70,49 @@ MAX_OPERATOR_QUBITS = 10
 MAX_ENUM_QUBITS = 8
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """A single-qubit CP map of the given kind at dimensionless time gamma_t."""
+
+    kind: str
+    gamma_t: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in CHANNEL_KINDS:
+            raise ValueError(
+                f"kind must be one of {CHANNEL_KINDS}, got {self.kind!r}"
+            )
+        object.__setattr__(self, "gamma_t", _check_gamma_t(self.gamma_t))
+
+    @property
+    def mu(self) -> float:
+        """exp(-gamma_t), in (0, 1]."""
+        return math.exp(-self.gamma_t)
+
+    def kraus_operators(self) -> list[np.ndarray]:
+        """Kraus set {K_k} with sum K_k^dag K_k = identity."""
+        mu = self.mu
+        if self.kind == DEPHASING:
+            p0 = (1.0 + mu) / 2.0
+            return [
+                math.sqrt(p0) * IDENTITY_2,
+                math.sqrt(1.0 - p0) * PAULI_Z,
+            ]
+        p0 = (3.0 * mu + 1.0) / 4.0
+        p = (1.0 - mu) / 4.0
+        return [
+            math.sqrt(p0) * IDENTITY_2,
+            math.sqrt(p) * PAULI_X,
+            math.sqrt(p) * PAULI_Y,
+            math.sqrt(p) * PAULI_Z,
+        ]
 
 
 def _check_qubits(n: int, cap: int, what: str) -> None:
@@ -91,10 +147,7 @@ def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
 
 
 def branch_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
-    """(|phi1>, |phi2>) built from the raw parameters.
-
-    Deliberately separate from ``core.phi_vectors``, which it checks.
-    """
+    """(|phi1>, |phi2>) built from the raw parameters."""
     phi1 = np.array([1.0, 0.0], dtype=complex)
     phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
     return phi1, phi2

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 from .core import CatParams, distillation_bound
 from .decoherence import effective_size_decoherence
@@ -34,7 +35,7 @@ def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
     if params.N < 2:
         raise ValueError("effective-size report requires N >= 2")
     bound = distillation_bound(params)
-    return EffectiveSizeReport(
+    report = EffectiveSizeReport(
         N=params.N,
         epsilon=params.epsilon,
         n_decoherence=effective_size_decoherence(params),
@@ -44,3 +45,13 @@ def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
         n_loss=effective_size_loss(params),
         reference_N_eps_sq=params.N * params.epsilon**2,
     )
+    # N may be as large as the largest double, and the N eps^2 scales can
+    # exceed it; refuse what no JSON number can hold, naming the field
+    for field in fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(
+                f"{field.name} overflows a double at N = {params.N:.17g}, "
+                f"epsilon = {params.epsilon!r}"
+            )
+    return report

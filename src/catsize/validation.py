@@ -13,8 +13,17 @@ from itertools import product
 
 import numpy as np
 
-from . import channels, decoherence, distillation, loss, oracle
-from .core import CatParams, normalization_constant, reduced_rho1
+from . import decoherence, distillation, loss, oracle
+from .core import (
+    CHANNEL_KINDS,
+    DEPHASING,
+    DEPOLARIZING,
+    CatParams,
+    distillation_bound,
+    expected_n,
+    normalization_constant,
+    reduced_rho1,
+)
 
 __all__ = ["CheckResult", "STANDARD_EPSILONS", "STANDARD_GAMMA_TS", "run_validation"]
 
@@ -61,7 +70,7 @@ def _check_decoherence(max_n: int) -> list[CheckResult]:
     # each dense block is built once per (n, eps); its evolved norm per kind
     # and gamma_t serves the closed-form check of that kind and the
     # channel-equivalence check
-    worst = dict.fromkeys(channels.CHANNEL_KINDS, 0.0)
+    worst = dict.fromkeys(CHANNEL_KINDS, 0.0)
     worst_equiv = 0.0
     for n, eps in product(range(2, max_n + 1), STANDARD_EPSILONS):
         params = CatParams(n, eps)
@@ -70,11 +79,11 @@ def _check_decoherence(max_n: int) -> list[CheckResult]:
         for gamma_t in STANDARD_GAMMA_TS:
             dense = {}
             for kind in worst:
-                evolved = oracle.apply_product_channel(block, channels.ChannelSpec(kind, gamma_t))
+                evolved = oracle.apply_product_channel(block, oracle.ChannelSpec(kind, gamma_t))
                 dense[kind] = oracle.dense_trace_norm(evolved)
                 closed = decoherence.cat_offdiag_norm(params, gamma_t, kind)
                 worst[kind] = max(worst[kind], abs(dense[kind] - closed) / closed)
-            a, b = dense[channels.DEPHASING], dense[channels.DEPOLARIZING]
+            a, b = dense[DEPHASING], dense[DEPOLARIZING]
             worst_equiv = max(worst_equiv, abs(a - b) / a)
     closed_form = [_result(f"decoherence_closed_form_{k}", w, 1e-9) for k, w in worst.items()]
     return [*closed_form, _result("channel_equivalence", worst_equiv, 1e-12)]
@@ -83,10 +92,10 @@ def _check_decoherence(max_n: int) -> list[CheckResult]:
 def _check_ghz_rate(max_n: int) -> CheckResult:
     dyad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     worst = 0.0
-    grid = product(range(1, max_n + 1), STANDARD_GAMMA_TS, channels.CHANNEL_KINDS)
+    grid = product(range(1, max_n + 1), STANDARD_GAMMA_TS, CHANNEL_KINDS)
     for n, gamma_t, kind in grid:
         block = oracle.kron_power(dyad, n)
-        evolved = oracle.apply_product_channel(block, channels.ChannelSpec(kind, gamma_t))
+        evolved = oracle.apply_product_channel(block, oracle.ChannelSpec(kind, gamma_t))
         dense = oracle.dense_trace_norm(evolved)
         closed = decoherence.ghz_offdiag_norm(n, gamma_t)
         worst = max(worst, abs(dense - closed) / closed)
@@ -116,7 +125,7 @@ def _check_reduced_rho1(max_n: int) -> tuple[CheckResult, CheckResult]:
             worst = max(worst, float(np.max(np.abs(dense - reduced_rho1(params)))))
             lams = np.linalg.eigvalsh(dense)
             bound = -n * sum(lam * math.log2(lam) for lam in lams.tolist() if lam > 0.0)
-            exact = distillation.distillation_bound(params).exact_bound
+            exact = distillation_bound(params).exact_bound
             worst_bound = max(worst_bound, abs(bound - exact))
     return (
         _result("reduced_rho1_vs_partial_trace", worst, 1e-12),
@@ -136,7 +145,7 @@ def _check_protocol(max_n: int) -> tuple[CheckResult, ...]:
             q_closed = distillation.outcome_distribution(params).q
             worst_q = max(worst_q, float(np.max(np.abs(q_dense - q_closed))))
             mean = float(np.dot(np.arange(n + 1), q_dense))
-            expected = distillation.expected_n(params)
+            expected = expected_n(params)
             worst_mean = max(worst_mean, abs(mean - expected) / expected)
             for branch in branches:
                 if branch.n_success >= 1 and branch.state is not None:
@@ -184,7 +193,9 @@ def _check_loss(max_n: int) -> CheckResult:
 def run_validation(max_n: int) -> list[CheckResult]:
     """Run every oracle-equivalence check for N = 2..max_n (max_n in [2, 8])."""
     if not (2 <= max_n <= 8):
-        raise ValueError(f"max_n must lie in [2, 8], got {max_n}")
+        raise ValueError(
+            f"max_n must lie in [2, 8] (size cap of the dense oracle), got {max_n}"
+        )
     rho1_row, entropy_row = _check_reduced_rho1(max_n)
     return [
         _check_cat_state_norm(max_n),

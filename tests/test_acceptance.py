@@ -23,20 +23,23 @@ import time
 import numpy as np
 import pytest
 
-from catsize.channels import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, ChannelSpec, apply_channel, trace_norm
-from catsize.cli import build_effective_size_report
-from catsize.core import CatParams, branch_dyad, entropy_s1, reduced_rho1
-from catsize.decoherence import cat_offdiag_norm, effective_size_decoherence, ghz_offdiag_norm
-from catsize.distillation import (
-    build_filter,
+from catsize.core import (
+    CHANNEL_KINDS,
+    DEPHASING,
+    DEPOLARIZING,
+    CatParams,
     distillation_bound,
+    entropy_s1,
     expected_n,
-    outcome_distribution,
-    simulate_protocol,
+    reduced_rho1,
 )
+from catsize.decoherence import cat_offdiag_norm, effective_size_decoherence, ghz_offdiag_norm
+from catsize.distillation import build_filter, outcome_distribution, simulate_protocol
 from catsize.loss import LossModel, cat_loss_suppression, effective_size_loss
 from catsize.oracle import (
+    ChannelSpec,
     apply_product_channel,
+    branch_vectors,
     build_cat_state,
     build_ghz_state,
     dense_trace_norm,
@@ -46,6 +49,7 @@ from catsize.oracle import (
     kron_power,
     partial_trace_to_first,
 )
+from catsize.report import build_effective_size_report
 
 GRID_N = range(2, 9)
 GRID_EPS = (0.1, 0.3, math.pi / 4, math.pi / 2 - 0.1)
@@ -64,8 +68,14 @@ def _small_eps_mean(x: float) -> float:
     return (x / 2.0) / (1.0 + math.exp(-x / 2.0))
 
 
+def _branch_block(params: CatParams, n: int) -> np.ndarray:
+    """The off-diagonal block |phi1><phi2|^(x)n, from the oracle's branch vectors."""
+    phi1, phi2 = branch_vectors(params)
+    return kron_power(np.outer(phi1, phi2.conj()), n)
+
+
 def _evolved_cat_block_norm(params: CatParams, kind: str, gamma_t: float) -> float:
-    block = kron_power(branch_dyad(params), params.N)
+    block = _branch_block(params, params.N)
     evolved = apply_product_channel(block, ChannelSpec(kind, gamma_t))
     return dense_trace_norm(evolved)
 
@@ -96,9 +106,10 @@ def test_criterion_2_channel_equivalence():
     worst_dense = 0.0
     for eps in GRID_EPS:
         for gamma_t in GRID_GT:
-            b0 = branch_dyad(CatParams(2, eps))
-            one = trace_norm(apply_channel(ChannelSpec(DEPHASING, gamma_t), b0))
-            two = trace_norm(apply_channel(ChannelSpec(DEPOLARIZING, gamma_t), b0))
+            # the single-qubit (N = 1) block on the same dense Kraus path
+            b0 = _branch_block(CatParams(2, eps), 1)
+            one = dense_trace_norm(apply_product_channel(b0, ChannelSpec(DEPHASING, gamma_t)))
+            two = dense_trace_norm(apply_product_channel(b0, ChannelSpec(DEPOLARIZING, gamma_t)))
             worst_2x2 = max(worst_2x2, abs(one - two))
     for n in GRID_N:
         for eps in GRID_EPS:

@@ -4,15 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from catsize import distillation
-from catsize.cli import _curve_grid, build_effective_size_report, main
-from catsize.core import CatParams
+from catsize.cli import MAX_CURVE_STEPS, _curve_grid, main
+from catsize.core import CatParams, expected_n
 from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
-from catsize.distillation import expected_n, outcome_distribution
+from catsize.distillation import outcome_distribution
+from catsize.report import build_effective_size_report
 
 PI_3 = math.pi / 3
 
@@ -256,6 +258,37 @@ def test_decoherence_curve_near_largest_double(capsys):
     assert last[2] == pytest.approx(math.cos(eps) ** n, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2**1023, int(sys.float_info.max)], ids=["2^1023", "max_double"])
+@pytest.mark.parametrize("eps", [1e-3, 1.5, math.pi / 2])
+def test_effective_size_at_largest_n(capsys, n, eps):
+    # every field finite, or exit 2 naming the field that overflows (the
+    # first in report order: at eps >= 1.5, N eps^2 exceeds the largest double)
+    code, out, err = run_cli(capsys, "effective-size", "--n", str(n), "--epsilon", repr(eps))
+    if code == 0:
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert err == ""
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n_distill_upper_asymptotic overflows a double")
+        assert "Traceback" not in err
+
+
+def test_curve_steps_cap(capsys):
+    # refused before the grid is built: 10**12 steps would need ~360 TB
+    for command in ("decoherence-curve", "loss-curve"):
+        for steps in (10**12, MAX_CURVE_STEPS + 1):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, command, "--n", "100", "--epsilon", "0.2", "--steps", str(steps)
+            )
+            assert time.perf_counter() - start < 0.5
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "--steps" in err
+
+
 def test_n_beyond_largest_double_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "effective-size", "--n", "1" + "0" * 400, "--epsilon", "0.1"
@@ -273,9 +306,9 @@ def test_import_loads_only_the_library():
         "loaded = [m for m in ('catsize.cli', 'catsize.validation', 'catsize.oracle')"
         " if m in sys.modules]\n"
         "assert not loaded, loaded\n"
-        "import catsize.cli, catsize.validation\n"
-        "assert catsize.EffectiveSizeReport is catsize.cli.EffectiveSizeReport\n"
-        "assert catsize.build_effective_size_report is catsize.cli.build_effective_size_report\n"
+        "import catsize.cli, catsize.report, catsize.validation\n"
+        "assert catsize.EffectiveSizeReport is catsize.report.EffectiveSizeReport\n"
+        "assert catsize.build_effective_size_report is catsize.report.build_effective_size_report\n"
         "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not scipy, scipy\n"
     )
@@ -317,14 +350,19 @@ def test_distill_sim_half_pi(capsys):
 
 
 def test_distill_sim_bad_flags(capsys):
-    code, _, _ = run_cli(
-        capsys, "distill-sim", "--n", "2", "--epsilon", "0.5", "--trials", "0"
-    )
-    assert code == 2
-    code, _, _ = run_cli(
-        capsys, "distill-sim", "--n", "2", "--epsilon", "0.5", "--seed", "-1"
-    )
-    assert code == 2
+    # simulate_protocol's own checks refuse the flag: exit 2, no output
+    for flag, value, message in [
+        ("--trials", "0", "trials must be a positive integer"),
+        ("--trials", "-5", "trials must be a positive integer"),
+        ("--seed", "-1", "seed must be an unsigned 64-bit integer"),
+        ("--seed", str(2**64), "seed must be an unsigned 64-bit integer"),
+    ]:
+        code, out, err = run_cli(
+            capsys, "distill-sim", "--n", "2", "--epsilon", "0.5", flag, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
 
 
 def test_loss_curve(capsys):
@@ -380,11 +418,11 @@ def test_validate_row_names_are_pinned(capsys):
 
 
 def test_validate_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "validate", "--max-n", "20")
-    assert code == 2
-    assert "size cap" in err or "max-n" in err
-    code, _, _ = run_cli(capsys, "validate", "--max-n", "1")
-    assert code == 2
+    for max_n in ("20", "9", "1"):
+        code, out, err = run_cli(capsys, "validate", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "size cap of the dense oracle" in err
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -3,21 +3,16 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
-from catsize.core import (
-    CatParams,
-    _check_grid,
-    branch_dyad,
-    check_density_2x2,
-    entropy_bits_2x2,
-    entropy_s1,
-    log_term_overlap,
-    normalization_constant,
-    phi_vectors,
-    reduced_rho1,
-    term_overlap,
+from catsize.core import CatParams, _check_grid, entropy_s1, normalization_constant, reduced_rho1
+from catsize.oracle import (
+    branch_vectors,
+    build_cat_state,
+    dense_trace_norm,
+    kron_power,
+    partial_trace_to_first,
 )
-from catsize.oracle import build_cat_state, partial_trace_to_first
 
 HALF_PI = math.pi / 2
 
@@ -67,25 +62,32 @@ def test_log_cn_matches_direct_power(n, eps):
 
 
 def test_term_overlap_trivial_cases():
+    # exp(log_cN) is the branch overlap <phi1|phi2>^N = c^N
     for n in [1, 4, 9]:
-        assert term_overlap(CatParams(n, 0.0)) == 1.0
-        assert term_overlap(CatParams(n, HALF_PI)) < 1e-30
+        assert math.exp(CatParams(n, 0.0).log_cN) == 1.0
+        assert math.exp(CatParams(n, HALF_PI).log_cN) < 1e-15
+        p = CatParams(n, 0.7)
+        phi1, phi2 = branch_vectors(p)
+        dense = np.vdot(kron_power(phi1.reshape(2, 1), n), kron_power(phi2.reshape(2, 1), n))
+        assert dense.real == pytest.approx(math.exp(p.log_cN), rel=1e-12)
 
 
 def test_term_overlap_headline_regime():
     # exact log-domain value at (N=1e6, eps=1e-3), frozen from a 60-digit
-    # evaluation: 0.36787937985819088...; within 0.1% of e^-1
-    value = term_overlap(CatParams(10**6, 1e-3))
-    assert value == pytest.approx(0.3678793798581909, rel=1e-14)
-    assert abs(value - math.exp(-1)) / math.exp(-1) < 1e-3
+    # evaluation: c^N = 0.60653060916840040...; its square, the overlap of
+    # the two N-qubit branches, 0.36787937985819088..., is within 0.1% of e^-1
+    c_n = math.exp(CatParams(10**6, 1e-3).log_cN)
+    assert c_n == pytest.approx(0.6065306091684004, rel=1e-14)
+    assert c_n**2 == pytest.approx(0.3678793798581909, rel=1e-14)
+    assert abs(c_n**2 - math.exp(-1)) / math.exp(-1) < 1e-3
 
 
 @pytest.mark.parametrize("n", N_GRID)
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_term_overlap_power_identity(n, eps):
     # log-domain powers compose exactly: log(N-qubit) == N * log(1-qubit)
-    single = log_term_overlap(CatParams(1, eps))
-    assert log_term_overlap(CatParams(n, eps)) == n * single
+    single = CatParams(1, eps).log_cN
+    assert CatParams(n, eps).log_cN == n * single
 
 
 def test_normalization_trivial_and_hand_values():
@@ -100,10 +102,11 @@ def test_normalization_trivial_and_hand_values():
 @pytest.mark.parametrize("n", N_GRID)
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_normalization_overlap_identity(n, eps):
-    # K - 2 = 2 sqrt(term_overlap), both equal 2 c^N
+    # K - 2 = 2 c^N, against a 30-digit power
     p = CatParams(n, eps)
     k_minus_2 = normalization_constant(p) - 2.0
-    other = 2.0 * math.sqrt(term_overlap(p))
+    with mp.workdps(30):
+        other = float(2 * mp.cos(mpf(eps)) ** n)
     if other < 1e-15:
         # 2 c^N below the absolute resolution of K = 2 + 2 c^N
         assert k_minus_2 <= 1e-15
@@ -112,11 +115,13 @@ def test_normalization_overlap_identity(n, eps):
 
 
 def test_phi_vectors_and_dyad():
+    # unit branch vectors with overlap c; the dyad |phi1><phi2| has unit trace norm
     p = CatParams(2, 0.7)
-    phi1, phi2 = phi_vectors(p)
+    phi1, phi2 = branch_vectors(p)
     assert np.allclose(phi1, [1, 0])
+    assert abs(np.vdot(phi2, phi2) - 1.0) < 1e-15
     assert abs(np.vdot(phi1, phi2) - p.c_eps) < 1e-15
-    assert np.allclose(branch_dyad(p), np.outer(phi1, phi2.conj()))
+    assert dense_trace_norm(np.outer(phi1, phi2.conj())) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_reduced_rho1_rejects_small_n():
@@ -146,7 +151,11 @@ def test_reduced_rho1_matches_oracle_partial_trace(n, eps):
 @pytest.mark.parametrize("n", [2, 6, 50, 10**6])
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_reduced_rho1_is_density_operator(n, eps):
-    check_density_2x2(reduced_rho1(CatParams(n, eps)))
+    rho = reduced_rho1(CatParams(n, eps))
+    assert rho.shape == (2, 2)
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert abs(np.trace(rho).real - 1.0) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def test_entropy_trivial_cases():
@@ -181,8 +190,11 @@ def test_entropy_approaches_asymptote_slowly():
 @pytest.mark.parametrize("n", [2, 4, 9])
 @pytest.mark.parametrize("eps", [0.2, 0.8, math.pi / 4, HALF_PI])
 def test_entropy_consistent_with_generic_2x2_route(n, eps):
+    # the closed form against -sum lam log2 lam over the eigvalsh eigenvalues
     p = CatParams(n, eps)
-    assert entropy_s1(p) == pytest.approx(entropy_bits_2x2(reduced_rho1(p)), abs=1e-12)
+    lams = np.linalg.eigvalsh(reduced_rho1(p)).tolist()
+    generic = -sum(lam * math.log2(lam) for lam in lams if lam > 0.0)
+    assert entropy_s1(p) == pytest.approx(generic, abs=1e-12)
 
 
 def test_entropy_invariant_under_basis_rotation():
@@ -197,16 +209,9 @@ def test_entropy_invariant_under_basis_rotation():
         q, r = np.linalg.qr(z)
         u = q * (np.diag(r) / np.abs(np.diag(r)))
         rotated = u @ rho @ u.conj().T
-        assert entropy_bits_2x2(rotated) == pytest.approx(entropy_s1(p), abs=1e-10)
-
-
-def test_check_density_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        check_density_2x2(np.array([[0.5, 0.1], [0.2, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        check_density_2x2(np.diag([0.7, 0.7]))  # trace != 1
-    with pytest.raises(ValueError):
-        check_density_2x2(np.diag([1.5, -0.5]))  # negative eigenvalue
+        lams = np.linalg.eigvalsh(rotated).tolist()
+        rotated_entropy = -sum(lam * math.log2(lam) for lam in lams if lam > 0.0)
+        assert rotated_entropy == pytest.approx(entropy_s1(p), abs=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -8,18 +8,16 @@ import pytest
 from mpmath import mp
 
 from catsize import distillation
-from catsize.core import CatParams, _check_positive_int, phi_vectors
+from catsize.core import CatParams, _check_positive_int, distillation_bound, expected_n
 from catsize.distillation import (
     _bd0,
     _first_success,
     _stirlerr,
     build_filter,
-    distillation_bound,
-    expected_n,
     outcome_distribution,
     simulate_protocol,
 )
-from catsize.oracle import biorthonormal_filter
+from catsize.oracle import biorthonormal_filter, branch_vectors
 
 HALF_PI = math.pi / 2
 PI_3 = math.pi / 3
@@ -50,7 +48,7 @@ def test_filter_invariants(eps):
     evals = np.linalg.eigvalsh(complement)
     assert evals[0] < 1e-12
     # both branches pass the filter with probability k^2 = 1 - cos(eps)
-    phi1, phi2 = phi_vectors(p)
+    phi1, phi2 = branch_vectors(p)
     gram = filt.A.conj().T @ filt.A
     assert (phi1.conj() @ gram @ phi1).real == pytest.approx(filt.k_sq, abs=1e-12)
     assert (phi2.conj() @ gram @ phi2).real == pytest.approx(filt.k_sq, abs=1e-12)
@@ -318,6 +316,21 @@ def test_simulation_deterministic_and_reproducible():
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
     assert a.counts.sum() == 2000
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
+def test_simulation_rejects_bad_seed(seed):
+    # a seed that is not an unsigned 64-bit integer is refused, never
+    # truncated or cast into the one McResult.seed then records
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        simulate_protocol(CatParams(8, 0.5), 10, seed)
+
+
+def test_simulation_accepts_seed_range_ends():
+    p = CatParams(8, 0.5)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        res = simulate_protocol(p, 10, seed)
+        assert res.seed == int(seed) and type(res.seed) is int
 
 
 def test_array_results_compare_by_identity_and_hash():

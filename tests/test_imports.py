@@ -4,7 +4,10 @@ Each probe runs in a fresh interpreter, since this test process has numpy
 loaded already.
 """
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -45,8 +48,7 @@ def test_import_catsize_loads_no_submodule_and_no_numpy():
         "assert set(sys.modules) - before == {'catsize'}, set(sys.modules) - before\n"
         "import catsize.cli\n"
         "assert 'numpy' not in sys.modules\n"
-        "for name in ('catsize.distillation', 'catsize.channels', 'catsize.validation',\n"
-        "             'catsize.oracle'):\n"
+        "for name in ('catsize.distillation', 'catsize.validation', 'catsize.oracle'):\n"
         "    assert name not in sys.modules, name\n"
     )
 
@@ -63,7 +65,7 @@ def test_scalar_names_load_no_numpy():
         "catsize.loss_curve(p, 1, [0.0, 0.5]).to_csv()\n"
         "catsize.cat_offdiag_norm(p, 0.5, catsize.DEPOLARIZING)\n"
         "assert 'numpy' not in sys.modules\n"
-        "catsize.phi_vectors(p)\n"
+        "catsize.reduced_rho1(p)\n"
         "assert 'numpy' in sys.modules\n"
     )
 
@@ -111,14 +113,39 @@ def test_star_import_binds_every_export():
     )
 
 
-def test_moved_names_stay_where_callers_found_them():
-    # the mean, the bound and the channel kinds moved into the numpy-free core
-    from catsize import channels, distillation
+def _submodules():
+    return [
+        importlib.import_module(f"catsize.{info.name}")
+        for info in pkgutil.iter_modules(catsize.__path__)
+    ]
 
-    assert distillation.expected_n is catsize.expected_n
-    assert distillation.distillation_bound is catsize.distillation_bound
-    assert distillation.DistillationBound is catsize.DistillationBound
-    assert channels.CHANNEL_KINDS is catsize.CHANNEL_KINDS
+
+def test_each_name_has_one_home():
+    # a submodule's __all__ lists only what it defines, so every public name
+    # is importable from exactly one submodule, the one catsize._EXPORTS names
+    homes = {}
+    for module in _submodules():
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, (module.__name__, name)
+            homes.setdefault(name, []).append(module.__name__)
+    shared = {name: mods for name, mods in homes.items() if len(mods) > 1}
+    assert not shared, shared
+    for name, sub in catsize._EXPORTS.items():
+        assert homes.get(name) == [f"catsize.{sub}"], name
+
+
+def test_moved_names_stay_where_callers_found_them():
+    # the CLI bindings that perfbench's tracer wraps stay module attributes
+    from catsize import cli
+
+    for name in (
+        "CatParams", "decay_curve", "loss_curve", "outcome_distribution",
+        "simulate_protocol", "dumps_json", "run_validation",
+    ):
+        assert callable(getattr(cli, name)), name
+    assert cli.__all__ == ["main"]
     with pytest.raises(AttributeError):
         catsize.no_such_name  # noqa: B018
 

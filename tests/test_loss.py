@@ -9,10 +9,8 @@ from catsize.loss import (
     LossModel,
     cat_loss_suppression,
     effective_size_loss,
-    effective_size_loss_fd,
     ghz_loss_suppression,
     loss_curve,
-    loss_suppression_diagnostics,
 )
 from catsize.oracle import enumerate_loss
 
@@ -78,7 +76,12 @@ def test_effective_size_values():
 @pytest.mark.parametrize("n,eps", [(2, 0.1), (50, 0.7), (1000, 0.01), (10, HALF_PI)])
 def test_effective_size_finite_difference_route(n, eps):
     p = CatParams(n, eps)
-    assert effective_size_loss_fd(p) == pytest.approx(effective_size_loss(p), rel=1e-6)
+    # -(d/d lam) ln suppression at lam = 0, from the public suppression with
+    # the one-sided second-order difference (lam < 0 is refused)
+    h = 1e-6
+    log_s = [math.log(cat_loss_suppression(p, LossModel(lam))) for lam in (h, 2.0 * h)]
+    numeric = -(4.0 * log_s[0] - log_s[1]) / (2.0 * h)
+    assert numeric == pytest.approx(effective_size_loss(p), rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [2, 7, 10**4])
@@ -114,15 +117,12 @@ def test_monotonicity():
 
 
 def test_typical_value_diagnostics():
+    # the exact expectation (1 - lam (1 - c))^N never exceeds the
+    # typical-value form exp(-lam N (1 - c)), since 1 - x <= exp(-x)
     p = CatParams(200, 0.3)
-    diag = loss_suppression_diagnostics(p, LossModel(0.25))
-    assert diag["exact"] == cat_loss_suppression(p, LossModel(0.25))
-    assert diag["typical_value"] == pytest.approx(
-        math.exp(-0.25 * 200 * p.one_minus_c), rel=1e-12
-    )
-    # Jensen direction: the exact expectation never exceeds the typical value
-    assert diag["exact"] <= diag["typical_value"]
-    assert diag["ratio"] == pytest.approx(diag["exact"] / diag["typical_value"])
+    for lam in (0.0, 0.1, 0.25, 0.7, 1.0):
+        exact = cat_loss_suppression(p, LossModel(lam))
+        assert exact <= math.exp(-lam * 200 * p.one_minus_c)
 
 
 def test_loss_curve_csv():

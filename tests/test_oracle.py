@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from catsize.channels import CHANNEL_KINDS, DEPHASING, ChannelSpec
-from catsize.core import CatParams, normalization_constant
+from catsize.core import CHANNEL_KINDS, DEPHASING, CatParams, normalization_constant
 from catsize.distillation import outcome_distribution
 from catsize.loss import LossModel, cat_loss_suppression
 from catsize import oracle
 from catsize.oracle import (
+    ChannelSpec,
     apply_one_qubit,
     apply_product_channel,
     biorthonormal_filter,
