@@ -8,6 +8,11 @@ burning a second core.  The entry therefore asks for one BLAS thread, in
 the environment, before numpy can load.  A thread count the user has set
 always wins, and importing the package or calling ``catsize.cli.main``
 in-process leaves ``os.environ`` alone.
+
+Output is written as it is produced, so a reader that closes the pipe
+early (``catsize distill-sim ... | head -c 20``) ends the command with
+exit status 141, 128 + SIGPIPE as a shell reports a command killed by
+that signal, and with nothing on stderr.
 """
 
 import os
@@ -25,6 +30,8 @@ _BLAS_THREAD_VARS = (
 )
 # a user setting of any of these states a thread choice the entry keeps
 _USER_THREAD_VARS = (*_BLAS_THREAD_VARS, "NUMEXPR_NUM_THREADS")
+# exit status when the reader of stdout has gone away: 128 + SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,7 +42,18 @@ def main(argv: list[str] | None = None) -> int:
             os.environ[var] = "1"
     from .cli import main as cli_main
 
-    return cli_main(argv)
+    try:
+        code = cli_main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe.  Python's exit would flush stdout into
+        # it again and print a second error, so stdout is pointed at devnull
+        # (the recipe of the signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

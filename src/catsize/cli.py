@@ -14,12 +14,13 @@ import argparse
 import importlib
 import math
 import sys
+from itertools import chain
 
-from .core import CatParams
+from .core import CatParams, _Linspace
 from .decoherence import decay_curve, effective_size_decoherence
 from .loss import effective_size_loss, loss_curve
 from .report import build_effective_size_report
-from .serialize import csv_text, dumps_json
+from .serialize import csv_chunks, dumps_json, json_chunks
 
 __all__ = ["main"]
 
@@ -34,14 +35,15 @@ _LAZY = {
 }
 _CLI = sys.modules[__name__]
 
-# Largest --steps of decoherence-curve and loss-curve, refused before the
-# grid is built.  Each grid point is a float in the grid, in the curve's
-# three tuples and in its CSV text: max RSS grows by about 360 bytes per
-# step (15.6 MiB at 1001 steps, 51.3 MiB at 1e5, 376 MiB at 1e6), so the
-# 2 GiB budget of distillation.MAX_DISTRIBUTION_N holds about 5.9e6 steps.
-# The cap is the largest power of two below that: measured max RSS at 2^22
-# steps is 1495 MiB for either command (2-core Xeon, Python 3.11).
-MAX_CURVE_STEPS = 2**22
+# Largest --steps of decoherence-curve and loss-curve.  The curves are
+# computed and written a block of rows at a time, so memory does not grow
+# with the steps (max RSS 18 MiB at 1e6 and at 2^24 steps); what does is
+# the output, about 60 bytes a row (72 at most), and the run time, about
+# 3 us a row, two thirds of it the %.17g formatting.  The cap is the
+# largest power of two at which the output stays near 1 GiB, the budget of
+# distillation.MAX_DISTRIBUTION_N: 2^24 steps write 1.0 GB in about 50 s
+# (2-core Xeon, Python 3.11).
+MAX_CURVE_STEPS = 2**24
 
 
 def __getattr__(name: str):
@@ -71,41 +73,35 @@ def _resolve_epsilon(args: argparse.Namespace) -> float:
     return math.asin(math.sqrt(v))
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks, output: str | None) -> None:
+    # writes each text chunk as it is produced, to the sys.stdout in force
+    # at the call (a redirection included) or to the --output file
     if output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _curve_grid(
     args: argparse.Namespace, endpoint: float, matched_size: float
-) -> tuple[int, list[float]]:
+) -> tuple[int, _Linspace]:
     # GHZ reference size (default: the rounded matched size, at least 1) and
-    # the grid 0..endpoint, bit for bit np.linspace(0.0, endpoint, steps):
-    # i * step, or (i / div) * endpoint where step underflows to 0, and the
-    # last point exactly endpoint
+    # the grid 0..endpoint, bit for bit np.linspace(0.0, endpoint, steps),
+    # computed as the curve is written
     if not (2 <= args.steps <= MAX_CURVE_STEPS):
         raise _UsageError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
     n_ref = args.n_ref if args.n_ref is not None else max(1, round(matched_size))
-    div = args.steps - 1
-    step = endpoint / div
-    if step == 0.0:
-        grid = [i / div * endpoint for i in range(div)]
-    else:
-        grid = [i * step for i in range(div)]
-    grid.append(endpoint)
-    return n_ref, grid
+    return n_ref, _Linspace(endpoint, args.steps)
 
 
 def _cmd_effective_size(args: argparse.Namespace) -> int:
     params = CatParams(args.n, _resolve_epsilon(args))
     report = build_effective_size_report(params)
-    _emit(dumps_json(report.to_payload()) + "\n", args.output)
+    _emit([dumps_json(report.to_payload()), "\n"], args.output)
     return 0
 
 
@@ -123,7 +119,7 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
     exact = _CLI.outcome_distribution(params)
     empirical = _CLI.simulate_protocol(params, args.trials, args.seed)
     payload = {"exact": exact.to_payload(), "mc": empirical.to_payload()}
-    _emit(dumps_json(payload) + "\n", args.output)
+    _emit(chain(json_chunks(payload), ["\n"]), args.output)
     return 0
 
 
@@ -139,7 +135,7 @@ def _cmd_loss_curve(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     results = _CLI.run_validation(args.max_n)
     rows = [("PASS" if r.passed else "FAIL", r.name, r.max_err, r.tol) for r in results]
-    _emit(csv_text("status,name,max_err,tol", rows), args.output)
+    _emit(csv_chunks("status,name,max_err,tol", rows), args.output)
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"validation failed: {failures[0].name}", file=sys.stderr)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -65,8 +66,71 @@ def _is_sequence(value) -> bool:
     return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
 
 
-def _check_grid(grid, name: str) -> tuple[float, ...]:
-    """grid as a tuple of floats; ValueError unless 1-D, non-empty, finite, >= 0 and sorted."""
+# grid points per block of curve evaluation
+_CURVE_BLOCK = 4096
+
+
+class _Linspace(Sequence):
+    """The grid of steps points from 0 to endpoint, computed as it is read.
+
+    Bit for bit np.linspace(0.0, endpoint, steps): point i is i * step with
+    step = endpoint / (steps - 1), or (i / (steps - 1)) * endpoint where
+    step underflows to 0, and the last point is exactly endpoint.  With
+    endpoint finite and > 0 every point is finite and >= 0, and the points
+    rise with i up to the last step, which _check_grid checks.
+    """
+
+    def __init__(self, endpoint: float, steps: int) -> None:
+        if not (0.0 < endpoint < math.inf):
+            raise ValueError(f"grid endpoint must be finite and > 0, got {endpoint!r}")
+        if not isinstance(steps, Integral) or steps < 2:
+            raise ValueError(f"a grid needs at least 2 points, got {steps!r}")
+        self.endpoint = float(endpoint)
+        self._div = int(steps) - 1
+        self._step = self.endpoint / self._div
+
+    def __len__(self) -> int:
+        return self._div + 1
+
+    def __getitem__(self, i: int) -> float:
+        i = range(self._div + 1)[i]  # the index checks of a sequence
+        if i == self._div:
+            return self.endpoint
+        return i * self._step if self._step else i / self._div * self.endpoint
+
+    def __iter__(self):
+        div, step, end = self._div, self._step, self.endpoint
+        if step:
+            head = map(step.__rmul__, range(div))  # i * step
+        else:
+            head = map(end.__rmul__, map(div.__rtruediv__, range(div)))  # (i / div) * end
+        return chain(head, (end,))
+
+
+def _curve_rows(grid, *columns):
+    """Rows (point, column values...) of a curve on a checked grid.
+
+    Each column maps a list of grid points to an iterable of its values; it
+    is called on blocks of _CURVE_BLOCK points, so a curve of any length is
+    evaluated in bounded memory.
+    """
+    points = iter(grid)
+    while block := list(islice(points, _CURVE_BLOCK)):
+        yield from zip(block, *(column(block) for column in columns))
+
+
+def _check_grid(grid, name: str) -> Sequence[float]:
+    """grid as a sequence of floats; ValueError unless 1-D, non-empty, finite, >= 0 and sorted.
+
+    A _Linspace is checked in O(1) and returned as it is; any other grid
+    becomes a tuple of floats.
+    """
+    if isinstance(grid, _Linspace):
+        # a subnormal step can round up so far that the point before the
+        # last one passes the endpoint
+        if grid[-2] > grid[-1]:
+            raise ValueError(f"{name} must be sorted ascending")
+        return grid
     if hasattr(grid, "tolist"):  # a numpy array or scalar, read without importing numpy
         grid = grid.tolist()
     items = list(grid) if _is_sequence(grid) else []

@@ -18,6 +18,7 @@ GHZ size
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import (
@@ -27,8 +28,9 @@ from .core import (
     _check_gamma_t,
     _check_grid,
     _check_positive_int,
+    _curve_rows,
 )
-from .serialize import csv_text
+from .serialize import csv_chunks
 
 __all__ = [
     "DecayCurve",
@@ -39,22 +41,46 @@ __all__ = [
 ]
 
 
+# Each column below maps a block of times gamma_t >= 0 to its values,
+# unchecked.  A block that only takes the main branch goes through chained
+# builtin maps, each the same operation, in the same order, as the
+# point-by-point form beside it, so the values are bit-identical either way.
+
+
+def _ghz_norms(n: int):
+    """times -> exp(-n gamma_t) at each time."""
+    rate = -float(n)
+    return lambda times: map(math.exp, map(rate.__mul__, times))
+
+
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
-    n = _check_positive_int(n, "n")
-    return math.exp(-float(n) * _check_gamma_t(gamma_t))
+    return next(_ghz_norms(_check_positive_int(n, "n"))([_check_gamma_t(gamma_t)]))
 
 
-def _log_cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
-    # (N/2) ln d with d - 1 = s^2 (exp(-2 gamma_t) - 1); the log1p/expm1 pair
-    # keeps full precision for small eps and small gamma_t.  Where d < 1/2,
-    # d = c^2 + s^2 exp(-2 gamma_t) is a sum of nonnegative terms instead:
-    # at eps = pi/2, s^2 rounds to 1 and expm1 to -1 once gamma_t > ~18.4.
-    s2 = params.s_eps**2
-    shrink = s2 * math.expm1(-2.0 * gamma_t)
-    if shrink >= -0.5:
-        return 0.5 * params.N * math.log1p(shrink)
-    return 0.5 * params.N * math.log(params.c_eps**2 + s2 * math.exp(-2.0 * gamma_t))
+def _cat_norms(params: CatParams):
+    """times -> d^(N/2) at each time, with d = c^2 + s^2 exp(-2 gamma_t).
+
+    d - 1 = s^2 (exp(-2 gamma_t) - 1); the log1p/expm1 pair keeps full
+    precision for small eps and small gamma_t.  Where d < 1/2, d is taken
+    as the sum of nonnegative terms instead: at eps = pi/2, s^2 rounds to 1
+    and expm1 to -1 once gamma_t > ~18.4.
+    """
+    s2, c2, half_n = params.s_eps**2, params.c_eps**2, 0.5 * params.N
+
+    def point(gamma_t: float) -> float:
+        shrink = s2 * math.expm1(-2.0 * gamma_t)
+        if shrink >= -0.5:
+            return math.exp(half_n * math.log1p(shrink))
+        return math.exp(half_n * math.log(c2 + s2 * math.exp(-2.0 * gamma_t)))
+
+    def norms(times):
+        shrinks = list(map(s2.__mul__, map(math.expm1, map((-2.0).__mul__, times))))
+        if min(shrinks) >= -0.5:
+            return map(math.exp, map(half_n.__mul__, map(math.log1p, shrinks)))
+        return map(point, times)
+
+    return norms
 
 
 def cat_offdiag_norm(
@@ -70,7 +96,7 @@ def cat_offdiag_norm(
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    return math.exp(_log_cat_offdiag_norm(params, _check_gamma_t(gamma_t)))
+    return next(_cat_norms(params)([_check_gamma_t(gamma_t)]))
 
 
 def effective_size_decoherence(params: CatParams) -> float:
@@ -80,28 +106,46 @@ def effective_size_decoherence(params: CatParams) -> float:
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Tabulated off-diagonal norms on a gamma_t grid, both starting at 1."""
+    """Off-diagonal norms of the GHZ reference (n_ref qubits) and the cat
+    state on a gamma_t grid, both starting at 1.
 
-    times: tuple[float, ...]
-    ghz_norm: tuple[float, ...]
-    cat_norm: tuple[float, ...]
+    The columns are computed when read, and to_csv computes the rows as
+    its text is consumed, so a long curve is never held in memory.
+    """
 
-    def to_csv(self) -> str:
-        """CSV with header ``gamma_t,ghz_norm,cat_norm`` in that column order."""
-        rows = zip(self.times, self.ghz_norm, self.cat_norm)
-        return csv_text("gamma_t,ghz_norm,cat_norm", rows)
+    params: CatParams
+    n_ref: int
+    times: Sequence[float]
+
+    def _rows(self):
+        return _curve_rows(self.times, _ghz_norms(self.n_ref), _cat_norms(self.params))
+
+    @property
+    def ghz_norm(self) -> tuple[float, ...]:
+        return tuple(row[1] for row in self._rows())
+
+    @property
+    def cat_norm(self) -> tuple[float, ...]:
+        return tuple(row[2] for row in self._rows())
+
+    def to_csv(self):
+        """CSV with header ``gamma_t,ghz_norm,cat_norm``, as a stream of text chunks.
+
+        The rows are computed and formatted block by block as the chunks
+        are read; ``"".join(curve.to_csv())`` is the whole text.
+        """
+        return csv_chunks("gamma_t,ghz_norm,cat_norm", self._rows())
 
 
 def decay_curve(params: CatParams, n_ref: int, grid) -> DecayCurve:
-    """Evaluate both decay curves on a gamma_t grid.
+    """Both decay curves on a gamma_t grid.
 
     The grid must be finite, sorted ascending, contain no negative entries
-    and start at 0 (so both curves start at exactly 1).
+    and start at 0 (so both curves start at exactly 1).  It is checked
+    here, once; the points are not checked again one by one.
     """
     n_ref = _check_positive_int(n_ref, "n_ref")
     times = _check_grid(grid, "gamma_t grid")
     if times[0] != 0.0:
         raise ValueError("grid must start at gamma_t = 0")
-    ghz = tuple(ghz_offdiag_norm(n_ref, t) for t in times)
-    cat = tuple(cat_offdiag_norm(params, t) for t in times)
-    return DecayCurve(times=times, ghz_norm=ghz, cat_norm=cat)
+    return DecayCurve(params=params, n_ref=n_ref, times=times)

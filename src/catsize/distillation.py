@@ -30,6 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import CatParams, _check_positive_int
+from .serialize import SparseFloats
 
 __all__ = [
     "FilterMeasurement",
@@ -81,13 +82,14 @@ def build_filter(params: CatParams) -> FilterMeasurement:
 
 
 # Largest N accepted by outcome_distribution and simulate_protocol.  The
-# pmf window and the sampler do not grow with N; what does is each
-# to_payload list (8 bytes per N of one shared 0.0) and, in distill-sim,
-# its JSON text (about 6 bytes per N, held at most twice, plus its encoding
-# for output).  Measured max RSS of distill-sim: 156 MiB at N = 4e6, 334
-# MiB at 1e7 (31 bytes per N between them) and 1.8 GiB at 2^26, the cap,
-# which keeps it under 2 GiB.
-MAX_DISTRIBUTION_N = 2**26
+# pmf window, the sampler and the payloads, whose q lists are SparseFloats,
+# do not grow with N (the window grows like sqrt(N)); what does is the
+# output of distill-sim, two JSON lists of N + 1 entries, almost all "0, ":
+# 6 bytes per N.  The cap is the largest power of two at which the output
+# stays under 1 GiB: 768 MiB at 2^27.  Measured there (2-core Xeon, Python
+# 3.11, stdout to /dev/null): 0.3 s and 41 MiB max RSS at eps = 1e-3, and
+# 1.0 s and 84 MiB at eps = pi/4, where the window is widest.
+MAX_DISTRIBUTION_N = 2**27
 # Largest N for which the dense arrays over k = 0..N (q, log_q, counts,
 # freq) are built.  log_q peaks at 48 bytes per N while it is built
 # (measured at N = 2^22 and 2^23) and the others hold 8 bytes per N each,
@@ -102,11 +104,11 @@ _LN2 = math.log(2.0)
 
 
 def _check_distribution_size(params: CatParams) -> int:
-    # refuse before allocating: the payload grows linearly in N with no cap
+    # refuse before any work: the written distribution grows linearly in N
     if params.N > MAX_DISTRIBUTION_N:
         raise ValueError(
-            f"N = {params.N} exceeds {MAX_DISTRIBUTION_N}, the largest N for which "
-            "the O(N) outcome distribution is built"
+            f"N = {params.N} exceeds {MAX_DISTRIBUTION_N}, the largest N accepted: "
+            "the written distributions take 6 bytes per N"
         )
     return params.N
 
@@ -133,7 +135,8 @@ class OutcomeDistribution:
     every q_k outside it underflows to 0.  q (linear domain) and log_q (the
     whole log-domain pmf, finite in the tails where q is 0) are dense arrays
     over k = 0..N, built on first use: 8 and at most 48 bytes per N, and
-    refused above MAX_DENSE_N.
+    refused above MAX_DENSE_N.  The payload's q is a SparseFloats over
+    0..N that stores the window only.
     """
 
     params: CatParams
@@ -159,9 +162,8 @@ class OutcomeDistribution:
         return _log_q(self.params, 0, _check_dense_size(self.N))
 
     def to_payload(self) -> dict:
-        # a list of one shared 0.0 costs 8 bytes an entry and no float object
-        q = [0.0] * (self.N + 1)
-        q[self.lo : self.lo + self.log_q_window.size] = np.exp(self.log_q_window).tolist()
+        window = range(self.lo, self.lo + self.log_q_window.size)
+        q = SparseFloats(self.N + 1, window, np.exp(self.log_q_window).tolist())
         return _q_payload(self.N, self.epsilon, q, "exact", None, None)
 
 
@@ -348,7 +350,8 @@ class McResult:
 
     Only the outcomes that occurred are stored: outcomes[i] parties were
     distilled in tallies[i] trials, outcomes ascending.  counts and freq are
-    dense over 0..N, refused above MAX_DENSE_N.
+    dense over 0..N, refused above MAX_DENSE_N.  The payload's q is a
+    SparseFloats over 0..N that stores the frequencies of those outcomes.
     """
 
     N: int
@@ -369,9 +372,8 @@ class McResult:
         return self.counts / self.trials
 
     def to_payload(self) -> dict:
-        q = [0.0] * (self.N + 1)
-        for k, f in zip(self.outcomes.tolist(), (self.tallies / self.trials).tolist()):
-            q[k] = f
+        freq = (self.tallies / self.trials).tolist()
+        q = SparseFloats(self.N + 1, self.outcomes.tolist(), freq)
         return _q_payload(self.N, self.epsilon, q, "mc", self.trials, self.seed)
 
 

@@ -17,10 +17,12 @@ size n_eff = N (1 - cos eps) ~ N eps^2 / 2.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .core import CatParams, _check_grid, _check_positive_int
-from .serialize import csv_text
+from .core import CatParams, _check_grid, _check_positive_int, _curve_rows
+from .serialize import csv_chunks
 
 __all__ = [
     "LossModel",
@@ -44,12 +46,56 @@ class LossModel:
         object.__setattr__(self, "lam", float(self.lam))
 
 
+# Each column below maps a block of lams in [0, 1] to its values, unchecked.
+# A block that only takes the main branch goes through chained builtin
+# maps, each the same operation, in the same order, as the point-by-point
+# form beside it, so the values are bit-identical either way.
+
+
+def _ghz_losses(n: int):
+    """lams -> (1 - lam)^n at each lam."""
+    nf = float(n)
+
+    def point(lam: float) -> float:
+        return 0.0 if lam == 1.0 else math.exp(nf * math.log1p(-lam))
+
+    def suppressions(lams):
+        if max(lams) < 1.0:
+            return map(math.exp, map(nf.__mul__, map(math.log1p, map(operator.neg, lams))))
+        return map(point, lams)
+
+    return suppressions
+
+
 def ghz_loss_suppression(n: int, loss: LossModel) -> float:
     """Expected off-diagonal element relative to no loss: (1 - lam)^n."""
-    n = _check_positive_int(n, "n")
-    if loss.lam == 1.0:
-        return 0.0
-    return math.exp(float(n) * math.log1p(-loss.lam))
+    return next(_ghz_losses(_check_positive_int(n, "n"))([loss.lam]))
+
+
+def _cat_losses(params: CatParams):
+    """lams -> (1 - lam (1 - cos eps))^N at each lam, in log domain."""
+    nf, omc, c = float(params.N), params.one_minus_c, params.c_eps
+    c_pow_n = math.exp(params.log_cN)
+
+    def point(lam: float) -> float:
+        if lam == 1.0:
+            return c_pow_n
+        shrink = lam * omc
+        if shrink <= 0.5:
+            return math.exp(nf * math.log1p(-shrink))
+        # rewrite 1 - lam (1 - c) = (1 - lam) + lam c: both terms
+        # nonnegative, so no cancellation where log1p's argument would
+        # approach -1
+        base = (1.0 - lam) + lam * c
+        return math.exp(nf * math.log(base)) if base > 0.0 else 0.0
+
+    def suppressions(lams):
+        shrinks = list(map(omc.__mul__, lams))
+        if max(lams) < 1.0 and max(shrinks) <= 0.5:
+            return map(math.exp, map(nf.__mul__, map(math.log1p, map(operator.neg, shrinks))))
+        return map(point, lams)
+
+    return suppressions
 
 
 def cat_loss_suppression(params: CatParams, loss: LossModel) -> float:
@@ -58,19 +104,7 @@ def cat_loss_suppression(params: CatParams, loss: LossModel) -> float:
     At lam = 1 the value is cos(eps)^N: every qubit is traced out and each
     contributes one factor of the branch overlap.
     """
-    if loss.lam == 1.0:
-        return math.exp(params.log_cN)
-    shrink = loss.lam * params.one_minus_c
-    if shrink <= 0.5:
-        log_base = math.log1p(-shrink)
-    else:
-        # rewrite 1 - lam (1 - c) = (1 - lam) + lam c: both terms nonnegative,
-        # so no cancellation where log1p's argument would approach -1
-        base = (1.0 - loss.lam) + loss.lam * params.c_eps
-        if base <= 0.0:
-            return 0.0
-        log_base = math.log(base)
-    return math.exp(params.N * log_base)
+    return next(_cat_losses(params)([loss.lam]))
 
 
 def effective_size_loss(params: CatParams) -> float:
@@ -80,24 +114,46 @@ def effective_size_loss(params: CatParams) -> float:
 
 @dataclass(frozen=True)
 class LossCurve:
-    """Tabulated suppressions on a lam grid."""
+    """Suppressions of the GHZ reference (n_ref qubits) and the cat state on
+    a lam grid.
 
-    lambdas: tuple[float, ...]
-    ghz_suppression: tuple[float, ...]
-    cat_suppression: tuple[float, ...]
+    The columns are computed when read, and to_csv computes the rows as
+    its text is consumed, so a long curve is never held in memory.
+    """
 
-    def to_csv(self) -> str:
-        """CSV with header ``lambda,ghz_suppression,cat_suppression``."""
-        rows = zip(self.lambdas, self.ghz_suppression, self.cat_suppression)
-        return csv_text("lambda,ghz_suppression,cat_suppression", rows)
+    params: CatParams
+    n_ref: int
+    lambdas: Sequence[float]
+
+    def _rows(self):
+        return _curve_rows(self.lambdas, _ghz_losses(self.n_ref), _cat_losses(self.params))
+
+    @property
+    def ghz_suppression(self) -> tuple[float, ...]:
+        return tuple(row[1] for row in self._rows())
+
+    @property
+    def cat_suppression(self) -> tuple[float, ...]:
+        return tuple(row[2] for row in self._rows())
+
+    def to_csv(self):
+        """CSV with header ``lambda,ghz_suppression,cat_suppression``, as a
+        stream of text chunks.
+
+        The rows are computed and formatted block by block as the chunks
+        are read; ``"".join(curve.to_csv())`` is the whole text.
+        """
+        return csv_chunks("lambda,ghz_suppression,cat_suppression", self._rows())
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas) -> LossCurve:
-    """Evaluate both suppression curves on a lam grid in [0, 1]."""
+    """Both suppression curves on a lam grid in [0, 1].
+
+    The grid is checked here, once; the points are not checked again one
+    by one.
+    """
     n_ref = _check_positive_int(n_ref, "n_ref")
     lams = _check_grid(lambdas, "lambda grid")
     if lams[-1] > 1.0:
         raise ValueError("lambda grid must lie in [0, 1]")
-    ghz = tuple(ghz_loss_suppression(n_ref, LossModel(l)) for l in lams)
-    cat = tuple(cat_loss_suppression(params, LossModel(l)) for l in lams)
-    return LossCurve(lambdas=lams, ghz_suppression=ghz, cat_suppression=cat)
+    return LossCurve(params=params, n_ref=n_ref, lambdas=lams)

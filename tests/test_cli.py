@@ -289,6 +289,23 @@ def test_curve_steps_cap(capsys):
             assert err.startswith("error:") and "--steps" in err
 
 
+@pytest.mark.parametrize("steps, expected_code", [(3, 0), (1001, 2)])
+def test_curve_grid_whose_step_rounds_up(capsys, steps, expected_code):
+    # at a subnormal endpoint the step can round up so far that the point
+    # before the last passes the endpoint (at 1001 steps, not at 3): an
+    # unsorted grid, refused as such, as the check of the whole grid did
+    with np.errstate(over="ignore"):
+        grid = np.linspace(0.0, 1.2846e-320, steps)
+    assert bool(np.all(np.diff(grid) >= 0)) == (expected_code == 0)
+    code, out, err = run_cli(
+        capsys, "decoherence-curve", "--n", "10", "--epsilon", "0.3",
+        "--gamma-t-max", "1.2846e-320", "--steps", str(steps),
+    )
+    assert code == expected_code
+    if code:
+        assert (out, err) == ("", "error: gamma_t grid must be sorted ascending\n")
+
+
 def test_n_beyond_largest_double_exit_2(capsys):
     code, out, err = run_cli(
         capsys, "effective-size", "--n", "1" + "0" * 400, "--epsilon", "0.1"
@@ -489,5 +506,8 @@ def test_curve_grid_is_linspace(steps, endpoint):
     # that product may overflow (endpoint near the largest double)
     with np.errstate(over="ignore"):
         expected = np.linspace(0.0, endpoint, steps).tolist()
-    assert grid == expected
+    # the grid is computed as it is read: by iteration and by index
+    assert len(grid) == steps
+    assert list(grid) == expected
+    assert [grid[i] for i in range(steps)] == expected
     assert all(type(v) is float for v in grid)

@@ -201,7 +201,7 @@ def test_decay_curve_first_order_agreement():
 
 def test_decay_curve_csv_format():
     curve = decay_curve(CatParams(8, 0.5), 4, np.linspace(0.0, 1.0, 2))
-    lines = curve.to_csv().splitlines()
+    lines = "".join(curve.to_csv()).splitlines()
     assert lines[0] == "gamma_t,ghz_norm,cat_norm"
     assert lines[1] == "0,1,1"
     t, g, c = (float(v) for v in lines[2].split(","))

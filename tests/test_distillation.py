@@ -18,6 +18,7 @@ from catsize.distillation import (
     simulate_protocol,
 )
 from catsize.oracle import biorthonormal_filter, branch_vectors
+from catsize.serialize import dumps_json
 
 HALF_PI = math.pi / 2
 PI_3 = math.pi / 3
@@ -205,7 +206,7 @@ def test_window_matches_the_dense_pmf(n, eps):
     dist = outcome_distribution(p)
     dense_log_q = distillation._log_q(p, 0, n)
     dense_q = np.exp(dense_log_q)
-    assert dist.to_payload()["q"] == dense_q.tolist()
+    assert list(dist.to_payload()["q"]) == dense_q.tolist()
     np.testing.assert_array_equal(dist.q, dense_q)
     nonzero = np.flatnonzero(dense_q)
     assert dist.lo <= nonzero[0]
@@ -547,4 +548,7 @@ def test_payload_schemas():
     assert list(mc.keys()) == ["N", "epsilon", "q", "source", "trials", "seed"]
     assert mc["source"] == "mc"
     assert mc["trials"] == 100 and mc["seed"] == 5
-    json.dumps(exact), json.dumps(mc)  # JSON-safe
+    # q is a SparseFloats, which the package's JSON writer writes as a list
+    refs = (outcome_distribution(p).q, simulate_protocol(p, 100, seed=5).freq)
+    for payload, ref in zip((exact, mc), refs):
+        assert json.loads(dumps_json(payload)) == {**payload, "q": ref.tolist()}

@@ -4,6 +4,7 @@ Kept apart from test_distillation.py so that the rest of the distillation
 tests run without hypothesis, the one test dependency that is optional.
 """
 
+import json
 import math
 import warnings
 
@@ -13,6 +14,7 @@ import pytest
 from catsize import distillation
 from catsize.core import CatParams
 from catsize.distillation import outcome_distribution, simulate_protocol
+from catsize.serialize import json_chunks
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -36,6 +38,25 @@ def test_distributions_over_the_input_domain(n, eps):
         q = dist.to_payload()["q"]
         dense_q = np.exp(distillation._log_q(p, 0, n)).tolist()
         mc = simulate_protocol(p, 300, seed=n)
-    assert q == dense_q
+    assert list(q) == dense_q
     assert abs(math.fsum(q) - 1.0) <= 1e-12
     assert int(mc.tallies.sum()) == 300
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5000),
+    eps=st.sampled_from(_EDGE_EPS) | st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True),
+)
+def test_written_payload_over_the_input_domain(n, eps):
+    # the JSON the CLI writes, parsed back: N + 1 finite entries per list,
+    # and the exact q sums to 1
+    p = CatParams(n, eps)
+    payload = {"exact": outcome_distribution(p).to_payload(),
+               "mc": simulate_protocol(p, 50, seed=n).to_payload()}
+    parsed = json.loads("".join(json_chunks(payload)))
+    for part in parsed.values():
+        assert len(part["q"]) == n + 1
+        assert all(math.isfinite(v) for v in part["q"])
+    assert abs(math.fsum(parsed["exact"]["q"]) - 1.0) <= 1e-12
+    assert math.fsum(parsed["mc"]["q"]) == pytest.approx(1.0, abs=1e-12)

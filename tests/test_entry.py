@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import catsize
-from catsize.__main__ import _BLAS_THREAD_VARS, _USER_THREAD_VARS
+from catsize.__main__ import _BLAS_THREAD_VARS, _USER_THREAD_VARS, EXIT_BROKEN_PIPE
 
 SRC = os.path.dirname(os.path.dirname(catsize.__file__))
 DISTILL = ["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"]
@@ -89,3 +89,30 @@ def test_console_script_is_the_entry():
     with open(pyproject, "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"catsize": "catsize.__main__:main"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distill-sim", "--n", "1000000", "--epsilon", "1e-3"],
+        ["loss-curve", "--n", "100", "--epsilon", "0.2", "--steps", "200000"],
+    ],
+)
+def test_closed_pipe_exits_quietly(argv):
+    # the reader goes away after a few bytes, as with ``| head -c 20``; the
+    # output is far larger than a pipe buffer, so the writer meets the
+    # closed pipe: exit 141 (128 + SIGPIPE), nothing on stderr
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catsize", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert len(head) == 20
+    assert (code, err) == (EXIT_BROKEN_PIPE, b"")

@@ -127,7 +127,7 @@ def test_typical_value_diagnostics():
 
 def test_loss_curve_csv():
     curve = loss_curve(CatParams(8, 0.5), 2, np.linspace(0.0, 1.0, 3))
-    lines = curve.to_csv().splitlines()
+    lines = "".join(curve.to_csv()).splitlines()
     assert lines[0] == "lambda,ghz_suppression,cat_suppression"
     assert lines[1] == "0,1,1"
     assert len(lines) == 4
