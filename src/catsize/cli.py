@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 from itertools import chain
 
@@ -35,14 +36,14 @@ _LAZY = {
 }
 _CLI = sys.modules[__name__]
 
-# Largest --steps of decoherence-curve and loss-curve.  The curves are
-# computed and written a block of rows at a time, so memory does not grow
+# Largest --steps of decoherence-curve and loss-curve.  The rows are
+# computed as they are written, 4096 at a time, so memory does not grow
 # with the steps (max RSS 18 MiB at 1e6 and at 2^24 steps); what does is
 # the output, about 60 bytes a row (72 at most), and the run time, about
-# 3 us a row, two thirds of it the %.17g formatting.  The cap is the
+# 2 us a row, two thirds of it the %.17g formatting.  The cap is the
 # largest power of two at which the output stays near 1 GiB, the budget of
-# distillation.MAX_DISTRIBUTION_N: 2^24 steps write 1.0 GB in about 50 s
-# (2-core Xeon, Python 3.11).
+# distillation.MAX_DISTRIBUTION_N: 2^24 steps write 1.0 GB in about 30 s
+# to /dev/null (2-core Xeon, Python 3.11).
 MAX_CURVE_STEPS = 2**24
 
 
@@ -75,13 +76,21 @@ def _resolve_epsilon(args: argparse.Namespace) -> float:
 
 def _emit(chunks, output: str | None) -> None:
     # writes each text chunk as it is produced, to the sys.stdout in force
-    # at the call (a redirection included) or to the --output file
+    # at the call (a redirection included) or to the --output file.  If
+    # producing a chunk fails, stdout keeps the chunks written before it,
+    # and a regular --output file is removed, so it never holds part of an
+    # output (a symlink such as /dev/stdout is left alone)
     if output is None:
         sys.stdout.writelines(chunks)
         return
     try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+            try:
+                fh.writelines(chunks)
+            except BaseException:
+                if os.path.isfile(output) and not os.path.islink(output):
+                    os.remove(output)
+                raise
     except OSError as exc:
         raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 

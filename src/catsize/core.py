@@ -27,7 +27,7 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -66,10 +66,6 @@ def _is_sequence(value) -> bool:
     return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
 
 
-# grid points per block of curve evaluation
-_CURVE_BLOCK = 4096
-
-
 class _Linspace(Sequence):
     """The grid of steps points from 0 to endpoint, computed as it is read.
 
@@ -105,18 +101,6 @@ class _Linspace(Sequence):
         else:
             head = map(end.__rmul__, map(div.__rtruediv__, range(div)))  # (i / div) * end
         return chain(head, (end,))
-
-
-def _curve_rows(grid, *columns):
-    """Rows (point, column values...) of a curve on a checked grid.
-
-    Each column maps a list of grid points to an iterable of its values; it
-    is called on blocks of _CURVE_BLOCK points, so a curve of any length is
-    evaluated in bounded memory.
-    """
-    points = iter(grid)
-    while block := list(islice(points, _CURVE_BLOCK)):
-        yield from zip(block, *(column(block) for column in columns))
 
 
 def _check_grid(grid, name: str) -> Sequence[float]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     CHANNEL_KINDS,
@@ -28,7 +29,6 @@ from .core import (
     _check_gamma_t,
     _check_grid,
     _check_positive_int,
-    _curve_rows,
 )
 from .serialize import csv_chunks
 
@@ -41,46 +41,36 @@ __all__ = [
 ]
 
 
-# Each column below maps a block of times gamma_t >= 0 to its values,
-# unchecked.  A block that only takes the main branch goes through chained
-# builtin maps, each the same operation, in the same order, as the
-# point-by-point form beside it, so the values are bit-identical either way.
+# The point functions below are unchecked: the public functions check their
+# arguments, and decay_curve checks its grid once.
 
 
-def _ghz_norms(n: int):
-    """times -> exp(-n gamma_t) at each time."""
-    rate = -float(n)
-    return lambda times: map(math.exp, map(rate.__mul__, times))
+def _ghz_norm(n: int, gamma_t: float) -> float:
+    return math.exp(-float(n) * gamma_t)
 
 
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
-    return next(_ghz_norms(_check_positive_int(n, "n"))([_check_gamma_t(gamma_t)]))
+    return _ghz_norm(_check_positive_int(n, "n"), _check_gamma_t(gamma_t))
 
 
-def _cat_norms(params: CatParams):
-    """times -> d^(N/2) at each time, with d = c^2 + s^2 exp(-2 gamma_t).
+def _cat_consts(params: CatParams) -> tuple[float, float, float]:
+    # the leading arguments of _cat_norm
+    return params.s_eps**2, params.c_eps**2, 0.5 * params.N
 
-    d - 1 = s^2 (exp(-2 gamma_t) - 1); the log1p/expm1 pair keeps full
+
+def _cat_norm(s2: float, c2: float, half_n: float, gamma_t: float) -> float:
+    """d^(N/2) with d = c2 + s2 exp(-2 gamma_t), s2 = sin(eps)^2, c2 = cos(eps)^2.
+
+    d - 1 = s2 (exp(-2 gamma_t) - 1); the log1p/expm1 pair keeps full
     precision for small eps and small gamma_t.  Where d < 1/2, d is taken
-    as the sum of nonnegative terms instead: at eps = pi/2, s^2 rounds to 1
+    as the sum of nonnegative terms instead: at eps = pi/2, s2 rounds to 1
     and expm1 to -1 once gamma_t > ~18.4.
     """
-    s2, c2, half_n = params.s_eps**2, params.c_eps**2, 0.5 * params.N
-
-    def point(gamma_t: float) -> float:
-        shrink = s2 * math.expm1(-2.0 * gamma_t)
-        if shrink >= -0.5:
-            return math.exp(half_n * math.log1p(shrink))
-        return math.exp(half_n * math.log(c2 + s2 * math.exp(-2.0 * gamma_t)))
-
-    def norms(times):
-        shrinks = list(map(s2.__mul__, map(math.expm1, map((-2.0).__mul__, times))))
-        if min(shrinks) >= -0.5:
-            return map(math.exp, map(half_n.__mul__, map(math.log1p, shrinks)))
-        return map(point, times)
-
-    return norms
+    shrink = s2 * math.expm1(-2.0 * gamma_t)
+    if shrink >= -0.5:
+        return math.exp(half_n * math.log1p(shrink))
+    return math.exp(half_n * math.log(c2 + s2 * math.exp(-2.0 * gamma_t)))
 
 
 def cat_offdiag_norm(
@@ -96,7 +86,7 @@ def cat_offdiag_norm(
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    return next(_cat_norms(params)([_check_gamma_t(gamma_t)]))
+    return _cat_norm(*_cat_consts(params), _check_gamma_t(gamma_t))
 
 
 def effective_size_decoherence(params: CatParams) -> float:
@@ -117,16 +107,19 @@ class DecayCurve:
     n_ref: int
     times: Sequence[float]
 
-    def _rows(self):
-        return _curve_rows(self.times, _ghz_norms(self.n_ref), _cat_norms(self.params))
+    def _ghz(self):
+        return map(partial(_ghz_norm, self.n_ref), self.times)
+
+    def _cat(self):
+        return map(partial(_cat_norm, *_cat_consts(self.params)), self.times)
 
     @property
     def ghz_norm(self) -> tuple[float, ...]:
-        return tuple(row[1] for row in self._rows())
+        return tuple(self._ghz())
 
     @property
     def cat_norm(self) -> tuple[float, ...]:
-        return tuple(row[2] for row in self._rows())
+        return tuple(self._cat())
 
     def to_csv(self):
         """CSV with header ``gamma_t,ghz_norm,cat_norm``, as a stream of text chunks.
@@ -134,7 +127,7 @@ class DecayCurve:
         The rows are computed and formatted block by block as the chunks
         are read; ``"".join(curve.to_csv())`` is the whole text.
         """
-        return csv_chunks("gamma_t,ghz_norm,cat_norm", self._rows())
+        return csv_chunks("gamma_t,ghz_norm,cat_norm", zip(self.times, self._ghz(), self._cat()))
 
 
 def decay_curve(params: CatParams, n_ref: int, grid) -> DecayCurve:

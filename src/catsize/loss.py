@@ -17,11 +17,11 @@ size n_eff = N (1 - cos eps) ~ N eps^2 / 2.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
-from .core import CatParams, _check_grid, _check_positive_int, _curve_rows
+from .core import CatParams, _check_grid, _check_positive_int
 from .serialize import csv_chunks
 
 __all__ = [
@@ -46,56 +46,39 @@ class LossModel:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-# Each column below maps a block of lams in [0, 1] to its values, unchecked.
-# A block that only takes the main branch goes through chained builtin
-# maps, each the same operation, in the same order, as the point-by-point
-# form beside it, so the values are bit-identical either way.
+# The point functions below are unchecked: the public functions check their
+# arguments, and loss_curve checks its grid once.
 
 
-def _ghz_losses(n: int):
-    """lams -> (1 - lam)^n at each lam."""
-    nf = float(n)
-
-    def point(lam: float) -> float:
-        return 0.0 if lam == 1.0 else math.exp(nf * math.log1p(-lam))
-
-    def suppressions(lams):
-        if max(lams) < 1.0:
-            return map(math.exp, map(nf.__mul__, map(math.log1p, map(operator.neg, lams))))
-        return map(point, lams)
-
-    return suppressions
+def _ghz_loss(n: int, lam: float) -> float:
+    return 0.0 if lam == 1.0 else math.exp(float(n) * math.log1p(-lam))
 
 
 def ghz_loss_suppression(n: int, loss: LossModel) -> float:
     """Expected off-diagonal element relative to no loss: (1 - lam)^n."""
-    return next(_ghz_losses(_check_positive_int(n, "n"))([loss.lam]))
+    return _ghz_loss(_check_positive_int(n, "n"), loss.lam)
 
 
-def _cat_losses(params: CatParams):
-    """lams -> (1 - lam (1 - cos eps))^N at each lam, in log domain."""
-    nf, omc, c = float(params.N), params.one_minus_c, params.c_eps
-    c_pow_n = math.exp(params.log_cN)
+def _cat_consts(params: CatParams) -> tuple[int, float, float, float]:
+    # the leading arguments of _cat_loss
+    return params.N, params.one_minus_c, params.c_eps, params.log_cN
 
-    def point(lam: float) -> float:
-        if lam == 1.0:
-            return c_pow_n
-        shrink = lam * omc
-        if shrink <= 0.5:
-            return math.exp(nf * math.log1p(-shrink))
-        # rewrite 1 - lam (1 - c) = (1 - lam) + lam c: both terms
-        # nonnegative, so no cancellation where log1p's argument would
-        # approach -1
+
+def _cat_loss(n: int, omc: float, c: float, log_cn: float, lam: float) -> float:
+    """(1 - lam omc)^n in log domain, with omc = 1 - cos(eps), c = cos(eps), log_cn = n ln c."""
+    if lam == 1.0:
+        return math.exp(log_cn)
+    shrink = lam * omc
+    if shrink <= 0.5:
+        log_base = math.log1p(-shrink)
+    else:
+        # rewrite 1 - lam (1 - c) = (1 - lam) + lam c: both terms nonnegative,
+        # so no cancellation where log1p's argument would approach -1
         base = (1.0 - lam) + lam * c
-        return math.exp(nf * math.log(base)) if base > 0.0 else 0.0
-
-    def suppressions(lams):
-        shrinks = list(map(omc.__mul__, lams))
-        if max(lams) < 1.0 and max(shrinks) <= 0.5:
-            return map(math.exp, map(nf.__mul__, map(math.log1p, map(operator.neg, shrinks))))
-        return map(point, lams)
-
-    return suppressions
+        if base <= 0.0:
+            return 0.0
+        log_base = math.log(base)
+    return math.exp(n * log_base)
 
 
 def cat_loss_suppression(params: CatParams, loss: LossModel) -> float:
@@ -104,7 +87,7 @@ def cat_loss_suppression(params: CatParams, loss: LossModel) -> float:
     At lam = 1 the value is cos(eps)^N: every qubit is traced out and each
     contributes one factor of the branch overlap.
     """
-    return next(_cat_losses(params)([loss.lam]))
+    return _cat_loss(*_cat_consts(params), loss.lam)
 
 
 def effective_size_loss(params: CatParams) -> float:
@@ -125,16 +108,19 @@ class LossCurve:
     n_ref: int
     lambdas: Sequence[float]
 
-    def _rows(self):
-        return _curve_rows(self.lambdas, _ghz_losses(self.n_ref), _cat_losses(self.params))
+    def _ghz(self):
+        return map(partial(_ghz_loss, self.n_ref), self.lambdas)
+
+    def _cat(self):
+        return map(partial(_cat_loss, *_cat_consts(self.params)), self.lambdas)
 
     @property
     def ghz_suppression(self) -> tuple[float, ...]:
-        return tuple(row[1] for row in self._rows())
+        return tuple(self._ghz())
 
     @property
     def cat_suppression(self) -> tuple[float, ...]:
-        return tuple(row[2] for row in self._rows())
+        return tuple(self._cat())
 
     def to_csv(self):
         """CSV with header ``lambda,ghz_suppression,cat_suppression``, as a
@@ -143,7 +129,8 @@ class LossCurve:
         The rows are computed and formatted block by block as the chunks
         are read; ``"".join(curve.to_csv())`` is the whole text.
         """
-        return csv_chunks("lambda,ghz_suppression,cat_suppression", self._rows())
+        rows = zip(self.lambdas, self._ghz(), self._cat())
+        return csv_chunks("lambda,ghz_suppression,cat_suppression", rows)
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas) -> LossCurve:

@@ -18,8 +18,6 @@ import json
 import math
 import operator
 import sys
-from bisect import bisect_left
-from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from numbers import Integral, Real
 
@@ -60,8 +58,8 @@ def _float_items(values) -> str:
     return _format(", ".join(["%.17g"] * len(values)), tuple(values))
 
 
-class SparseFloats(Sequence):
-    """A sequence of ``length`` floats, +0.0 except at the sorted ``indices``.
+class SparseFloats:
+    """``length`` floats, +0.0 except at the sorted ``indices``, read by iteration.
 
     Needs no numpy and takes memory for the stored values only, whatever
     its length.  The stored values must be finite, so a payload that would
@@ -81,12 +79,6 @@ class SparseFloats(Sequence):
 
     def __len__(self) -> int:
         return self._length
-
-    def __getitem__(self, i: int) -> float:
-        i = range(self._length)[i]  # the index checks of a sequence
-        pos = bisect_left(self.indices, i)
-        found = pos < len(self.indices) and self.indices[pos] == i
-        return self.values[pos] if found else 0.0
 
     def __iter__(self):
         pos = 0

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catsize import cli
+from catsize import cli, decoherence, loss
 from catsize.cli import main
 from catsize.core import CatParams, _Linspace
 from catsize.decoherence import cat_offdiag_norm, decay_curve, ghz_offdiag_norm
@@ -187,6 +187,32 @@ def test_non_finite_window_is_refused_before_any_output(capsys, monkeypatch, tmp
     path = tmp_path / "payload.json"
     assert main([*argv, "--output", str(path)]) == 2
     assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["decoherence-curve", "loss-curve"])
+def test_curve_failing_mid_stream(capsys, monkeypatch, tmp_path, command):
+    # a value that cannot be written, past the first block of rows: stdout
+    # keeps the text written before it, and no --output file holds a part
+    module, point = {
+        "decoherence-curve": (decoherence, "_cat_norm"),
+        "loss-curve": (loss, "_cat_loss"),
+    }[command]
+    monkeypatch.setattr(module, point, lambda *args: math.inf if args[-1] > 0.9 else 0.5)
+    argv = [command, "--n", "10", "--epsilon", "0.2", "--steps", "10001"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: cannot serialize non-finite value inf\n"
+    lines = out.splitlines()
+    assert lines[0].count(",") == 2 and 4096 <= len(lines) - 1 < 9001
+    assert all(line.endswith(",0.5") for line in lines[1:])
+    path = tmp_path / "curve.csv"
+    path.write_text("an older file")
+    assert main([*argv, "--output", str(path)]) == 2
+    assert not path.exists()
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main([*argv, "--output", str(link)]) == 2
+    assert link.is_symlink()
 
 
 class NullSink:
