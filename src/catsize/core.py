@@ -56,9 +56,11 @@ CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
 
 
 def _check_positive_int(value, name: str) -> int:
-    """value as a Python int; ValueError unless it is an integer >= 1 (bools rejected)."""
+    """value as a Python int; ValueError unless 1 <= value <= largest double (bools rejected)."""
     if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must not exceed the largest double: {value.bit_length()} bits")
     return int(value)
 
 
@@ -150,8 +152,6 @@ class CatParams:
 
     def __post_init__(self) -> None:
         n = _check_positive_int(self.N, "N")
-        if n > sys.float_info.max:  # every closed form multiplies N into a double
-            raise ValueError(f"N must not exceed the largest double, got {n.bit_length()} bits")
         if not (0.0 <= self.epsilon <= HALF_PI):
             raise ValueError(
                 f"epsilon must lie in [0, pi/2], got {self.epsilon!r}"

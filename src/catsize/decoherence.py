@@ -99,27 +99,13 @@ class DecayCurve:
     """Off-diagonal norms of the GHZ reference (n_ref qubits) and the cat
     state on a gamma_t grid, both starting at 1.
 
-    The columns are computed when read, and to_csv computes the rows as
-    its text is consumed, so a long curve is never held in memory.
+    to_csv is the one way to read it: the rows are computed as its text is
+    consumed, so a long curve is never held in memory.
     """
 
     params: CatParams
     n_ref: int
     times: Sequence[float]
-
-    def _ghz(self):
-        return map(partial(_ghz_norm, self.n_ref), self.times)
-
-    def _cat(self):
-        return map(partial(_cat_norm, *_cat_consts(self.params)), self.times)
-
-    @property
-    def ghz_norm(self) -> tuple[float, ...]:
-        return tuple(self._ghz())
-
-    @property
-    def cat_norm(self) -> tuple[float, ...]:
-        return tuple(self._cat())
 
     def to_csv(self):
         """CSV with header ``gamma_t,ghz_norm,cat_norm``, as a stream of text chunks.
@@ -127,7 +113,9 @@ class DecayCurve:
         The rows are computed and formatted block by block as the chunks
         are read; ``"".join(curve.to_csv())`` is the whole text.
         """
-        return csv_chunks("gamma_t,ghz_norm,cat_norm", zip(self.times, self._ghz(), self._cat()))
+        ghz = map(partial(_ghz_norm, self.n_ref), self.times)
+        cat = map(partial(_cat_norm, *_cat_consts(self.params)), self.times)
+        return csv_chunks("gamma_t,ghz_norm,cat_norm", zip(self.times, ghz, cat))
 
 
 def decay_curve(params: CatParams, n_ref: int, grid) -> DecayCurve:

@@ -90,11 +90,6 @@ def build_filter(params: CatParams) -> FilterMeasurement:
 # 3.11, stdout to /dev/null): 0.3 s and 41 MiB max RSS at eps = 1e-3, and
 # 1.0 s and 84 MiB at eps = pi/4, where the window is widest.
 MAX_DISTRIBUTION_N = 2**27
-# Largest N for which the dense arrays over k = 0..N (q, log_q, counts,
-# freq) are built.  log_q peaks at 48 bytes per N while it is built
-# (measured at N = 2^22 and 2^23) and the others hold 8 bytes per N each,
-# so a caller holding all four stays near 1.2 GiB at 2^24, under 2 GiB.
-MAX_DENSE_N = 2**24
 # trials per block of the Monte Carlo sampler
 _MC_BLOCK = 1 << 16
 # log_q below this is left out of the stored window: exp underflows to 0.0
@@ -113,15 +108,6 @@ def _check_distribution_size(params: CatParams) -> int:
     return params.N
 
 
-def _check_dense_size(n: int) -> int:
-    if n > MAX_DENSE_N:
-        raise ValueError(
-            f"N = {n} exceeds {MAX_DENSE_N}, the largest N for which dense "
-            "arrays over 0..N are built"
-        )
-    return n
-
-
 def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
     # payload shared by the exact and the Monte Carlo distribution
     return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
@@ -132,11 +118,10 @@ class OutcomeDistribution:
     """Distribution q_0..q_N of the number of distilled GHZ parties.
 
     Only the window k = lo..lo + len(log_q_window) - 1 is stored, as ln q_k;
-    every q_k outside it underflows to 0.  q (linear domain) and log_q (the
-    whole log-domain pmf, finite in the tails where q is 0) are dense arrays
-    over k = 0..N, built on first use: 8 and at most 48 bytes per N, and
-    refused above MAX_DENSE_N.  The payload's q is a SparseFloats over
-    0..N that stores the window only.
+    every q_k outside it underflows to 0.  q is a SparseFloats over 0..N
+    that holds exp of the window, built on first use: len(q) is N + 1 and
+    iterating it gives every q_k, in memory of the window's size only.
+    The payload writes that same q.
     """
 
     params: CatParams
@@ -152,19 +137,12 @@ class OutcomeDistribution:
         return self.params.epsilon
 
     @cached_property
-    def q(self) -> np.ndarray:
-        q = np.zeros(_check_dense_size(self.N) + 1)
-        q[self.lo : self.lo + self.log_q_window.size] = np.exp(self.log_q_window)
-        return q
-
-    @cached_property
-    def log_q(self) -> np.ndarray:
-        return _log_q(self.params, 0, _check_dense_size(self.N))
+    def q(self) -> SparseFloats:
+        window = range(self.lo, self.lo + self.log_q_window.size)
+        return SparseFloats(self.N + 1, window, np.exp(self.log_q_window).tolist())
 
     def to_payload(self) -> dict:
-        window = range(self.lo, self.lo + self.log_q_window.size)
-        q = SparseFloats(self.N + 1, window, np.exp(self.log_q_window).tolist())
-        return _q_payload(self.N, self.epsilon, q, "exact", None, None)
+        return _q_payload(self.N, self.epsilon, self.q, "exact", None, None)
 
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 1..15, from
@@ -349,9 +327,9 @@ class McResult:
     """Empirical outcome counts from a seeded protocol simulation.
 
     Only the outcomes that occurred are stored: outcomes[i] parties were
-    distilled in tallies[i] trials, outcomes ascending.  counts and freq are
-    dense over 0..N, refused above MAX_DENSE_N.  The payload's q is a
-    SparseFloats over 0..N that stores the frequencies of those outcomes.
+    distilled in tallies[i] trials, outcomes ascending.  The payload's q is
+    a SparseFloats over 0..N that holds the frequencies of those outcomes,
+    tallies / trials.
     """
 
     N: int
@@ -360,16 +338,6 @@ class McResult:
     tallies: np.ndarray
     trials: int
     seed: int
-
-    @property
-    def counts(self) -> np.ndarray:
-        counts = np.zeros(_check_dense_size(self.N) + 1, dtype=np.int64)
-        counts[self.outcomes] = self.tallies
-        return counts
-
-    @property
-    def freq(self) -> np.ndarray:
-        return self.counts / self.trials
 
     def to_payload(self) -> dict:
         freq = (self.tallies / self.trials).tolist()

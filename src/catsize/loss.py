@@ -100,27 +100,13 @@ class LossCurve:
     """Suppressions of the GHZ reference (n_ref qubits) and the cat state on
     a lam grid.
 
-    The columns are computed when read, and to_csv computes the rows as
-    its text is consumed, so a long curve is never held in memory.
+    to_csv is the one way to read it: the rows are computed as its text is
+    consumed, so a long curve is never held in memory.
     """
 
     params: CatParams
     n_ref: int
     lambdas: Sequence[float]
-
-    def _ghz(self):
-        return map(partial(_ghz_loss, self.n_ref), self.lambdas)
-
-    def _cat(self):
-        return map(partial(_cat_loss, *_cat_consts(self.params)), self.lambdas)
-
-    @property
-    def ghz_suppression(self) -> tuple[float, ...]:
-        return tuple(self._ghz())
-
-    @property
-    def cat_suppression(self) -> tuple[float, ...]:
-        return tuple(self._cat())
 
     def to_csv(self):
         """CSV with header ``lambda,ghz_suppression,cat_suppression``, as a
@@ -129,8 +115,9 @@ class LossCurve:
         The rows are computed and formatted block by block as the chunks
         are read; ``"".join(curve.to_csv())`` is the whole text.
         """
-        rows = zip(self.lambdas, self._ghz(), self._cat())
-        return csv_chunks("lambda,ghz_suppression,cat_suppression", rows)
+        ghz = map(partial(_ghz_loss, self.n_ref), self.lambdas)
+        cat = map(partial(_cat_loss, *_cat_consts(self.params)), self.lambdas)
+        return csv_chunks("lambda,ghz_suppression,cat_suppression", zip(self.lambdas, ghz, cat))
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas) -> LossCurve:

@@ -7,9 +7,9 @@ contract for key order).
 
 ``json_chunks`` and ``csv_chunks`` yield the text in pieces of at most
 _FLOAT_BATCH values each, so a writer never holds a long payload at once;
-``dumps_json`` and ``csv_text`` join the same pieces.  A long list that is
-+0.0 almost everywhere is a ``SparseFloats``, written from one cached run
-of zeros without forming the list.
+``dumps_json`` joins the same pieces.  A long list that is +0.0 almost
+everywhere is a ``SparseFloats``, written from one cached run of zeros
+without forming the list.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from itertools import chain, islice, repeat
 from numbers import Integral, Real
 
-__all__ = ["SparseFloats", "fmt_float", "json_chunks", "dumps_json", "csv_chunks", "csv_text"]
+__all__ = ["SparseFloats", "fmt_float", "json_chunks", "dumps_json", "csv_chunks"]
 
 # values per formatting batch, CSV rows per chunk and zeros per written run
 _FLOAT_BATCH = 4096
@@ -186,8 +186,3 @@ def csv_chunks(header: str, rows):
                 for row in block
             )
         yield _format(template, cells)
-
-
-def csv_text(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row; strings as-is, numbers as fmt_float."""
-    return "".join(csv_chunks(header, rows))

@@ -142,7 +142,7 @@ def _check_protocol(max_n: int) -> tuple[CheckResult, ...]:
         for eps in STANDARD_EPSILONS:
             params = CatParams(n, eps)
             q_dense, branches = oracle.enumerate_protocol(params)
-            q_closed = distillation.outcome_distribution(params).q
+            q_closed = np.fromiter(distillation.outcome_distribution(params).q, float, n + 1)
             worst_q = max(worst_q, float(np.max(np.abs(q_dense - q_closed))))
             mean = float(np.dot(np.arange(n + 1), q_dense))
             expected = expected_n(params)

@@ -315,6 +315,17 @@ def test_n_beyond_largest_double_exit_2(capsys):
     assert err.startswith("error:") and "largest double" in err
 
 
+@pytest.mark.parametrize("command", ["decoherence-curve", "loss-curve"])
+def test_n_ref_beyond_largest_double_exit_2(capsys, command):
+    # refused before the CSV header is written
+    code, out, err = run_cli(
+        capsys, command, "--n", "10", "--epsilon", "0.1", "--steps", "3",
+        "--n-ref", "1" + "0" * 400,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n_ref") and "largest double" in err
+
+
 def test_import_loads_only_the_library():
     import catsize
 
@@ -486,7 +497,7 @@ def test_distill_sim_mean_sanity(capsys):
     q = np.array(json.loads(out)["mc"]["q"])
     mean = float(np.arange(9) @ q)
     p = CatParams(8, 0.5)
-    exact = outcome_distribution(p).q
+    exact = np.fromiter(outcome_distribution(p).q, float, 9)
     var = float((np.arange(9) ** 2) @ exact) - expected_n(p) ** 2
     assert abs(mean - expected_n(p)) < 4.0 * math.sqrt(var / 20000)
 

@@ -177,14 +177,15 @@ def test_decay_curve_validation():
 
 def test_decay_curve_trivial_grid():
     curve = decay_curve(CatParams(4, 0.3), 2, [0.0])
-    assert list(curve.ghz_norm) == [1.0]
-    assert list(curve.cat_norm) == [1.0]
+    assert "".join(curve.to_csv()) == "gamma_t,ghz_norm,cat_norm\n0,1,1\n"
 
 
 def test_decay_curve_ghz_case_columns_identical():
     n = 6
     curve = decay_curve(CatParams(n, HALF_PI), n, np.linspace(0.0, 2.0, 9))
-    assert np.max(np.abs(np.subtract(curve.ghz_norm, curve.cat_norm))) < 1e-12
+    rows = np.loadtxt("".join(curve.to_csv()).splitlines(), delimiter=",", skiprows=1)
+    assert rows.shape == (9, 3)
+    assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-12
 
 
 def test_decay_curve_first_order_agreement():

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import sys
 import time
 
@@ -153,20 +154,32 @@ def test_success_probability_range_checks():
         success_probability(p, 4, False)
 
 
+def _dense_q(dist) -> np.ndarray:
+    # q_0..q_N as an array, read from the distribution's sparse q
+    return np.fromiter(dist.q, float, dist.N + 1)
+
+
+def _q_at(dist, k: int) -> float:
+    # q_k read from the stored entries of the sparse q; 0.0 outside them
+    return dict(zip(dist.q.indices, dist.q.values)).get(k, 0.0)
+
+
+def _counts(res) -> np.ndarray:
+    # the Monte Carlo counts over 0..N, from the observed outcomes
+    return np.bincount(res.outcomes, weights=res.tallies, minlength=res.N + 1)
+
+
 def test_outcome_distribution_hand_case():
     dist = outcome_distribution(CatParams(2, PI_3))
-    np.testing.assert_allclose(dist.q, [0.4, 0.4, 0.2], atol=1e-15)
-    assert abs(dist.q.sum() - 1.0) < 1e-15
+    np.testing.assert_allclose(list(dist.q), [0.4, 0.4, 0.2], atol=1e-15)
+    assert abs(math.fsum(dist.q) - 1.0) < 1e-15
 
 
 def test_outcome_distribution_trivial_cases():
-    d = outcome_distribution(CatParams(6, HALF_PI))
-    assert d.q[6] == pytest.approx(1.0, abs=1e-12)
-    assert d.q[:6].sum() < 1e-12
-    d0 = outcome_distribution(CatParams(6, 0.0))
-    assert d0.q[0] == 1.0
-    assert d0.q[1:].sum() == 0.0
-    assert d0.log_q[0] == 0.0
+    q = _dense_q(outcome_distribution(CatParams(6, HALF_PI)))
+    assert q[6] == pytest.approx(1.0, abs=1e-12)
+    assert q[:6].sum() < 1e-12
+    assert list(outcome_distribution(CatParams(6, 0.0)).q) == [1.0] + [0.0] * 6
 
 
 @pytest.mark.parametrize(
@@ -175,21 +188,14 @@ def test_outcome_distribution_trivial_cases():
 )
 def test_outcome_distribution_sums_to_one(n, eps):
     dist = outcome_distribution(CatParams(n, eps))
-    assert np.all(dist.q >= 0.0)
-    assert abs(dist.q.sum() - 1.0) < 1e-12
-    # same conclusion through log-sum-exp over the log-domain vector
-    finite = dist.log_q[np.isfinite(dist.log_q)]
+    q = _dense_q(dist)
+    assert np.all(q >= 0.0)
+    assert abs(q.sum() - 1.0) < 1e-12
+    # same conclusion through log-sum-exp over the stored log-domain window
+    finite = dist.log_q_window[np.isfinite(dist.log_q_window)]
     peak = finite.max()
     lse = peak + math.log(np.exp(finite - peak).sum())
     assert abs(math.exp(lse) - 1.0) < 1e-12
-
-
-def test_outcome_distribution_log_tail_retained():
-    dist = outcome_distribution(CatParams(10**4, 0.01))
-    tail = dist.q == 0.0
-    assert np.any(tail)  # deep tail underflows in linear domain
-    assert np.all(np.isfinite(dist.log_q[tail]))
-    assert np.all(dist.log_q[tail] < -700.0)
 
 
 WINDOW_GRID = [
@@ -206,16 +212,42 @@ def test_window_matches_the_dense_pmf(n, eps):
     dist = outcome_distribution(p)
     dense_log_q = distillation._log_q(p, 0, n)
     dense_q = np.exp(dense_log_q)
-    assert list(dist.to_payload()["q"]) == dense_q.tolist()
-    np.testing.assert_array_equal(dist.q, dense_q)
+    assert dist.to_payload()["q"] is dist.q
+    assert len(dist.q) == n + 1
+    assert list(dist.q) == dense_q.tolist()
     nonzero = np.flatnonzero(dense_q)
     assert dist.lo <= nonzero[0]
     assert nonzero[-1] < dist.lo + dist.log_q_window.size
     if p.one_minus_c > 0.0:
-        assert np.all(np.isfinite(dist.log_q))
+        assert np.all(np.isfinite(dense_log_q))
     else:
         # 1 - c rounds to 0: q_k = 0 exactly for k >= 1
-        assert dist.log_q[0] == 0.0 and np.all(dist.log_q[1:] == -np.inf)
+        assert dense_log_q[0] == 0.0 and np.all(dense_log_q[1:] == -np.inf)
+
+
+SPARSE_Q_GRID = [
+    (n, eps)
+    for n in (1, 2, 10, 10**3, 10**6, 10**7, 2**27)
+    for eps in (0.0, 5e-324, 1e-300, 1e-3, 1 / math.sqrt(n), math.pi / 4,
+                math.nextafter(HALF_PI, 0.0), HALF_PI)
+]
+
+
+@pytest.mark.parametrize("n,eps", SPARSE_Q_GRID)
+def test_sparse_q_sums_to_one_with_the_closed_form_mean(n, eps):
+    # read through dist.q alone.  It is +0.0 outside its stored entries, so
+    # sums over those entries are sums over all N + 1, without iterating
+    # 2^27 zeros; at small N the full iteration is checked to agree
+    p = CatParams(n, eps)
+    q = outcome_distribution(p).q
+    assert len(q) == n + 1
+    assert abs(math.fsum(q.values) - 1.0) <= 1e-12
+    mean = math.fsum(map(operator.mul, q.indices, q.values))
+    expected = expected_n(p)
+    assert abs(mean - expected) <= 1e-10 * expected
+    if n <= 10**3:
+        assert math.fsum(q) == math.fsum(q.values)
+        assert math.fsum(k * v for k, v in enumerate(q)) == mean
 
 
 def _mp_outcome(n, eps, k):
@@ -237,16 +269,18 @@ def _mp_outcome(n, eps, k):
 )
 def test_outcome_distribution_matches_mpmath(n, eps):
     # the saddle-point pmf against 40-digit binomials at k = 1, 2, the mode,
-    # the mode + 3 sigma, N/2 and N
+    # the mode + 3 sigma, N/2 and N; ln q_k also in the tails, where q_k
+    # underflows and the window holds no entry
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
     mode = math.floor((n + 1) * p.one_minus_c)
     sigma = math.sqrt(n * p.one_minus_c * p.c_eps)
     for k in sorted({1, 2, mode, min(n, mode + math.ceil(3 * sigma)), n // 2, n}):
         q_ref, log_ref = _mp_outcome(n, eps, k)
-        assert abs(dist.log_q[k] - log_ref) <= 1e-12 * max(1.0, abs(log_ref)), k
+        ln_q = distillation._log_q(p, k, k)[0]
+        assert abs(ln_q - log_ref) <= 1e-12 * max(1.0, abs(log_ref)), k
         if q_ref >= sys.float_info.min:
-            assert abs(dist.q[k] - q_ref) <= 1e-12 * q_ref, k
+            assert abs(_q_at(dist, k) - q_ref) <= 1e-12 * q_ref, k
 
 
 def test_outcome_distribution_top_entry_near_half_pi():
@@ -254,7 +288,7 @@ def test_outcome_distribution_top_entry_near_half_pi():
     # log1p(-c); the log of the rounded 1 - c is off by ~N ulp, 1e-10 here
     n, eps = 10**6, HALF_PI - 1e-5
     q_ref, _ = _mp_outcome(n, eps, n)
-    assert abs(outcome_distribution(CatParams(n, eps)).q[n] - q_ref) <= 1e-12 * q_ref
+    assert abs(_q_at(outcome_distribution(CatParams(n, eps)), n) - q_ref) <= 1e-12 * q_ref
 
 
 def _mp_stirlerr(n):
@@ -291,7 +325,7 @@ def test_bd0_matches_mpmath_on_both_branches(m):
 def test_expected_n_matches_distribution_mean(n, eps):
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
-    mean = float(np.arange(n + 1) @ dist.q)
+    mean = float(np.arange(n + 1) @ _dense_q(dist))
     assert mean == pytest.approx(expected_n(p), rel=1e-10)
 
 
@@ -314,9 +348,9 @@ def test_simulation_deterministic_and_reproducible():
     a = simulate_protocol(p, 2000, seed=42)
     b = simulate_protocol(p, 2000, seed=42)
     c = simulate_protocol(p, 2000, seed=43)
-    assert np.array_equal(a.counts, b.counts)
-    assert not np.array_equal(a.counts, c.counts)
-    assert a.counts.sum() == 2000
+    assert np.array_equal(_counts(a), _counts(b))
+    assert not np.array_equal(_counts(a), _counts(c))
+    assert a.tallies.sum() == 2000
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
@@ -351,25 +385,25 @@ def test_array_results_compare_by_identity_and_hash():
 
 def test_simulation_half_pi_always_succeeds():
     res = simulate_protocol(CatParams(5, HALF_PI), 500, seed=1)
-    assert res.counts[5] == 500
+    assert (res.outcomes.tolist(), res.tallies.tolist()) == ([5], [500])
 
 
 def test_simulation_product_state_never_succeeds():
     res = simulate_protocol(CatParams(5, 0.0), 500, seed=1)
-    assert res.counts[0] == 500
+    assert (res.outcomes.tolist(), res.tallies.tolist()) == ([0], [500])
 
 
 def test_simulation_matches_exact_distribution():
     p = CatParams(2, PI_3)
     trials = 10**5
     res = simulate_protocol(p, trials, seed=12345)
-    exact = outcome_distribution(p).q
-    emp = res.freq
+    exact = _dense_q(outcome_distribution(p))
+    counts = _counts(res)
     se = np.sqrt(exact * (1 - exact) / trials)
-    assert np.all(np.abs(emp - exact) <= 4.0 * se)
+    assert np.all(np.abs(counts / trials - exact) <= 4.0 * se)
     # chi-squared goodness of fit at significance 1e-3 (2 dof); the 2-dof
     # survival function is exp(-x/2), so the threshold is -2 ln(1e-3)
-    stat = float((((res.counts - exact * trials) ** 2) / (exact * trials)).sum())
+    stat = float((((counts - exact * trials) ** 2) / (exact * trials)).sum())
     assert stat < -2.0 * math.log(1e-3)
 
 
@@ -378,10 +412,10 @@ def test_simulation_mean_within_clt_bound():
     trials = 10**4
     res = simulate_protocol(p, trials, seed=12345)
     n_vals = np.arange(9)
-    exact = outcome_distribution(p).q
+    exact = _dense_q(outcome_distribution(p))
     mean_exact = float(n_vals @ exact)
     var_exact = float((n_vals**2) @ exact) - mean_exact**2
-    mean_emp = float(n_vals @ res.freq)
+    mean_emp = float(n_vals @ (_counts(res) / trials))
     assert abs(mean_emp - mean_exact) <= 4.0 * math.sqrt(var_exact / trials)
 
 
@@ -415,13 +449,14 @@ def test_simulation_headline_scale_pooled_chi_square():
     start = time.perf_counter()
     res = simulate_protocol(p, trials, seed=2024)
     elapsed = time.perf_counter() - start
-    expected = outcome_distribution(p).q * trials
+    expected = _dense_q(outcome_distribution(p)) * trials
+    counts = _counts(res)
     cut = int(np.argmax(expected < 5.0))
     cut -= int(expected[cut:].sum() < 5.0)
     exp_bins = np.append(expected[:cut], expected[cut:].sum())
-    obs_bins = np.append(res.counts[:cut], res.counts[cut:].sum())
+    obs_bins = np.append(counts[:cut], counts[cut:].sum())
     stat = float((((obs_bins - exp_bins) ** 2) / exp_bins).sum())
-    assert res.counts.sum() == trials
+    assert res.tallies.sum() == trials
     assert np.all(exp_bins >= 5.0)
     assert _chi2_sf(stat, exp_bins.size - 1) > 1e-3
     assert elapsed < 10.0
@@ -433,7 +468,7 @@ def test_simulation_domain_edges(n, eps):
     # p_before rounds to 1 at eps = pi/2 and to 0 at the two small angles;
     # any numpy RuntimeWarning fails the test
     res = simulate_protocol(CatParams(n, eps), 1000, seed=9)
-    assert res.counts[n if eps == HALF_PI else 0] == 1000
+    assert (res.outcomes.tolist(), res.tallies.tolist()) == ([n if eps == HALF_PI else 0], [1000])
 
 
 def test_distribution_size_cap(monkeypatch):
@@ -443,29 +478,8 @@ def test_distribution_size_cap(monkeypatch):
         outcome_distribution(CatParams(11, 0.5))
     with pytest.raises(ValueError, match="exceeds 10"):
         simulate_protocol(CatParams(11, 0.5), 5, seed=0)
-    assert outcome_distribution(CatParams(10, 0.5)).q.size == 11
-    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).counts.sum() == 5
-
-
-def test_dense_arrays_size_cap(monkeypatch):
-    # the window, the sparse counts and the payloads stay available above
-    # the dense cap; only the dense arrays over 0..N are refused
-    assert distillation.MAX_DENSE_N >= 10**6
-    monkeypatch.setattr(distillation, "MAX_DENSE_N", 10)
-    params = CatParams(11, 0.5)
-    dist = outcome_distribution(params)
-    res = simulate_protocol(params, 5, seed=0)
-    for name in ("q", "log_q"):
-        with pytest.raises(ValueError, match="exceeds 10"):
-            getattr(dist, name)
-    for name in ("counts", "freq"):
-        with pytest.raises(ValueError, match="exceeds 10"):
-            getattr(res, name)
-    assert len(dist.to_payload()["q"]) == len(res.to_payload()["q"]) == 12
-    assert res.tallies.sum() == 5
-    small = outcome_distribution(CatParams(10, 0.5))
-    assert small.q.size == small.log_q.size == 11
-    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).freq.size == 11
+    assert len(outcome_distribution(CatParams(10, 0.5)).q) == 11
+    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
 
 
 SAMPLER_GRID = [
@@ -497,7 +511,7 @@ def test_simulation_matches_the_table_sampler(n, eps, trials):
     # same seed, same draw order: the same counts as the O(N)-table sampler
     p = CatParams(n, eps)
     res = simulate_protocol(p, trials, seed=31)
-    np.testing.assert_array_equal(res.counts, _reference_simulate(p, trials, 31))
+    np.testing.assert_array_equal(_counts(res), _reference_simulate(p, trials, 31))
     assert np.all(res.tallies > 0) and np.all(np.diff(res.outcomes) > 0)
 
 
@@ -549,6 +563,7 @@ def test_payload_schemas():
     assert mc["source"] == "mc"
     assert mc["trials"] == 100 and mc["seed"] == 5
     # q is a SparseFloats, which the package's JSON writer writes as a list
-    refs = (outcome_distribution(p).q, simulate_protocol(p, 100, seed=5).freq)
+    mc_freq = _counts(simulate_protocol(p, 100, seed=5)) / 100
+    refs = (list(outcome_distribution(p).q), mc_freq.tolist())
     for payload, ref in zip((exact, mc), refs):
-        assert json.loads(dumps_json(payload)) == {**payload, "q": ref.tolist()}
+        assert json.loads(dumps_json(payload)) == {**payload, "q": ref}

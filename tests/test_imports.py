@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -137,8 +138,12 @@ def test_each_name_has_one_home():
 
 
 def test_moved_names_stay_where_callers_found_them():
-    # the CLI bindings that perfbench's tracer wraps stay module attributes
-    from catsize import cli
+    # everything perfbench's tracer wraps or reads stays where it is found:
+    # the CLI bindings, the result methods, the oracle kernels as validation
+    # reaches them, and numpy as the oracle reaches it
+    import numpy as np
+
+    from catsize import cli, decoherence, distillation, loss, oracle, validation
 
     for name in (
         "CatParams", "decay_curve", "loss_curve", "outcome_distribution",
@@ -146,6 +151,27 @@ def test_moved_names_stay_where_callers_found_them():
     ):
         assert callable(getattr(cli, name)), name
     assert cli.__all__ == ["main"]
+    for owner, name in (
+        (decoherence.DecayCurve, "to_csv"), (loss.LossCurve, "to_csv"),
+        (distillation.OutcomeDistribution, "to_payload"), (distillation.McResult, "to_payload"),
+    ):
+        assert callable(getattr(owner, name)), name
+    assert validation.oracle is oracle
+    assert oracle.np is np
+    for name in (
+        "apply_product_channel", "dense_trace_norm", "enumerate_protocol", "enumerate_loss",
+        "build_cat_state", "kron_power", "kron_all",
+    ):
+        assert callable(getattr(oracle, name)), name
+    # the tracer counts len(result.q): N + 1, in memory of the window only
+    tracemalloc.start()
+    try:
+        q = distillation.outcome_distribution(catsize.CatParams(2**27, 1e-3)).q
+        assert len(q) == 2**27 + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     with pytest.raises(AttributeError):
         catsize.no_such_name  # noqa: B018
 

@@ -304,7 +304,7 @@ def test_enumerate_protocol_half_pi_single_branch():
 @pytest.mark.parametrize("n,eps", [(4, 0.8), (5, 0.3), (6, 1.2)])
 def test_enumerate_protocol_ghz_fidelities(n, eps):
     q, branches = enumerate_protocol(CatParams(n, eps))
-    closed = outcome_distribution(CatParams(n, eps)).q
+    closed = np.fromiter(outcome_distribution(CatParams(n, eps)).q, float, n + 1)
     np.testing.assert_allclose(q, closed, atol=1e-10)
     for b in branches:
         if b.n_success >= 1 and b.state is not None:

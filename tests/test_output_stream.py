@@ -151,6 +151,12 @@ def test_output_file_holds_the_same_bytes(capsys, tmp_path):
         assert path.read_text(encoding="utf-8") == run(capsys, argv)
 
 
+def csv_columns(curve):
+    # the columns of a curve, parsed from its CSV text (%.17g round-trips)
+    lines = "".join(curve.to_csv()).splitlines()[1:]
+    return tuple(zip(*(map(float, line.split(",")) for line in lines)))
+
+
 # eps and endpoints on both sides of each curve's branch: the log1p form
 # near 0, the sum-of-terms form past it, and lam = 1
 @pytest.mark.parametrize("eps", [0.2, 1.2, HALF_PI])
@@ -158,19 +164,21 @@ def test_decay_columns_match_the_point_functions(eps):
     p = CatParams(30, eps)
     grid = np.linspace(0.0, 25.0, 9001).tolist()
     curve = decay_curve(p, 7, _Linspace(25.0, 9001))
-    assert list(curve.times) == grid
-    assert curve.ghz_norm == tuple(ghz_offdiag_norm(7, t) for t in grid)
-    assert curve.cat_norm == tuple(cat_offdiag_norm(p, t) for t in grid)
-    assert decay_curve(p, 7, grid).cat_norm == curve.cat_norm
+    times, ghz, cat = csv_columns(curve)
+    assert list(curve.times) == list(times) == grid
+    assert ghz == tuple(ghz_offdiag_norm(7, t) for t in grid)
+    assert cat == tuple(cat_offdiag_norm(p, t) for t in grid)
+    assert csv_columns(decay_curve(p, 7, grid)) == (times, ghz, cat)
 
 
 @pytest.mark.parametrize("eps", [0.2, 1.3, HALF_PI])
 @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 9001).tolist(), [0.0, 0.5, 1.0, 1.0]])
 def test_loss_columns_match_the_point_functions(eps, grid):
     p = CatParams(30, eps)
-    curve = loss_curve(p, 7, grid)
-    assert curve.ghz_suppression == tuple(ghz_loss_suppression(7, LossModel(x)) for x in grid)
-    assert curve.cat_suppression == tuple(cat_loss_suppression(p, LossModel(x)) for x in grid)
+    lams, ghz, cat = csv_columns(loss_curve(p, 7, grid))
+    assert list(lams) == grid
+    assert ghz == tuple(ghz_loss_suppression(7, LossModel(x)) for x in grid)
+    assert cat == tuple(cat_loss_suppression(p, LossModel(x)) for x in grid)
 
 
 @pytest.mark.parametrize("window", [[0.0, math.nan], [math.inf], [-math.inf, 0.0, math.nan]])
@@ -267,4 +275,4 @@ def test_json_chunks_join_to_the_text():
     chunks = list(json_chunks(payload))
     assert "".join(chunks) == dumps_json(payload)
     assert max(map(len, chunks)) < 4096 * 25
-    assert json.loads(dumps_json(payload))["exact"]["q"] == outcome_distribution(p).q.tolist()
+    assert json.loads(dumps_json(payload))["exact"]["q"] == list(outcome_distribution(p).q)

@@ -8,7 +8,6 @@ from catsize.serialize import (
     _FLOAT_BATCH,
     SparseFloats,
     csv_chunks,
-    csv_text,
     dumps_json,
     fmt_float,
     json_chunks,
@@ -19,7 +18,7 @@ def test_finite_values_round_trip():
     assert fmt_float(0.1) == "0.10000000000000001"
     assert float(fmt_float(5e-324)) == 5e-324
     assert dumps_json({"a": [1.5, np.float64(2.0)], "b": None}) == '{"a": [1.5, 2], "b": null}'
-    assert csv_text("x,y", [("PASS", 0.25)]) == "x,y\nPASS,0.25\n"
+    assert "".join(csv_chunks("x,y", [("PASS", 0.25)])) == "x,y\nPASS,0.25\n"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(np.inf)])
@@ -28,7 +27,7 @@ def test_non_finite_values_are_refused(bad):
     with pytest.raises(ValueError, match="non-finite"):
         dumps_json({"q": [0.5, bad]})
     with pytest.raises(ValueError, match="non-finite"):
-        csv_text("gamma_t,ghz_norm", [(0.0, 1.0), (1.0, bad)])
+        "".join(csv_chunks("gamma_t,ghz_norm", [(0.0, 1.0), (1.0, bad)]))
 
 
 def test_float_lists_match_the_per_value_form():
@@ -133,7 +132,8 @@ def test_chunks_join_to_the_text():
     assert json.loads(dumps_json(obj)) == obj
     rows = [(0.5 * i, 1.0, 2.0) for i in range(2 * _FLOAT_BATCH + 3)] + [("x", 0.25)]
     chunks = list(csv_chunks("a,b,c", rows))
-    assert "".join(chunks) == csv_text("a,b,c", rows)
+    lines = (",".join(v if isinstance(v, str) else fmt_float(v) for v in row) for row in rows)
+    assert "".join(chunks) == "a,b,c\n" + "".join(line + "\n" for line in lines)
     assert len(chunks) == 1 + 3
     assert chunks[-1].endswith("x,0.25\n")
 
@@ -157,20 +157,20 @@ def test_numpy_values_keep_their_tokens(value, token):
         row, line = ("x", value), "x," + fmt_float(value)
     else:
         row, line = tuple(value), ",".join(fmt_float(v) for v in value)
-    assert csv_text("a,b", [row]) == "a,b\n" + line + "\n"
+    assert "".join(csv_chunks("a,b", [row])) == "a,b\n" + line + "\n"
 
 
 def test_numpy_int_in_csv_is_a_float_token():
-    assert csv_text("a", [(np.int64(2**62),)]) == "a\n4.6116860184273879e+18\n"
+    assert "".join(csv_chunks("a", [(np.int64(2**62),)])) == "a\n4.6116860184273879e+18\n"
 
 
 def test_numpy_bool_and_inf_keep_their_behaviour():
     for obj in ({"v": np.bool_(True)}, [np.bool_(False), 1.0]):
         with pytest.raises(TypeError, match="cannot serialize object of type bool"):
             dumps_json(obj)
-    assert csv_text("a,b", [("x", np.bool_(True))]) == "a,b\nx,1\n"
+    assert "".join(csv_chunks("a,b", [("x", np.bool_(True))])) == "a,b\nx,1\n"
     for obj in ({"v": np.float64(np.inf)}, [np.float64(np.inf), 1.0]):
         with pytest.raises(ValueError, match="cannot serialize non-finite value inf"):
             dumps_json(obj)
     with pytest.raises(ValueError, match="cannot serialize non-finite value inf"):
-        csv_text("a,b", [("x", np.float64(np.inf))])
+        "".join(csv_chunks("a,b", [("x", np.float64(np.inf))]))
