@@ -27,6 +27,7 @@ _EXPORTS = {
     "DistillationBound": "core",
     "EffectiveSizeReport": "report",
     "FilterMeasurement": "distillation",
+    "Linspace": "core",
     "LossCurve": "loss",
     "LossModel": "loss",
     "McResult": "distillation",

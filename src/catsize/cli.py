@@ -17,7 +17,7 @@ import os
 import sys
 from itertools import chain
 
-from .core import CatParams, _Linspace
+from .core import CatParams, Linspace
 from .decoherence import decay_curve, effective_size_decoherence
 from .loss import effective_size_loss, loss_curve
 from .report import build_effective_size_report
@@ -60,15 +60,10 @@ class _UsageError(Exception):
 
 
 def _resolve_epsilon(args: argparse.Namespace) -> float:
-    has_eps = args.epsilon is not None
-    has_overlap = getattr(args, "epsilon_sq_overlap", None) is not None
-    if has_eps and has_overlap:
-        raise _UsageError("provide either --epsilon or --epsilon-sq-overlap, not both")
-    if not has_eps and not has_overlap:
-        raise _UsageError("one of --epsilon or --epsilon-sq-overlap is required")
-    if has_eps:
-        return args.epsilon
+    # argparse lets exactly one of --epsilon and --epsilon-sq-overlap through
     v = args.epsilon_sq_overlap
+    if v is None:
+        return args.epsilon
     if not (0.0 <= v <= 1.0):
         raise _UsageError(f"--epsilon-sq-overlap must lie in [0, 1], got {v!r}")
     return math.asin(math.sqrt(v))
@@ -95,18 +90,6 @@ def _emit(chunks, output: str | None) -> None:
         raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
-def _curve_grid(
-    args: argparse.Namespace, endpoint: float, matched_size: float
-) -> tuple[int, _Linspace]:
-    # GHZ reference size (default: the rounded matched size, at least 1) and
-    # the grid 0..endpoint, bit for bit np.linspace(0.0, endpoint, steps),
-    # computed as the curve is written
-    if not (2 <= args.steps <= MAX_CURVE_STEPS):
-        raise _UsageError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
-    n_ref = args.n_ref if args.n_ref is not None else max(1, round(matched_size))
-    return n_ref, _Linspace(endpoint, args.steps)
-
-
 def _cmd_effective_size(args: argparse.Namespace) -> int:
     params = CatParams(args.n, _resolve_epsilon(args))
     report = build_effective_size_report(params)
@@ -114,12 +97,17 @@ def _cmd_effective_size(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decoherence_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> int:
+    # decoherence-curve and loss-curve.  The factory named by args.curve is
+    # looked up on the module at the call, so a replacement is seen; it and
+    # Linspace check the endpoint.  n_ref defaults to the rounded matched
+    # size, at least 1.
     params = CatParams(args.n, _resolve_epsilon(args))
-    if not (0.0 < args.gamma_t_max < math.inf):
-        raise _UsageError(f"--gamma-t-max must be finite and > 0, got {args.gamma_t_max!r}")
-    n_ref, grid = _curve_grid(args, args.gamma_t_max, effective_size_decoherence(params))
-    _emit(decay_curve(params, n_ref, grid).to_csv(), args.output)
+    if not (2 <= args.steps <= MAX_CURVE_STEPS):
+        raise _UsageError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
+    n_ref = args.n_ref if args.n_ref is not None else max(1, round(args.matched_size(params)))
+    curve = getattr(_CLI, args.curve)(params, n_ref, Linspace(args.endpoint, args.steps))
+    _emit(curve.to_csv(), args.output)
     return 0
 
 
@@ -129,15 +117,6 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
     empirical = _CLI.simulate_protocol(params, args.trials, args.seed)
     payload = {"exact": exact.to_payload(), "mc": empirical.to_payload()}
     _emit(chain(json_chunks(payload), ["\n"]), args.output)
-    return 0
-
-
-def _cmd_loss_curve(args: argparse.Namespace) -> int:
-    params = CatParams(args.n, _resolve_epsilon(args))
-    if not (0.0 < args.lambda_max <= 1.0):
-        raise _UsageError(f"--lambda-max must lie in (0, 1], got {args.lambda_max!r}")
-    n_ref, grid = _curve_grid(args, args.lambda_max, effective_size_loss(params))
-    _emit(loss_curve(params, n_ref, grid).to_csv(), args.output)
     return 0
 
 
@@ -163,14 +142,16 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output", default=None, help="output path (default stdout)")
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--n", type=int, required=True, help="number of qubits N")
-    state.add_argument(
-        "--epsilon", type=float, default=None, help="branch angle in radians, [0, pi/2]"
-    )
-    state.add_argument(
+    angle = state.add_mutually_exclusive_group(required=True)
+    angle.add_argument("--epsilon", type=float, help="branch angle in radians, [0, pi/2]")
+    angle.add_argument(
         "--epsilon-sq-overlap",
         type=float,
-        default=None,
         help="alternative input 1 - |<phi1|phi2>|^2; converted via eps = asin(sqrt(.))",
+    )
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument(
+        "--steps", type=int, default=50, help=f"grid points, in [2, {MAX_CURVE_STEPS}]"
     )
 
     def command(name, func, summary, parents=(state, output)):
@@ -178,40 +159,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
+    def curve_command(name, factory, matched_size, summary, flag, flag_help, n_ref_help):
+        p = command(name, _cmd_curve, summary, (state, curve, output))
+        p.set_defaults(curve=factory, matched_size=matched_size)
+        p.add_argument(flag, dest="endpoint", type=float, default=1.0, help=flag_help)
+        n_ref_help = f"GHZ reference size (default: rounded {n_ref_help}, at least 1)"
+        p.add_argument("--n-ref", type=int, help=n_ref_help)
+
     command(
         "effective-size", _cmd_effective_size, "all effective-size measures as one JSON report"
     )
 
-    p = command(
-        "decoherence-curve", _cmd_decoherence_curve, "GHZ vs cat off-diagonal decay curves as CSV"
-    )
-    p.add_argument(
-        "--gamma-t-max", type=float, default=1.0, help="grid endpoint, finite and > 0"
-    )
-    p.add_argument("--steps", type=int, default=50, help=f"grid points, in [2, {MAX_CURVE_STEPS}]")
-    p.add_argument(
-        "--n-ref",
-        type=int,
-        default=None,
-        help="GHZ reference size (default: rounded N sin^2 eps, at least 1)",
+    curve_command(
+        "decoherence-curve", "decay_curve", effective_size_decoherence,
+        "GHZ vs cat off-diagonal decay curves as CSV",
+        "--gamma-t-max", "grid endpoint, finite and > 0", "N sin^2 eps",
     )
 
     p = command(
         "distill-sim", _cmd_distill_sim, "exact and Monte Carlo distillation outcome distributions"
     )
-    p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials, >= 1")
+    p.add_argument(
+        "--trials", type=int, default=10000, help="Monte Carlo trials, >= 1, capped by run time"
+    )
     p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
 
-    p = command("loss-curve", _cmd_loss_curve, "GHZ vs cat loss-suppression curves as CSV")
-    p.add_argument(
-        "--lambda-max", type=float, default=1.0, help="grid endpoint, in (0, 1]"
-    )
-    p.add_argument("--steps", type=int, default=50, help=f"grid points, in [2, {MAX_CURVE_STEPS}]")
-    p.add_argument(
-        "--n-ref",
-        type=int,
-        default=None,
-        help="GHZ reference size (default: rounded N (1 - cos eps), at least 1)",
+    curve_command(
+        "loss-curve", "loss_curve", effective_size_loss,
+        "GHZ vs cat loss-suppression curves as CSV",
+        "--lambda-max", "grid endpoint, in (0, 1]", "N (1 - cos eps)",
     )
 
     p = command("validate", _cmd_validate, "run the oracle-equivalence suite", [output])

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
@@ -39,6 +38,7 @@ __all__ = [
     "DEPOLARIZING",
     "CHANNEL_KINDS",
     "CatParams",
+    "Linspace",
     "normalization_constant",
     "reduced_rho1",
     "entropy_s1",
@@ -64,11 +64,7 @@ def _check_positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _is_sequence(value) -> bool:
-    return isinstance(value, Iterable) and not isinstance(value, (str, bytes))
-
-
-class _Linspace(Sequence):
+class Linspace:
     """The grid of steps points from 0 to endpoint, computed as it is read.
 
     Bit for bit np.linspace(0.0, endpoint, steps): point i is i * step with
@@ -90,12 +86,6 @@ class _Linspace(Sequence):
     def __len__(self) -> int:
         return self._div + 1
 
-    def __getitem__(self, i: int) -> float:
-        i = range(self._div + 1)[i]  # the index checks of a sequence
-        if i == self._div:
-            return self.endpoint
-        return i * self._step if self._step else i / self._div * self.endpoint
-
     def __iter__(self):
         div, step, end = self._div, self._step, self.endpoint
         if step:
@@ -105,31 +95,15 @@ class _Linspace(Sequence):
         return chain(head, (end,))
 
 
-def _check_grid(grid, name: str) -> Sequence[float]:
-    """grid as a sequence of floats; ValueError unless 1-D, non-empty, finite, >= 0 and sorted.
-
-    A _Linspace is checked in O(1) and returned as it is; any other grid
-    becomes a tuple of floats.
-    """
-    if isinstance(grid, _Linspace):
-        # a subnormal step can round up so far that the point before the
-        # last one passes the endpoint
-        if grid[-2] > grid[-1]:
-            raise ValueError(f"{name} must be sorted ascending")
-        return grid
-    if hasattr(grid, "tolist"):  # a numpy array or scalar, read without importing numpy
-        grid = grid.tolist()
-    items = list(grid) if _is_sequence(grid) else []
-    if not items or any(type(v) is not float and _is_sequence(v) for v in items):
-        raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    values = tuple(map(float, items))
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must be finite")
-    if min(values) < 0.0:
-        raise ValueError(f"{name} contains negative values")
-    if list(values) != sorted(values):
+def _check_grid(grid: Linspace, name: str) -> Linspace:
+    """grid as it is, checked in O(1); TypeError unless a Linspace."""
+    if not isinstance(grid, Linspace):
+        raise TypeError(f"{name} must be a Linspace, got {type(grid).__name__}")
+    # a subnormal step can round up so far that the point before the last
+    # one passes the endpoint; where the step underflows to 0 none can
+    if (grid._div - 1) * grid._step > grid.endpoint:
         raise ValueError(f"{name} must be sorted ascending")
-    return values
+    return grid
 
 
 def _check_gamma_t(gamma_t) -> float:

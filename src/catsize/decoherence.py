@@ -18,7 +18,6 @@ GHZ size
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -26,6 +25,7 @@ from .core import (
     CHANNEL_KINDS,
     DEPHASING,
     CatParams,
+    Linspace,
     _check_gamma_t,
     _check_grid,
     _check_positive_int,
@@ -97,7 +97,7 @@ def effective_size_decoherence(params: CatParams) -> float:
 @dataclass(frozen=True)
 class DecayCurve:
     """Off-diagonal norms of the GHZ reference (n_ref qubits) and the cat
-    state on a gamma_t grid, both starting at 1.
+    state on the gamma_t grid times, a Linspace from 0, so both start at 1.
 
     to_csv is the one way to read it: the rows are computed as its text is
     consumed, so a long curve is never held in memory.
@@ -105,7 +105,7 @@ class DecayCurve:
 
     params: CatParams
     n_ref: int
-    times: Sequence[float]
+    times: Linspace
 
     def to_csv(self):
         """CSV with header ``gamma_t,ghz_norm,cat_norm``, as a stream of text chunks.
@@ -118,15 +118,11 @@ class DecayCurve:
         return csv_chunks("gamma_t,ghz_norm,cat_norm", zip(self.times, ghz, cat))
 
 
-def decay_curve(params: CatParams, n_ref: int, grid) -> DecayCurve:
-    """Both decay curves on a gamma_t grid.
+def decay_curve(params: CatParams, n_ref: int, grid: Linspace) -> DecayCurve:
+    """Both decay curves on the gamma_t grid Linspace(gamma_t_max, steps).
 
-    The grid must be finite, sorted ascending, contain no negative entries
-    and start at 0 (so both curves start at exactly 1).  It is checked
-    here, once; the points are not checked again one by one.
+    The grid is checked here, once; the points are not checked again one
+    by one.
     """
     n_ref = _check_positive_int(n_ref, "n_ref")
-    times = _check_grid(grid, "gamma_t grid")
-    if times[0] != 0.0:
-        raise ValueError("grid must start at gamma_t = 0")
-    return DecayCurve(params=params, n_ref=n_ref, times=times)
+    return DecayCurve(params=params, n_ref=n_ref, times=_check_grid(grid, "gamma_t grid"))

@@ -90,6 +90,12 @@ def build_filter(params: CatParams) -> FilterMeasurement:
 # 3.11, stdout to /dev/null): 0.3 s and 41 MiB max RSS at eps = 1e-3, and
 # 1.0 s and 84 MiB at eps = pi/4, where the window is widest.
 MAX_DISTRIBUTION_N = 2**27
+# Largest trials accepted by simulate_protocol.  Memory does not grow with
+# the trials, the time does: 1.1 s per 2^20 trials at N = 2^27 and
+# eps = 1e-3, 1.0 s at eps = pi/4 (2-core Xeon, Python 3.11).  The cap is
+# the power of two nearest the 30 s of cli.MAX_CURVE_STEPS: distill-sim
+# with 2^25 trials at N = 2^27, eps = 1e-3 takes 41 s and 43 MiB max RSS.
+MAX_TRIALS = 2**25
 # trials per block of the Monte Carlo sampler
 _MC_BLOCK = 1 << 16
 # log_q below this is left out of the stored window: exp underflows to 0.0
@@ -395,6 +401,11 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     binomial per trial with a success, in trial order.
     """
     trials = _check_positive_int(trials, "trials")
+    if trials > MAX_TRIALS:
+        raise ValueError(
+            f"trials = {trials} exceeds {MAX_TRIALS}, the largest accepted: "
+            "the simulation takes about 1 s per 2^20 trials"
+        )
     seed = _check_seed(seed)
     n = _check_distribution_size(params)
     omc = params.one_minus_c

@@ -17,11 +17,10 @@ size n_eff = N (1 - cos eps) ~ N eps^2 / 2.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
-from .core import CatParams, _check_grid, _check_positive_int
+from .core import CatParams, Linspace, _check_grid, _check_positive_int
 from .serialize import csv_chunks
 
 __all__ = [
@@ -98,7 +97,7 @@ def effective_size_loss(params: CatParams) -> float:
 @dataclass(frozen=True)
 class LossCurve:
     """Suppressions of the GHZ reference (n_ref qubits) and the cat state on
-    a lam grid.
+    the lam grid lambdas, a Linspace from 0 to at most 1.
 
     to_csv is the one way to read it: the rows are computed as its text is
     consumed, so a long curve is never held in memory.
@@ -106,7 +105,7 @@ class LossCurve:
 
     params: CatParams
     n_ref: int
-    lambdas: Sequence[float]
+    lambdas: Linspace
 
     def to_csv(self):
         """CSV with header ``lambda,ghz_suppression,cat_suppression``, as a
@@ -120,14 +119,15 @@ class LossCurve:
         return csv_chunks("lambda,ghz_suppression,cat_suppression", zip(self.lambdas, ghz, cat))
 
 
-def loss_curve(params: CatParams, n_ref: int, lambdas) -> LossCurve:
-    """Both suppression curves on a lam grid in [0, 1].
+def loss_curve(params: CatParams, n_ref: int, lambdas: Linspace) -> LossCurve:
+    """Both suppression curves on the lam grid Linspace(lambda_max, steps),
+    lambda_max <= 1.
 
     The grid is checked here, once; the points are not checked again one
     by one.
     """
     n_ref = _check_positive_int(n_ref, "n_ref")
-    lams = _check_grid(lambdas, "lambda grid")
-    if lams[-1] > 1.0:
-        raise ValueError("lambda grid must lie in [0, 1]")
-    return LossCurve(params=params, n_ref=n_ref, lambdas=lams)
+    lambdas = _check_grid(lambdas, "lambda grid")
+    if lambdas.endpoint > 1.0:
+        raise ValueError(f"lambda grid must lie in [0, 1], got endpoint {lambdas.endpoint!r}")
+    return LossCurve(params=params, n_ref=n_ref, lambdas=lambdas)

@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -10,8 +9,8 @@ import numpy as np
 import pytest
 
 from catsize import distillation
-from catsize.cli import MAX_CURVE_STEPS, _curve_grid, main
-from catsize.core import CatParams, expected_n
+from catsize.cli import MAX_CURVE_STEPS, main
+from catsize.core import CatParams, Linspace, expected_n
 from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
 from catsize.distillation import outcome_distribution
 from catsize.report import build_effective_size_report
@@ -100,18 +99,14 @@ def test_epsilon_sq_overlap_alternative(capsys):
     )
     assert code == 0
     assert json.loads(out)["epsilon"] == pytest.approx(math.asin(0.5), rel=1e-15)
-    # both flags at once is a usage error
-    code, _, err = run_cli(
-        capsys,
-        "effective-size",
-        "--n", "50", "--epsilon", "0.1", "--epsilon-sq-overlap", "0.25",
-    )
-    assert code == 2
-    assert err.strip()
-    # neither flag is a usage error too
-    code, _, err = run_cli(capsys, "effective-size", "--n", "50")
-    assert code == 2
-    assert err.strip()
+    # both flags at once, or neither, is a usage error that argparse refuses
+    for flags in (["--epsilon", "0.1", "--epsilon-sq-overlap", "0.25"], []):
+        with pytest.raises(SystemExit) as info:
+            main(["effective-size", "--n", "50", *flags])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--epsilon" in err and "Traceback" not in err
     code, _, err = run_cli(
         capsys, "effective-size", "--n", "50", "--epsilon-sq-overlap", "1.5"
     )
@@ -289,11 +284,24 @@ def test_curve_steps_cap(capsys):
             assert err.startswith("error:") and "--steps" in err
 
 
+def test_distill_sim_trials_cap(capsys):
+    # refused before any sampling: 10**15 trials would run for decades
+    cap = distillation.MAX_TRIALS
+    for trials in (10**15, cap + 1):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "distill-sim", "--n", "10", "--epsilon", "0.5", "--trials", str(trials)
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: trials = {trials} exceeds {cap}, the largest accepted")
+
+
 @pytest.mark.parametrize("steps, expected_code", [(3, 0), (1001, 2)])
 def test_curve_grid_whose_step_rounds_up(capsys, steps, expected_code):
     # at a subnormal endpoint the step can round up so far that the point
     # before the last passes the endpoint (at 1001 steps, not at 3): an
-    # unsorted grid, refused as such, as the check of the whole grid did
+    # unsorted grid, refused as such
     with np.errstate(over="ignore"):
         grid = np.linspace(0.0, 1.2846e-320, steps)
     assert bool(np.all(np.diff(grid) >= 0)) == (expected_code == 0)
@@ -510,15 +518,13 @@ def test_distill_sim_mean_sanity(capsys):
 def test_curve_grid_is_linspace(steps, endpoint):
     # the curve grid is built without numpy, bit for bit np.linspace; the
     # subnormal endpoints take the branch where the step underflows to 0
-    args = argparse.Namespace(steps=steps, n_ref=None)
-    n_ref, grid = _curve_grid(args, endpoint, 3.4)
-    assert n_ref == 3
+    grid = Linspace(endpoint, steps)
     # linspace scales the last point too before it sets it to endpoint, and
     # that product may overflow (endpoint near the largest double)
     with np.errstate(over="ignore"):
         expected = np.linspace(0.0, endpoint, steps).tolist()
-    # the grid is computed as it is read: by iteration and by index
+    # the grid is computed as it is read, afresh on each pass
     assert len(grid) == steps
     assert list(grid) == expected
-    assert [grid[i] for i in range(steps)] == expected
+    assert list(grid) == expected
     assert all(type(v) is float for v in grid)

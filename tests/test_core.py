@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from catsize.core import CatParams, _check_grid, entropy_s1, normalization_constant, reduced_rho1
+from catsize.core import CatParams, Linspace, entropy_s1, normalization_constant, reduced_rho1
 from catsize.oracle import (
     branch_vectors,
     build_cat_state,
@@ -55,8 +55,8 @@ def test_counts_beyond_largest_double_are_refused():
     for call in (
         lambda n: ghz_offdiag_norm(n, 0.5),
         lambda n: ghz_loss_suppression(n, LossModel(0.5)),
-        lambda n: decay_curve(p, n, [0.0, 0.5]),
-        lambda n: loss_curve(p, n, [0.0, 0.5]),
+        lambda n: decay_curve(p, n, Linspace(0.5, 2)),
+        lambda n: loss_curve(p, n, Linspace(0.5, 2)),
     ):
         for n in (10**400, big):
             with pytest.raises(ValueError, match="largest double"):
@@ -232,34 +232,29 @@ def test_entropy_invariant_under_basis_rotation():
         assert rotated_entropy == pytest.approx(entropy_s1(p), abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "grid", [[0.0, 0.5, 0.5, 2.0], (0.0, 1.0), np.array([0.0, 0.25, 1.0]), np.arange(3)]
-)
-def test_check_grid_accepts_lists_tuples_and_1d_arrays(grid):
-    values = _check_grid(grid, "grid")
-    assert type(values) is tuple
-    assert all(type(v) is float for v in values)
-    assert list(values) == np.asarray(grid, dtype=float).tolist()
+@pytest.mark.parametrize("endpoint", [0.0, -0.0, -1.0, math.inf, math.nan])
+def test_linspace_refuses_an_endpoint_not_finite_and_positive(endpoint):
+    with pytest.raises(ValueError, match="grid endpoint must be finite and > 0"):
+        Linspace(endpoint, 3)
+
+
+@pytest.mark.parametrize("steps", [1, 0, -5, 2.0, 2.5])
+def test_linspace_refuses_fewer_than_2_points_or_a_non_integer_count(steps):
+    with pytest.raises(ValueError, match="a grid needs at least 2 points"):
+        Linspace(1.0, steps)
 
 
 @pytest.mark.parametrize(
-    "grid, message",
-    [
-        ([], "grid must be a non-empty 1-D sequence"),
-        (0.5, "grid must be a non-empty 1-D sequence"),
-        ([[0.0, 1.0]], "grid must be a non-empty 1-D sequence"),
-        (np.zeros((2, 2)), "grid must be a non-empty 1-D sequence"),
-        (np.zeros((1, 1)), "grid must be a non-empty 1-D sequence"),
-        ([0.0, math.nan], "grid must be finite"),
-        ([0.0, math.inf], "grid must be finite"),
-        ([-1.0, 0.0], "grid contains negative values"),
-        ([0.0, 2.0, 1.0], "grid must be sorted ascending"),
-        # the checks run in this order over the whole grid
-        ([-1.0, math.nan], "grid must be finite"),
-        ([1.0, 0.0, -1.0], "grid contains negative values"),
-    ],
+    "grid",
+    [[0.0, 0.5], (0.0, 0.5), np.linspace(0.0, 0.5, 2), range(2)],
+    ids=lambda g: type(g).__name__,
 )
-def test_check_grid_messages(grid, message):
-    with pytest.raises(ValueError) as info:
-        _check_grid(grid, "grid")
-    assert str(info.value) == message
+def test_curves_take_only_a_linspace(grid):
+    from catsize.decoherence import decay_curve
+    from catsize.loss import loss_curve
+
+    p = CatParams(10, 0.1)
+    with pytest.raises(TypeError, match="gamma_t grid must be a Linspace"):
+        decay_curve(p, 1, grid)
+    with pytest.raises(TypeError, match="lambda grid must be a Linspace"):
+        loss_curve(p, 1, grid)

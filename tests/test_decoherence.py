@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from catsize.core import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, CatParams
+from catsize.core import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, CatParams, Linspace
 from catsize.decoherence import (
     cat_offdiag_norm,
     decay_curve,
@@ -159,30 +159,25 @@ def test_small_eps_short_time_regime():
 
 def test_decay_curve_validation():
     p = CatParams(4, 0.3)
-    with pytest.raises(ValueError):
-        decay_curve(p, 0, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        decay_curve(p, 2, [0.0, 2.0, 1.0])  # unsorted
-    with pytest.raises(ValueError):
-        decay_curve(p, 2, [-1.0, 0.0])  # negative
-    with pytest.raises(ValueError):
-        decay_curve(p, 2, [0.5, 1.0])  # does not start at 0
-    with pytest.raises(ValueError):
-        decay_curve(p, 2, [])
-    with pytest.raises(ValueError):
-        decay_curve(p, 1, [0.0, math.inf])  # non-finite
-    with pytest.raises(ValueError):
-        decay_curve(p, 1, [0.0, math.nan])
+    with pytest.raises(ValueError, match="n_ref must be a positive integer"):
+        decay_curve(p, 0, Linspace(1.0, 2))
+    # at a subnormal endpoint the step rounds up so far that the point
+    # before the last passes the endpoint
+    with pytest.raises(ValueError, match="^gamma_t grid must be sorted ascending$"):
+        decay_curve(p, 2, Linspace(1.2846e-320, 1001))
 
 
 def test_decay_curve_trivial_grid():
-    curve = decay_curve(CatParams(4, 0.3), 2, [0.0])
-    assert "".join(curve.to_csv()) == "gamma_t,ghz_norm,cat_norm\n0,1,1\n"
+    # the smallest grid is 0 and the endpoint; at the smallest endpoint
+    # both curves stay at 1
+    curve = decay_curve(CatParams(4, 0.3), 2, Linspace(5e-324, 2))
+    rows = "".join(curve.to_csv()).splitlines()
+    assert rows == ["gamma_t,ghz_norm,cat_norm", "0,1,1", "4.9406564584124654e-324,1,1"]
 
 
 def test_decay_curve_ghz_case_columns_identical():
     n = 6
-    curve = decay_curve(CatParams(n, HALF_PI), n, np.linspace(0.0, 2.0, 9))
+    curve = decay_curve(CatParams(n, HALF_PI), n, Linspace(2.0, 9))
     rows = np.loadtxt("".join(curve.to_csv()).splitlines(), delimiter=",", skiprows=1)
     assert rows.shape == (9, 3)
     assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-12
@@ -201,7 +196,7 @@ def test_decay_curve_first_order_agreement():
 
 
 def test_decay_curve_csv_format():
-    curve = decay_curve(CatParams(8, 0.5), 4, np.linspace(0.0, 1.0, 2))
+    curve = decay_curve(CatParams(8, 0.5), 4, Linspace(1.0, 2))
     lines = "".join(curve.to_csv()).splitlines()
     assert lines[0] == "gamma_t,ghz_norm,cat_norm"
     assert lines[1] == "0,1,1"

@@ -482,6 +482,16 @@ def test_distribution_size_cap(monkeypatch):
     assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
 
 
+
+def test_trials_cap(monkeypatch):
+    # the cap bounds the run time; the bound itself is accepted
+    assert distillation.MAX_TRIALS >= 10**7
+    monkeypatch.setattr(distillation, "MAX_TRIALS", 5)
+    with pytest.raises(ValueError, match="trials = 6 exceeds 5, the largest accepted"):
+        simulate_protocol(CatParams(10, 0.5), 6, seed=0)
+    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
+
+
 SAMPLER_GRID = [
     (n, eps)
     for n in (1, 2, 50, 10**3, 10**6)

@@ -62,8 +62,8 @@ def test_scalar_names_load_no_numpy():
         "p = catsize.CatParams(10**6, 1e-3)\n"
         "catsize.expected_n(p), catsize.distillation_bound(p), catsize.entropy_s1(p)\n"
         "catsize.build_effective_size_report(p).to_payload()\n"
-        "catsize.decay_curve(p, 1, [0.0, 0.5]).to_csv()\n"
-        "catsize.loss_curve(p, 1, [0.0, 0.5]).to_csv()\n"
+        "''.join(catsize.decay_curve(p, 1, catsize.Linspace(0.5, 2)).to_csv())\n"
+        "''.join(catsize.loss_curve(p, 1, catsize.Linspace(0.5, 2)).to_csv())\n"
         "catsize.cat_offdiag_norm(p, 0.5, catsize.DEPOLARIZING)\n"
         "assert 'numpy' not in sys.modules\n"
         "catsize.reduced_rho1(p)\n"
@@ -192,3 +192,38 @@ def test_cli_numpy_commands_are_replaceable_attributes(monkeypatch, capsys):
     assert capsys.readouterr().out == "status,name,max_err,tol\n"
     with pytest.raises(AttributeError):
         cli.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "command, factory, endpoint_flag, default_n_ref",
+    [
+        # N = 100, eps = 0.2: N sin^2 eps = 3.95 and N (1 - cos eps) = 1.99
+        ("decoherence-curve", "decay_curve", "--gamma-t-max", 4),
+        ("loss-curve", "loss_curve", "--lambda-max", 2),
+    ],
+)
+def test_cli_curve_factories_are_looked_up_at_call_time(
+    monkeypatch, capsys, command, factory, endpoint_flag, default_n_ref
+):
+    # the one curve handler calls the factory through the module attribute,
+    # so a replacement made after import is the one called, with the grid
+    # of --steps points that perfbench's tracer counts
+    from catsize import cli
+
+    calls = []
+
+    class FakeCurve:
+        def to_csv(self):
+            return ["x\n"]
+
+    def fake_factory(params, n_ref, grid):
+        calls.append((params, n_ref, grid.endpoint, len(grid), list(grid)[-1]))
+        return FakeCurve()
+
+    monkeypatch.setattr(cli, factory, fake_factory)
+    argv = [command, "--n", "100", "--epsilon", "0.2", endpoint_flag, "0.75", "--steps", "7"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "x\n"
+    assert calls == [(catsize.CatParams(100, 0.2), default_n_ref, 0.75, 7, 0.75)]
+    assert cli.main([*argv, "--n-ref", "5"]) == 0
+    assert calls[-1][1] == 5

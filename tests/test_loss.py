@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catsize.core import CatParams
+from catsize.core import CatParams, Linspace
 from catsize.decoherence import effective_size_decoherence
 from catsize.loss import (
     LossModel,
@@ -13,6 +13,7 @@ from catsize.loss import (
     loss_curve,
 )
 from catsize.oracle import enumerate_loss
+from catsize.serialize import fmt_float
 
 HALF_PI = math.pi / 2
 
@@ -126,16 +127,19 @@ def test_typical_value_diagnostics():
 
 
 def test_loss_curve_csv():
-    curve = loss_curve(CatParams(8, 0.5), 2, np.linspace(0.0, 1.0, 3))
+    p = CatParams(8, 0.5)
+    curve = loss_curve(p, 2, Linspace(1.0, 3))
     lines = "".join(curve.to_csv()).splitlines()
     assert lines[0] == "lambda,ghz_suppression,cat_suppression"
     assert lines[1] == "0,1,1"
     assert len(lines) == 4
-    with pytest.raises(ValueError):
-        loss_curve(CatParams(8, 0.5), 2, [0.0, 1.5])
-    with pytest.raises(ValueError):
-        loss_curve(CatParams(8, 0.5), 0, [0.0, 1.0])
-    # the grid checks shared with decay_curve
-    for bad in ([], [0.5, 0.2], [-0.1, 0.2], [0.0, math.nan], [[0.0, 0.5]]):
-        with pytest.raises(ValueError):
-            loss_curve(CatParams(8, 0.5), 2, bad)
+    with pytest.raises(ValueError, match="lambda grid must lie in \\[0, 1\\], got endpoint 1.5"):
+        loss_curve(p, 2, Linspace(1.5, 2))
+    # the endpoint 1 is in the domain
+    last = "".join(loss_curve(p, 2, Linspace(1.0, 2)).to_csv()).splitlines()[-1]
+    assert last == f"1,0,{fmt_float(cat_loss_suppression(p, LossModel(1.0)))}"
+    with pytest.raises(ValueError, match="n_ref must be a positive integer"):
+        loss_curve(p, 0, Linspace(1.0, 2))
+    # the grid check shared with decay_curve: a subnormal step that rounds up
+    with pytest.raises(ValueError, match="^lambda grid must be sorted ascending$"):
+        loss_curve(p, 2, Linspace(1.2846e-320, 1001))
