@@ -24,7 +24,6 @@ _EXPORTS = {
     "CatParams": "core",
     "ChannelSpec": "oracle",
     "DecayCurve": "decoherence",
-    "DistillationBound": "core",
     "EffectiveSizeReport": "report",
     "FilterMeasurement": "distillation",
     "Linspace": "core",
@@ -40,7 +39,6 @@ _EXPORTS = {
     "cat_loss_suppression": "loss",
     "cat_offdiag_norm": "decoherence",
     "decay_curve": "decoherence",
-    "distillation_bound": "core",
     "effective_size_decoherence": "decoherence",
     "effective_size_loss": "loss",
     "entropy_s1": "core",

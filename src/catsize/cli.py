@@ -55,17 +55,13 @@ def __getattr__(name: str):
     return value
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _resolve_epsilon(args: argparse.Namespace) -> float:
     # argparse lets exactly one of --epsilon and --epsilon-sq-overlap through
     v = args.epsilon_sq_overlap
     if v is None:
         return args.epsilon
     if not (0.0 <= v <= 1.0):
-        raise _UsageError(f"--epsilon-sq-overlap must lie in [0, 1], got {v!r}")
+        raise ValueError(f"--epsilon-sq-overlap must lie in [0, 1], got {v!r}")
     return math.asin(math.sqrt(v))
 
 
@@ -87,7 +83,7 @@ def _emit(chunks, output: str | None) -> None:
                     os.remove(output)
                 raise
     except OSError as exc:
-        raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _cmd_effective_size(args: argparse.Namespace) -> int:
@@ -104,7 +100,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     # size, at least 1.
     params = CatParams(args.n, _resolve_epsilon(args))
     if not (2 <= args.steps <= MAX_CURVE_STEPS):
-        raise _UsageError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
+        raise ValueError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
     n_ref = args.n_ref if args.n_ref is not None else max(1, round(args.matched_size(params)))
     curve = getattr(_CLI, args.curve)(params, n_ref, Linspace(args.endpoint, args.steps))
     _emit(curve.to_csv(), args.output)
@@ -123,7 +119,7 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     results = _CLI.run_validation(args.max_n)
     rows = [("PASS" if r.passed else "FAIL", r.name, r.max_err, r.tol) for r in results]
-    _emit(csv_chunks("status,name,max_err,tol", rows), args.output)
+    _emit(csv_chunks("status,name,max_err,tol", "%s,%s,%.17g,%.17g\n", rows), args.output)
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"validation failed: {failures[0].name}", file=sys.stderr)
@@ -203,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,8 +43,6 @@ __all__ = [
     "reduced_rho1",
     "entropy_s1",
     "expected_n",
-    "DistillationBound",
-    "distillation_bound",
 ]
 
 HALF_PI = math.pi / 2.0
@@ -145,10 +143,13 @@ class CatParams:
 
     @property
     def one_minus_c(self) -> float:
-        # 1 - cos(eps) via the half-angle form; the naive difference loses
-        # all precision for eps ~ 1e-8.  Clamped: rounding can push the
-        # half-angle form one ulp past 1 at eps = pi/2.
-        return min(2.0 * math.sin(self.epsilon / 2.0) ** 2, 1.0)
+        # 1 - cos(eps): below 1/2 via the half-angle form, since the naive
+        # difference loses all precision for eps ~ 1e-8.  From 1/2 up the
+        # difference: there cos(eps) <= 1/2, whose rounding is at most a
+        # quarter ulp of the result, so it is within 0.75 ulp, where the
+        # half-angle form is off by up to 1.9.
+        omc = 2.0 * math.sin(self.epsilon / 2.0) ** 2
+        return omc if omc < 0.5 else 1.0 - self.c_eps
 
     @property
     def log_c(self) -> float:
@@ -231,28 +232,3 @@ def entropy_s1(params: CatParams) -> float:
 def expected_n(params: CatParams) -> float:
     """Mean number of GHZ parties distilled by the single-copy filter, (1 - c) N / (1 + c^N)."""
     return params.one_minus_c * params.N / (1.0 + math.exp(params.log_cN))
-
-
-@dataclass(frozen=True)
-class DistillationBound:
-    """Protocol mean together with the entropy upper bounds on distillation.
-
-    exact_bound = N * S1 bounds the mean distilled-GHZ size per copy of any
-    asymptotic multi-copy protocol; asymptotic_bound is its small-eps,
-    large-N-eps^2 leading form -N eps^2 log2(eps) / 2.
-    """
-
-    exact_bound: float
-    asymptotic_bound: float
-    lower_bound_mean: float
-
-
-def distillation_bound(params: CatParams) -> DistillationBound:
-    """Evaluate the distillation bounds (requires N >= 2 for the entropy)."""
-    eps = params.epsilon
-    asymptotic = 0.0 if eps == 0.0 else -params.N * eps * eps * math.log2(eps) / 2.0
-    return DistillationBound(
-        exact_bound=params.N * entropy_s1(params),
-        asymptotic_bound=asymptotic,
-        lower_bound_mean=expected_n(params),
-    )

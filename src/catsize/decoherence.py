@@ -21,15 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core import (
-    CHANNEL_KINDS,
-    DEPHASING,
-    CatParams,
-    Linspace,
-    _check_gamma_t,
-    _check_grid,
-    _check_positive_int,
-)
+from .core import CatParams, Linspace, _check_gamma_t, _check_grid, _check_positive_int
 from .serialize import csv_chunks
 
 __all__ = [
@@ -73,19 +65,14 @@ def _cat_norm(s2: float, c2: float, half_n: float, gamma_t: float) -> float:
     return math.exp(half_n * math.log(c2 + s2 * math.exp(-2.0 * gamma_t)))
 
 
-def cat_offdiag_norm(
-    params: CatParams, gamma_t: float, kind: str = DEPHASING
-) -> float:
+def cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm d^(N/2) of the cat state.
 
-    The value is the same for both channel kinds.  kind stays because the
-    callers that check this closed form against dense evolution --
-    ``validate``'s ``decoherence_closed_form_<kind>`` rows and acceptance
-    criteria 1 and 2 -- pass the kind they evolved with, so each row names
-    the channel it covers and an unknown kind is refused here.
+    The value is the same for the dephasing and the depolarizing channel,
+    so it takes no channel kind: ``validate``'s
+    ``decoherence_closed_form_<kind>`` rows and acceptance criterion 1
+    compare the block evolved under each kind with this one value.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
     return _cat_norm(*_cat_consts(params), _check_gamma_t(gamma_t))
 
 
@@ -115,7 +102,8 @@ class DecayCurve:
         """
         ghz = map(partial(_ghz_norm, self.n_ref), self.times)
         cat = map(partial(_cat_norm, *_cat_consts(self.params)), self.times)
-        return csv_chunks("gamma_t,ghz_norm,cat_norm", zip(self.times, ghz, cat))
+        header = "gamma_t,ghz_norm,cat_norm"
+        return csv_chunks(header, "%.17g,%.17g,%.17g\n", zip(self.times, ghz, cat))
 
 
 def decay_curve(params: CatParams, n_ref: int, grid: Linspace) -> DecayCurve:

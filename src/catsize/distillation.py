@@ -16,8 +16,9 @@ The number of successes n is distributed as
 
 with mean <n> = (1 - c) N / (1 + c^N).  The asymptotic multi-copy yield is
 bounded above by N S1 in terms of the single-qubit entropy.  The mean and
-the bounds need no arrays: they are ``core.expected_n`` and
-``core.distillation_bound``.
+the bound need no arrays: they are ``core.expected_n`` and N times
+``core.entropy_s1``, the ``n_distill_*`` fields of the effective-size
+report.
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ class LossCurve:
         """
         ghz = map(partial(_ghz_loss, self.n_ref), self.lambdas)
         cat = map(partial(_cat_loss, *_cat_consts(self.params)), self.lambdas)
-        return csv_chunks("lambda,ghz_suppression,cat_suppression", zip(self.lambdas, ghz, cat))
+        header = "lambda,ghz_suppression,cat_suppression"
+        return csv_chunks(header, "%.17g,%.17g,%.17g\n", zip(self.lambdas, ghz, cat))
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas: Linspace) -> LossCurve:

@@ -5,11 +5,15 @@ double exactly; payload bytes therefore depend only on the values, never
 on locale, wall clock or dict-iteration quirks (insertion order is the
 contract for key order).
 
-``json_chunks`` and ``csv_chunks`` yield the text in pieces of at most
-_FLOAT_BATCH values each, so a writer never holds a long payload at once;
-``dumps_json`` joins the same pieces.  A long list that is +0.0 almost
-everywhere is a ``SparseFloats``, written from one cached run of zeros
-without forming the list.
+The writers take exactly what the commands write.  ``json_chunks`` takes
+None, an int, a float, a str, a ``SparseFloats`` or a dict with str keys
+whose values are again such objects, each of exactly that type: a bool, a
+numpy scalar, a list, a tuple or an ndarray raises TypeError.  A long list
+that is +0.0 almost everywhere is a ``SparseFloats``, written from one
+cached run of zeros without forming the list.  ``csv_chunks`` writes each
+row through its caller's one-line %-template.  Both yield the text in
+pieces of at most _FLOAT_BATCH values or rows each, so a writer never
+holds a long payload at once; ``dumps_json`` joins the same pieces.
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from itertools import chain, islice, repeat
-from numbers import Integral, Real
 
 __all__ = ["SparseFloats", "fmt_float", "json_chunks", "dumps_json", "csv_chunks"]
 
@@ -111,54 +113,36 @@ def _sparse_items(seq: SparseFloats):
     yield from _zero_items(len(seq) - pos)
 
 
-def _list_chunks(items):
-    # items: non-empty texts of consecutive list entries
-    sep = "["
-    for text in items:
-        yield sep + text
-        sep = ", "
-    yield "[]" if sep == "[" else "]"
-
-
-def _is_ndarray(obj) -> bool:
-    # an ndarray exists only once numpy is loaded, so none is imported here
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(obj, np.ndarray)
-
-
-def _scalar_json(obj) -> str | None:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, Integral):  # numpy registers its integer types here
-        return str(int(obj))
-    if isinstance(obj, Real):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    return None
-
-
 def json_chunks(obj):
-    """JSON text of obj, with 17-significant-digit floats, as a stream of chunks."""
-    text = _scalar_json(obj)
-    if text is not None:
-        yield text
-    elif isinstance(obj, dict):
+    """JSON text of obj, with 17-significant-digit floats, as a stream of chunks.
+
+    obj is None, an int, a float, a str, a SparseFloats or a dict of such
+    values, each of exactly that type; anything else raises TypeError.
+    """
+    kind = type(obj)
+    if obj is None:
+        yield "null"
+    elif kind is int:
+        yield str(obj)
+    elif kind is float:
+        yield fmt_float(obj)
+    elif kind is str:
+        yield json.dumps(obj)
+    elif kind is dict:
         sep = "{"
         for k, v in obj.items():
             yield f"{sep}{json.dumps(str(k))}: "
             yield from json_chunks(v)
             sep = ", "
         yield "{}" if sep == "{" else "}"
-    elif isinstance(obj, SparseFloats):
-        yield from _list_chunks(_sparse_items(obj))
-    elif isinstance(obj, (list, tuple)) or _is_ndarray(obj):
-        batches = (obj[i : i + _FLOAT_BATCH] for i in range(0, len(obj), _FLOAT_BATCH))
-        yield from _list_chunks(", ".join(map(dumps_json, batch)) for batch in batches)
+    elif kind is SparseFloats:
+        sep = "["
+        for text in _sparse_items(obj):
+            yield sep + text
+            sep = ", "
+        yield "[]" if sep == "[" else "]"
     else:
-        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        raise TypeError(f"cannot serialize object of type {kind.__name__}")
 
 
 def dumps_json(obj) -> str:
@@ -166,23 +150,15 @@ def dumps_json(obj) -> str:
     return "".join(json_chunks(obj))
 
 
-def csv_chunks(header: str, rows):
+def csv_chunks(header: str, row: str, rows):
     """CSV text as a stream of chunks: the header line, then the rows in blocks.
 
-    Strings are written as they are, numbers in the fmt_float form.  A
-    block of rows that are all floats, of one width, is formatted in one
-    pass.
+    row is the %-template of one line, its newline included: three %.17g
+    fields for a curve, "%s,%s,%.17g,%.17g" for validate.  Each row is a
+    tuple with one value per field, and each block of rows is formatted in
+    one pass.
     """
     yield header + "\n"
     rows = iter(rows)
     while block := list(islice(rows, _FLOAT_BATCH)):
-        cells = tuple(chain.from_iterable(block))
-        width = len(block[0])
-        if set(map(type, cells)) == {float} and set(map(len, block)) == {width}:
-            template = (",".join(["%.17g"] * width) + "\n") * len(block)
-        else:
-            template = "".join(
-                ",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n"
-                for row in block
-            )
-        yield _format(template, cells)
+        yield _format(row * len(block), tuple(chain.from_iterable(block)))

@@ -19,7 +19,7 @@ from .core import (
     DEPHASING,
     DEPOLARIZING,
     CatParams,
-    distillation_bound,
+    entropy_s1,
     expected_n,
     normalization_constant,
     reduced_rho1,
@@ -81,7 +81,7 @@ def _check_decoherence(max_n: int) -> list[CheckResult]:
             for kind in worst:
                 evolved = oracle.apply_product_channel(block, oracle.ChannelSpec(kind, gamma_t))
                 dense[kind] = oracle.dense_trace_norm(evolved)
-                closed = decoherence.cat_offdiag_norm(params, gamma_t, kind)
+                closed = decoherence.cat_offdiag_norm(params, gamma_t)
                 worst[kind] = max(worst[kind], abs(dense[kind] - closed) / closed)
             a, b = dense[DEPHASING], dense[DEPOLARIZING]
             worst_equiv = max(worst_equiv, abs(a - b) / a)
@@ -125,7 +125,7 @@ def _check_reduced_rho1(max_n: int) -> tuple[CheckResult, CheckResult]:
             worst = max(worst, float(np.max(np.abs(dense - reduced_rho1(params)))))
             lams = np.linalg.eigvalsh(dense)
             bound = -n * sum(lam * math.log2(lam) for lam in lams.tolist() if lam > 0.0)
-            exact = distillation_bound(params).exact_bound
+            exact = n * entropy_s1(params)
             worst_bound = max(worst_bound, abs(bound - exact))
     return (
         _result("reduced_rho1_vs_partial_trace", worst, 1e-12),

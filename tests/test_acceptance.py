@@ -28,7 +28,6 @@ from catsize.core import (
     DEPHASING,
     DEPOLARIZING,
     CatParams,
-    distillation_bound,
     entropy_s1,
     expected_n,
     reduced_rho1,
@@ -90,7 +89,7 @@ def test_criterion_1_decoherence_closed_form():
             for gamma_t in GRID_GT:
                 for kind in CHANNEL_KINDS:
                     dense = _evolved_cat_block_norm(params, kind, gamma_t)
-                    closed = cat_offdiag_norm(params, gamma_t, kind)
+                    closed = cat_offdiag_norm(params, gamma_t)
                     worst = max(worst, abs(dense - closed) / closed)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 300.0
@@ -262,8 +261,8 @@ def test_criterion_7a_entropy_bound_oracle():
     for eps in (0.01, 0.05, 0.1, 0.2):
         for n_eps_sq in (10.0, 30.0, 100.0):
             params = CatParams(int(math.ceil(n_eps_sq / eps**2)), eps)
-            bound = distillation_bound(params)
-            ordering = ordering and bound.lower_bound_mean <= bound.exact_bound
+            report = build_effective_size_report(params)
+            ordering = ordering and report.n_distill_mean <= report.n_distill_upper_exact
     ok = worst <= 1e-12 and ordering
     _verdict(
         "7a", ok, f"entropy bound, rho1 vs oracle max err {worst:.3e} (tol 1e-12), "

@@ -71,6 +71,19 @@ def test_trig_accessors(eps):
     assert abs(p.one_minus_c - (1.0 - p.c_eps)) < 1e-15
 
 
+def test_one_minus_c_within_one_ulp_where_cos_is_at_most_half():
+    # on eps in [pi/3, pi/2] the half-angle form 2 sin^2(eps/2) is off by up
+    # to 1.9 ulp; the difference 1 - cos(eps) stays within 0.75
+    worst = 0.0
+    with mp.workdps(50):
+        for eps in np.linspace(math.pi / 3, HALF_PI, 20001).tolist():
+            ref = 1 - mp.cos(mpf(eps))
+            err = abs(mpf(CatParams(1, eps).one_minus_c) - ref) / math.ulp(float(ref))
+            worst = max(worst, float(err))
+    assert worst <= 1.0
+    assert CatParams(1, HALF_PI).one_minus_c == 1.0 - math.cos(math.pi / 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 17])
 @pytest.mark.parametrize("eps", [0.01, 0.3, 1.0, HALF_PI - 0.1])
 def test_log_cn_matches_direct_power(n, eps):

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from catsize import distillation
-from catsize.core import CatParams, _check_positive_int, distillation_bound, expected_n
+from catsize.core import CatParams, _check_positive_int, expected_n
 from catsize.distillation import (
     _bd0,
     _first_success,
@@ -19,6 +19,7 @@ from catsize.distillation import (
     simulate_protocol,
 )
 from catsize.oracle import biorthonormal_filter, branch_vectors
+from catsize.report import build_effective_size_report
 from catsize.serialize import dumps_json
 
 HALF_PI = math.pi / 2
@@ -530,26 +531,30 @@ def test_simulation_validation():
         simulate_protocol(CatParams(3, 0.5), 0, seed=0)
 
 
+# The distillation mean and its entropy bounds are fields of the
+# effective-size report, their one record.
+
+
 def test_distillation_bound_values():
     n = 12
-    b = distillation_bound(CatParams(n, HALF_PI))
-    assert b.exact_bound == pytest.approx(float(n), rel=1e-9)
-    assert b.lower_bound_mean == pytest.approx(float(n), rel=1e-9)
-    b0 = distillation_bound(CatParams(n, 0.0))
-    assert b0.exact_bound == 0.0
-    assert b0.asymptotic_bound == 0.0
-    assert b0.lower_bound_mean == 0.0
+    b = build_effective_size_report(CatParams(n, HALF_PI))
+    assert b.n_distill_upper_exact == pytest.approx(float(n), rel=1e-9)
+    assert b.n_distill_mean == pytest.approx(float(n), rel=1e-9)
+    b0 = build_effective_size_report(CatParams(n, 0.0))
+    assert b0.n_distill_upper_exact == 0.0
+    assert b0.n_distill_upper_asymptotic == 0.0
+    assert b0.n_distill_mean == 0.0
 
 
 def test_distillation_bound_headline_regime():
     # all three frozen from 60-digit evaluations at (N=1e7, eps=1e-3)
-    b = distillation_bound(CatParams(10**7, 1e-3))
-    assert b.exact_bound == pytest.approx(57.7014063306168, rel=1e-12)
-    assert b.asymptotic_bound == pytest.approx(49.82892142331043, rel=1e-12)
-    assert b.lower_bound_mean == pytest.approx(4.96653535920084, rel=1e-12)
-    assert b.lower_bound_mean <= b.exact_bound
+    b = build_effective_size_report(CatParams(10**7, 1e-3))
+    assert b.n_distill_upper_exact == pytest.approx(57.7014063306168, rel=1e-12)
+    assert b.n_distill_upper_asymptotic == pytest.approx(49.82892142331043, rel=1e-12)
+    assert b.n_distill_mean == pytest.approx(4.96653535920084, rel=1e-12)
+    assert b.n_distill_mean <= b.n_distill_upper_exact
     # mean-to-upper-bound ratio approaches 1/(-log2 eps); frozen factor
-    ratio = b.lower_bound_mean / b.exact_bound
+    ratio = b.n_distill_mean / b.n_distill_upper_exact
     assert ratio * (-math.log2(1e-3)) == pytest.approx(0.8577853327931743, rel=1e-10)
 
 
@@ -557,9 +562,9 @@ def test_distillation_bound_headline_regime():
 @pytest.mark.parametrize("n_eps_sq", [10.0, 25.0, 100.0])
 def test_lower_bound_below_exact_bound_in_regime(eps, n_eps_sq):
     n = int(math.ceil(n_eps_sq / eps**2))
-    b = distillation_bound(CatParams(n, eps))
-    assert b.lower_bound_mean <= b.exact_bound
-    assert 0.0 <= b.exact_bound <= n
+    b = build_effective_size_report(CatParams(n, eps))
+    assert b.n_distill_mean <= b.n_distill_upper_exact
+    assert 0.0 <= b.n_distill_upper_exact <= n
 
 
 def test_payload_schemas():

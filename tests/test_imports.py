@@ -60,11 +60,11 @@ def test_scalar_names_load_no_numpy():
     run_probe(
         "import sys, catsize\n"
         "p = catsize.CatParams(10**6, 1e-3)\n"
-        "catsize.expected_n(p), catsize.distillation_bound(p), catsize.entropy_s1(p)\n"
+        "catsize.expected_n(p), catsize.entropy_s1(p)\n"
         "catsize.build_effective_size_report(p).to_payload()\n"
         "''.join(catsize.decay_curve(p, 1, catsize.Linspace(0.5, 2)).to_csv())\n"
         "''.join(catsize.loss_curve(p, 1, catsize.Linspace(0.5, 2)).to_csv())\n"
-        "catsize.cat_offdiag_norm(p, 0.5, catsize.DEPOLARIZING)\n"
+        "catsize.cat_offdiag_norm(p, 0.5)\n"
         "assert 'numpy' not in sys.modules\n"
         "catsize.reduced_rho1(p)\n"
         "assert 'numpy' in sys.modules\n"

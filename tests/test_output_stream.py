@@ -2,8 +2,8 @@
 
 Every command writes its output as a stream of text chunks.  These tests
 keep the dense forms that were written before as references -- the
-``distill-sim`` payload as two lists over 0..N followed by ``dumps_json``,
-and each curve as a whole ``np.linspace`` grid evaluated point by point by
+``distill-sim`` payload as two lists over 0..N, each value in its
+``fmt_float`` form, and each curve as a whole ``np.linspace`` grid evaluated point by point by
 the public closed forms -- and check that ``main()`` writes the same bytes,
 and that writing holds no more than a chunk at a time.
 """
@@ -36,7 +36,8 @@ def run(capsys, argv):
 
 
 def dense_distill_text(n, eps, trials, seed):
-    # the payload as it was written before: two lists over 0..N, then dumps_json
+    # the payload as it was written before: two lists over 0..N, each value
+    # formatted on its own, in the payload's key order
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
     exact_q = [0.0] * (n + 1)
@@ -45,12 +46,16 @@ def dense_distill_text(n, eps, trials, seed):
     mc_q = [0.0] * (n + 1)
     for k, f in zip(mc.outcomes.tolist(), (mc.tallies / mc.trials).tolist()):
         mc_q[k] = f
-    head = {"N": n, "epsilon": p.epsilon}
-    payload = {
-        "exact": {**head, "q": exact_q, "source": "exact", "trials": None, "seed": None},
-        "mc": {**head, "q": mc_q, "source": "mc", "trials": trials, "seed": seed},
-    }
-    return dumps_json(payload) + "\n"
+
+    def block(q, source, trials, seed):
+        return (
+            f'{{"N": {n}, "epsilon": {fmt_float(p.epsilon)}, '
+            f'"q": [{", ".join(map(fmt_float, q))}], '
+            f'"source": "{source}", "trials": {trials}, "seed": {seed}}}'
+        )
+
+    exact, mc = block(exact_q, "exact", "null", "null"), block(mc_q, "mc", trials, seed)
+    return f'{{"exact": {exact}, "mc": {mc}}}\n'
 
 
 def dense_curve_text(header, endpoint, steps, ghz, cat):
