@@ -10,9 +10,14 @@ imported from its submodule on first access, and each name has exactly one
 home, the submodule that defines it.  The closed forms (``core``,
 ``decoherence``, ``loss``, ``report``) need only the standard library;
 the array names (``distillation``, ``core.reduced_rho1`` and the oracle's
-``ChannelSpec``) load numpy when they are first used.  The oracle, the
-validation suite and the CLI are the submodules ``catsize.oracle``,
-``catsize.validation`` and ``catsize.cli``.
+``ChannelSpec`` and channel kinds) load numpy when they are first used.
+The oracle, the validation suite and the CLI are the submodules
+``catsize.oracle``, ``catsize.validation`` and ``catsize.cli``; the oracle
+imports only ``core``.
+
+Each concept has one form: noise rates (gamma_t, the loss probability
+lam) are floats, the filter is an (A, A_bar) pair of 2x2 arrays, and the
+distributions carry the CatParams they were computed at.
 """
 
 import importlib
@@ -25,15 +30,13 @@ _EXPORTS = {
     "ChannelSpec": "oracle",
     "DecayCurve": "decoherence",
     "EffectiveSizeReport": "report",
-    "FilterMeasurement": "distillation",
     "Linspace": "core",
     "LossCurve": "loss",
-    "LossModel": "loss",
     "McResult": "distillation",
     "OutcomeDistribution": "distillation",
-    "CHANNEL_KINDS": "core",
-    "DEPHASING": "core",
-    "DEPOLARIZING": "core",
+    "CHANNEL_KINDS": "oracle",
+    "DEPHASING": "oracle",
+    "DEPOLARIZING": "oracle",
     "build_effective_size_report": "report",
     "build_filter": "distillation",
     "cat_loss_suppression": "loss",

@@ -34,9 +34,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DEPHASING",
-    "DEPOLARIZING",
-    "CHANNEL_KINDS",
     "CatParams",
     "Linspace",
     "normalization_constant",
@@ -46,11 +43,6 @@ __all__ = [
 ]
 
 HALF_PI = math.pi / 2.0
-
-# the two single-qubit channel kinds (see catsize.oracle.ChannelSpec)
-DEPHASING = "dephasing"
-DEPOLARIZING = "depolarizing"
-CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
 
 
 def _check_positive_int(value, name: str) -> int:
@@ -113,6 +105,13 @@ def _check_gamma_t(gamma_t) -> float:
     if not (gamma_t >= 0.0):
         raise ValueError(f"gamma_t must be >= 0, got {gamma_t!r}")
     return float(gamma_t)
+
+
+def _check_lam(lam) -> float:
+    """lam as a Python float; ValueError unless it lies in [0, 1] (NaN rejected)."""
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"loss probability must lie in [0, 1], got {lam!r}")
+    return float(lam)
 
 
 @dataclass(frozen=True)

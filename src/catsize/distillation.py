@@ -24,6 +24,7 @@ report.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -34,26 +35,12 @@ from .core import CatParams, _check_positive_int
 from .serialize import SparseFloats
 
 __all__ = [
-    "FilterMeasurement",
     "OutcomeDistribution",
     "McResult",
     "build_filter",
     "outcome_distribution",
     "simulate_protocol",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class FilterMeasurement:
-    """Two-outcome local measurement {A, A_bar} with A^dag A + A_bar^dag A_bar = I.
-
-    k_sq is the success-branch scale: <phi1|A^dag A|phi1> = <phi2|A^dag A|phi2>
-    = k^2 = 1 - cos(eps).
-    """
-
-    A: np.ndarray
-    A_bar: np.ndarray
-    k_sq: float
 
 
 def _sqrtm_psd_2x2(m: np.ndarray) -> np.ndarray:
@@ -67,11 +54,14 @@ def _sqrtm_psd_2x2(m: np.ndarray) -> np.ndarray:
     return (m + sdet * np.eye(2)) / math.sqrt(denom_sq)
 
 
-def build_filter(params: CatParams) -> FilterMeasurement:
-    """Construct the filtering measurement for 0 < eps <= pi/2.
+def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
+    """The filtering measurement (A, A_bar) for 0 < eps <= pi/2.
 
-    eps = 0 is rejected: |phi2> = |phi1| and the biorthonormal basis does
-    not exist.
+    A^dag A + A_bar^dag A_bar = I, and the success outcome scales both
+    branches alike: <phi1|A^dag A|phi1> = <phi2|A^dag A|phi2> = k^2 with
+    k^2 = 1 - cos(eps), params.one_minus_c.  The pair is the form that
+    oracle.biorthonormal_filter returns.  eps = 0 is rejected: |phi2> =
+    |phi1> and the biorthonormal basis does not exist.
     """
     if params.epsilon <= 0.0:
         raise ValueError("build_filter requires eps > 0 (linearly independent branches)")
@@ -79,7 +69,7 @@ def build_filter(params: CatParams) -> FilterMeasurement:
     k = math.sqrt(params.one_minus_c)
     a = (k / s) * np.array([[s, -c], [0.0, 1.0]], dtype=complex)
     complement = np.eye(2, dtype=complex) - a.conj().T @ a
-    return FilterMeasurement(A=a, A_bar=_sqrtm_psd_2x2(complement), k_sq=k * k)
+    return a, _sqrtm_psd_2x2(complement)
 
 
 # Largest N accepted by outcome_distribution and simulate_protocol.  The
@@ -115,9 +105,10 @@ def _check_distribution_size(params: CatParams) -> int:
     return params.N
 
 
-def _q_payload(n, epsilon, q, source, trials, seed) -> dict:
+def _q_payload(params: CatParams, q, source, trials, seed) -> dict:
     # payload shared by the exact and the Monte Carlo distribution
-    return {"N": n, "epsilon": epsilon, "q": q, "source": source, "trials": trials, "seed": seed}
+    n, eps = params.N, params.epsilon
+    return {"N": n, "epsilon": eps, "q": q, "source": source, "trials": trials, "seed": seed}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,21 +126,13 @@ class OutcomeDistribution:
     lo: int
     log_q_window: np.ndarray
 
-    @property
-    def N(self) -> int:
-        return self.params.N
-
-    @property
-    def epsilon(self) -> float:
-        return self.params.epsilon
-
     @cached_property
     def q(self) -> SparseFloats:
         window = range(self.lo, self.lo + self.log_q_window.size)
-        return SparseFloats(self.N + 1, window, np.exp(self.log_q_window).tolist())
+        return SparseFloats(self.params.N + 1, window, np.exp(self.log_q_window).tolist())
 
     def to_payload(self) -> dict:
-        return _q_payload(self.N, self.epsilon, self.q, "exact", None, None)
+        return _q_payload(self.params, self.q, "exact", None, None)
 
 
 # stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 1..15, from
@@ -331,7 +314,7 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
 
 @dataclass(frozen=True, eq=False)
 class McResult:
-    """Empirical outcome counts from a seeded protocol simulation.
+    """Empirical outcome counts from a seeded protocol simulation at params.
 
     Only the outcomes that occurred are stored: outcomes[i] parties were
     distilled in tallies[i] trials, outcomes ascending.  The payload's q is
@@ -339,8 +322,7 @@ class McResult:
     tallies / trials.
     """
 
-    N: int
-    epsilon: float
+    params: CatParams
     outcomes: np.ndarray
     tallies: np.ndarray
     trials: int
@@ -348,8 +330,8 @@ class McResult:
 
     def to_payload(self) -> dict:
         freq = (self.tallies / self.trials).tolist()
-        q = SparseFloats(self.N + 1, self.outcomes.tolist(), freq)
-        return _q_payload(self.N, self.epsilon, q, "mc", self.trials, self.seed)
+        q = SparseFloats(self.params.N + 1, self.outcomes.tolist(), freq)
+        return _q_payload(self.params, q, "mc", self.trials, self.seed)
 
 
 def _check_seed(seed) -> int:
@@ -411,8 +393,7 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     n = _check_distribution_size(params)
     omc = params.one_minus_c
     rng = np.random.Generator(np.random.Philox(key=seed))
-    outcomes = np.zeros(0, dtype=np.int64)
-    tallies = np.zeros(0, dtype=np.int64)
+    counts = Counter()  # outcome -> trials with that outcome, over all blocks
     for start in range(0, trials, _MC_BLOCK):
         rows = min(_MC_BLOCK, trials - start)
         first = _first_success(params, -np.log1p(-rng.random(rows)))
@@ -421,12 +402,7 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
         block = np.zeros(rows, dtype=np.int64)
         block[hit] = 1 + rng.binomial(n - 1 - first[hit], omc)
         seen, count = np.unique(block, return_counts=True)
-        merged = np.union1d(outcomes, seen)
-        merged_tallies = np.zeros(merged.size, dtype=np.int64)
-        merged_tallies[np.searchsorted(merged, outcomes)] += tallies
-        merged_tallies[np.searchsorted(merged, seen)] += count
-        outcomes, tallies = merged, merged_tallies
-    return McResult(
-        N=n, epsilon=params.epsilon, outcomes=outcomes, tallies=tallies,
-        trials=trials, seed=seed,
-    )
+        counts.update(dict(zip(seen.tolist(), count.tolist())))
+    outcomes = np.array(sorted(counts), dtype=np.int64)
+    tallies = np.array([counts[k] for k in outcomes.tolist()], dtype=np.int64)
+    return McResult(params, outcomes, tallies, trials, seed)

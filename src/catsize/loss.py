@@ -12,6 +12,9 @@ cos(eps)^k, so the binomial expectation over loss patterns is exact:
 
 Matching the suppression rates at lam -> 0 gives the loss-based effective
 size n_eff = N (1 - cos eps) ~ N eps^2 / 2.
+
+The loss probability is a plain float, as gamma_t is in ``decoherence``;
+the public functions check it with ``core._check_lam``.
 """
 
 from __future__ import annotations
@@ -20,29 +23,16 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core import CatParams, Linspace, _check_grid, _check_positive_int
+from .core import CatParams, Linspace, _check_grid, _check_lam, _check_positive_int
 from .serialize import csv_chunks
 
 __all__ = [
-    "LossModel",
     "LossCurve",
     "ghz_loss_suppression",
     "cat_loss_suppression",
     "effective_size_loss",
     "loss_curve",
 ]
-
-
-@dataclass(frozen=True)
-class LossModel:
-    """Per-qubit loss probability lam in [0, 1]."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError(f"loss probability must lie in [0, 1], got {self.lam!r}")
-        object.__setattr__(self, "lam", float(self.lam))
 
 
 # The point functions below are unchecked: the public functions check their
@@ -53,9 +43,9 @@ def _ghz_loss(n: int, lam: float) -> float:
     return 0.0 if lam == 1.0 else math.exp(float(n) * math.log1p(-lam))
 
 
-def ghz_loss_suppression(n: int, loss: LossModel) -> float:
-    """Expected off-diagonal element relative to no loss: (1 - lam)^n."""
-    return _ghz_loss(_check_positive_int(n, "n"), loss.lam)
+def ghz_loss_suppression(n: int, lam: float) -> float:
+    """Expected off-diagonal element relative to no loss: (1 - lam)^n, lam in [0, 1]."""
+    return _ghz_loss(_check_positive_int(n, "n"), _check_lam(lam))
 
 
 def _cat_consts(params: CatParams) -> tuple[int, float, float, float]:
@@ -80,13 +70,13 @@ def _cat_loss(n: int, omc: float, c: float, log_cn: float, lam: float) -> float:
     return math.exp(n * log_base)
 
 
-def cat_loss_suppression(params: CatParams, loss: LossModel) -> float:
+def cat_loss_suppression(params: CatParams, lam: float) -> float:
     """Expected off-diagonal suppression (1 - lam (1 - cos eps))^N, log domain.
 
     At lam = 1 the value is cos(eps)^N: every qubit is traced out and each
     contributes one factor of the branch overlap.
     """
-    return _cat_loss(*_cat_consts(params), loss.lam)
+    return _cat_loss(*_cat_consts(params), _check_lam(lam))
 
 
 def effective_size_loss(params: CatParams) -> float:

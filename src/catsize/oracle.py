@@ -6,8 +6,8 @@ operator through the superoperator built from their Kraus set, trace norms
 come from a dense SVD, and the measurement protocol (all 2^N outcome
 strings) and qubit loss (all 2^N lost subsets) are enumerated exhaustively.
 The closed forms in the analysis modules are validated against these
-routines; the oracle never calls them (shared code is limited to the
-parameter types and their checks).
+routines; the oracle never calls them: it imports only ``core``, and from
+it only the parameter type and the parameter checks.
 
 Convention, fixed package-wide: qubit 1 is the MOST significant bit of the
 amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
@@ -15,8 +15,9 @@ amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
 Size caps are hard errors: 14 qubits for state vectors, 10 for dense
 operators, 8 for exhaustive enumerations.
 
-Two single-qubit channels are supported (``ChannelSpec``), both at a
-dimensionless time gamma_t with mu = exp(-gamma_t):
+Two single-qubit channels are supported (``ChannelSpec``, of a kind in
+``CHANNEL_KINDS``), both at a dimensionless time gamma_t with
+mu = exp(-gamma_t):
 
   dephasing:     E(rho) = p0 rho + (1 - p0) sz rho sz,  p0 = (1 + mu)/2.
                  Diagonal entries fixed, off-diagonal entries scaled by mu.
@@ -34,10 +35,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CHANNEL_KINDS, DEPHASING, CatParams, _check_gamma_t
-from .loss import LossModel
+from .core import CatParams, _check_gamma_t, _check_lam
 
 __all__ = [
+    "DEPHASING",
+    "DEPOLARIZING",
+    "CHANNEL_KINDS",
     "ChannelSpec",
     "PAULI_X",
     "PAULI_Y",
@@ -75,6 +78,11 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+# the two single-qubit channel kinds of ChannelSpec
+DEPHASING = "dephasing"
+DEPOLARIZING = "depolarizing"
+CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
 
 
 @dataclass(frozen=True)
@@ -126,16 +134,13 @@ def kron_all(mats) -> np.ndarray:
     Each step multiplies the running (r, c) product and the next (rm, cm)
     factor broadcast to (r, rm, c, cm) and reshapes to (r rm, c cm): the
     products ``np.kron`` forms, bit for bit, without its per-call shape
-    handling.  A 1-D factor counts as one row, as in ``np.kron``; any other
-    non-2-D factor is refused.
+    handling.  Every factor must be 2-D.
     """
     out = np.array([[1.0 + 0.0j]])
     for m in mats:
         m = np.asarray(m, dtype=complex)
-        if m.ndim == 1:
-            m = m.reshape(1, -1)
-        elif m.ndim != 2:
-            raise ValueError(f"kron_all takes 1-D or 2-D factors, got shape {m.shape}")
+        if m.ndim != 2:
+            raise ValueError(f"kron_all takes 2-D factors, got shape {m.shape}")
         (r, c), (rm, cm) = out.shape, m.shape
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r * rm, c * cm)
     return out
@@ -376,18 +381,20 @@ def ghz_fidelity(branch: ProtocolBranch, n_qubits: int) -> float:
     return float((ghz.conj() @ rho @ ghz).real)
 
 
-def enumerate_loss(params: CatParams, loss: LossModel) -> float:
+def enumerate_loss(params: CatParams, lam: float) -> float:
     """Expected relative off-diagonal magnitude under random qubit loss.
 
-    Sums over all 2^N loss subsets with weight lam^(N-k) (1-lam)^k, where k
-    qubits survive; each term is the trace norm of the off-diagonal block
-    traced over the lost qubits, relative to the trace norm of the untraced
-    block on the same k surviving qubits.
+    lam in [0, 1] is the per-qubit loss probability.  Sums over all 2^N
+    loss subsets with weight lam^(N-k) (1-lam)^k, where k qubits survive;
+    each term is the trace norm of the off-diagonal block traced over the
+    lost qubits, relative to the trace norm of the untraced block on the
+    same k surviving qubits.
     """
+    lam = _check_lam(lam)
     n = params.N
     _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
     ratios = _loss_ratio_sums(params)
-    return sum(loss.lam ** (n - k) * (1.0 - loss.lam) ** k * r for k, r in enumerate(ratios))
+    return sum(lam ** (n - k) * (1.0 - lam) ** k * r for k, r in enumerate(ratios))
 
 
 @functools.lru_cache(maxsize=1)

@@ -14,16 +14,8 @@ from itertools import product
 import numpy as np
 
 from . import decoherence, distillation, loss, oracle
-from .core import (
-    CHANNEL_KINDS,
-    DEPHASING,
-    DEPOLARIZING,
-    CatParams,
-    entropy_s1,
-    expected_n,
-    normalization_constant,
-    reduced_rho1,
-)
+from .core import CatParams, entropy_s1, expected_n, normalization_constant, reduced_rho1
+from .oracle import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, MAX_ENUM_QUBITS
 
 __all__ = ["CheckResult", "STANDARD_EPSILONS", "STANDARD_GAMMA_TS", "run_validation"]
 
@@ -151,8 +143,8 @@ def _check_protocol(max_n: int) -> tuple[CheckResult, ...]:
                 if branch.n_success >= 1 and branch.state is not None:
                     fid = oracle.ghz_fidelity(branch, n)
                     worst_fid = max(worst_fid, abs(fid - 1.0))
-            filt = distillation.build_filter(params)
-            completeness = filt.A.conj().T @ filt.A + filt.A_bar.conj().T @ filt.A_bar
+            a, a_bar = distillation.build_filter(params)
+            completeness = a.conj().T @ a + a_bar.conj().T @ a_bar
             worst_complete = max(
                 worst_complete, float(np.max(np.abs(completeness - np.eye(2))))
             )
@@ -183,18 +175,17 @@ def _check_loss(max_n: int) -> CheckResult:
     worst = 0.0
     for n, eps, lam in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_LAMBDAS):
         params = CatParams(n, eps)
-        model = loss.LossModel(lam)
-        dense = oracle.enumerate_loss(params, model)
-        closed = loss.cat_loss_suppression(params, model)
+        dense = oracle.enumerate_loss(params, lam)
+        closed = loss.cat_loss_suppression(params, lam)
         worst = max(worst, abs(dense - closed))
     return _result("loss_subset_expectation", worst, 1e-9)
 
 
 def run_validation(max_n: int) -> list[CheckResult]:
-    """Run every oracle-equivalence check for N = 2..max_n (max_n in [2, 8])."""
-    if not (2 <= max_n <= 8):
+    """Run every oracle-equivalence check for N = 2..max_n, max_n in [2, MAX_ENUM_QUBITS]."""
+    if not (2 <= max_n <= MAX_ENUM_QUBITS):
         raise ValueError(
-            f"max_n must lie in [2, 8] (size cap of the dense oracle), got {max_n}"
+            f"max_n must lie in [2, {MAX_ENUM_QUBITS}] (size cap of the dense oracle), got {max_n}"
         )
     rho1_row, entropy_row = _check_reduced_rho1(max_n)
     return [

@@ -23,19 +23,14 @@ import time
 import numpy as np
 import pytest
 
-from catsize.core import (
+from catsize.core import CatParams, entropy_s1, expected_n, reduced_rho1
+from catsize.decoherence import cat_offdiag_norm, effective_size_decoherence, ghz_offdiag_norm
+from catsize.distillation import build_filter, outcome_distribution, simulate_protocol
+from catsize.loss import cat_loss_suppression, effective_size_loss
+from catsize.oracle import (
     CHANNEL_KINDS,
     DEPHASING,
     DEPOLARIZING,
-    CatParams,
-    entropy_s1,
-    expected_n,
-    reduced_rho1,
-)
-from catsize.decoherence import cat_offdiag_norm, effective_size_decoherence, ghz_offdiag_norm
-from catsize.distillation import build_filter, outcome_distribution, simulate_protocol
-from catsize.loss import LossModel, cat_loss_suppression, effective_size_loss
-from catsize.oracle import (
     ChannelSpec,
     apply_product_channel,
     branch_vectors,
@@ -165,8 +160,8 @@ def test_criterion_4_distillation_exactness():
             for branch in branches:
                 if branch.n_success >= 1 and branch.state is not None:
                     worst_fid = max(worst_fid, abs(ghz_fidelity(branch, n) - 1.0))
-            filt = build_filter(params)
-            gap = filt.A.conj().T @ filt.A + filt.A_bar.conj().T @ filt.A_bar - np.eye(2)
+            a, a_bar = build_filter(params)
+            gap = a.conj().T @ a + a_bar.conj().T @ a_bar - np.eye(2)
             worst_complete = max(worst_complete, float(np.max(np.abs(gap))))
     ok = (
         worst_q <= 1e-10
@@ -319,9 +314,8 @@ def test_criterion_8_loss():
         for eps in GRID_EPS:
             params = CatParams(n, eps)
             for lam in GRID_LAM:
-                model = LossModel(lam)
-                dense = enumerate_loss(params, model)
-                closed = cat_loss_suppression(params, model)
+                dense = enumerate_loss(params, lam)
+                closed = cat_loss_suppression(params, lam)
                 worst = max(worst, abs(dense - closed))
     size = effective_size_loss(CatParams(10**6, 1e-3))
     target = 10**6 * (1e-3) ** 2 / 2

@@ -9,8 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from catsize.core import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, CatParams
+from catsize.core import CatParams
 from catsize.oracle import (
+    CHANNEL_KINDS,
+    DEPHASING,
+    DEPOLARIZING,
     PAULI_Z,
     ChannelSpec,
     apply_product_channel,

@@ -49,12 +49,12 @@ def test_params_reject_n_beyond_largest_double():
 def test_counts_beyond_largest_double_are_refused():
     # the GHZ sizes and the curves' n_ref share CatParams' bound on N
     from catsize.decoherence import decay_curve, ghz_offdiag_norm
-    from catsize.loss import LossModel, ghz_loss_suppression, loss_curve
+    from catsize.loss import ghz_loss_suppression, loss_curve
 
     p, big = CatParams(10, 0.1), int(sys.float_info.max) + 1
     for call in (
         lambda n: ghz_offdiag_norm(n, 0.5),
-        lambda n: ghz_loss_suppression(n, LossModel(0.5)),
+        lambda n: ghz_loss_suppression(n, 0.5),
         lambda n: decay_curve(p, n, Linspace(0.5, 2)),
         lambda n: loss_curve(p, n, Linspace(0.5, 2)),
     ):

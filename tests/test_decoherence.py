@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from catsize.core import CHANNEL_KINDS, CatParams, Linspace
+from catsize.core import CatParams, Linspace
 from catsize.decoherence import (
     cat_offdiag_norm,
     decay_curve,
@@ -12,6 +12,7 @@ from catsize.decoherence import (
     ghz_offdiag_norm,
 )
 from catsize.oracle import (
+    CHANNEL_KINDS,
     ChannelSpec,
     apply_product_channel,
     branch_vectors,

@@ -71,6 +71,17 @@ def test_scalar_names_load_no_numpy():
     )
 
 
+def test_oracle_loads_no_closed_form_module():
+    # the oracle checks the closed forms, so it must not load them: of the
+    # package it imports only core, for the parameter type and its checks
+    run_probe(
+        "import sys\n"
+        "import catsize.oracle\n"
+        "loaded = {m for m in sys.modules if m.split('.')[0] == 'catsize'}\n"
+        "assert loaded == {'catsize', 'catsize.core', 'catsize.oracle'}, sorted(loaded)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -20,7 +20,7 @@ from catsize.cli import main
 from catsize.core import CatParams, Linspace
 from catsize.decoherence import cat_offdiag_norm, decay_curve, ghz_offdiag_norm
 from catsize.distillation import OutcomeDistribution, outcome_distribution, simulate_protocol
-from catsize.loss import LossModel, cat_loss_suppression, ghz_loss_suppression, loss_curve
+from catsize.loss import cat_loss_suppression, ghz_loss_suppression, loss_curve
 from catsize.report import build_effective_size_report
 from catsize.serialize import dumps_json, fmt_float, json_chunks
 
@@ -80,8 +80,8 @@ def dense_loss_text(n, eps, endpoint, steps):
     n_ref = max(1, round(n * p.one_minus_c))
     return dense_curve_text(
         "lambda,ghz_suppression,cat_suppression", endpoint, steps,
-        lambda lam: ghz_loss_suppression(n_ref, LossModel(lam)),
-        lambda lam: cat_loss_suppression(p, LossModel(lam)),
+        lambda lam: ghz_loss_suppression(n_ref, lam),
+        lambda lam: cat_loss_suppression(p, lam),
     )
 
 
@@ -182,8 +182,8 @@ def test_loss_columns_match_the_point_functions(eps, grid):
     lams, ghz, cat = csv_columns(loss_curve(p, 7, grid))
     grid = np.linspace(0.0, grid.endpoint, len(grid)).tolist()
     assert list(lams) == grid
-    assert ghz == tuple(ghz_loss_suppression(7, LossModel(x)) for x in grid)
-    assert cat == tuple(cat_loss_suppression(p, LossModel(x)) for x in grid)
+    assert ghz == tuple(ghz_loss_suppression(7, x) for x in grid)
+    assert cat == tuple(cat_loss_suppression(p, x) for x in grid)
 
 
 @pytest.mark.parametrize("window", [[0.0, math.nan], [math.inf], [-math.inf, 0.0, math.nan]])
