@@ -94,15 +94,15 @@ def _cmd_effective_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    # decoherence-curve and loss-curve.  The factory named by args.curve is
-    # looked up on the module at the call, so a replacement is seen; it and
-    # Linspace check the endpoint.  n_ref defaults to the rounded matched
-    # size, at least 1.
+    # decoherence-curve and loss-curve.  args.curve is the module's factory
+    # as it stood when main() built the parser, so a replacement is seen; it
+    # and Linspace check the endpoint.  n_ref defaults to the rounded
+    # matched size, at least 1.
     params = CatParams(args.n, _resolve_epsilon(args))
     if not (2 <= args.steps <= MAX_CURVE_STEPS):
         raise ValueError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
     n_ref = args.n_ref if args.n_ref is not None else max(1, round(args.matched_size(params)))
-    curve = getattr(_CLI, args.curve)(params, n_ref, Linspace(args.endpoint, args.steps))
+    curve = args.curve(params, n_ref, Linspace(args.endpoint, args.steps))
     _emit(curve.to_csv(), args.output)
     return 0
 
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     curve_command(
-        "decoherence-curve", "decay_curve", effective_size_decoherence,
+        "decoherence-curve", decay_curve, effective_size_decoherence,
         "GHZ vs cat off-diagonal decay curves as CSV",
         "--gamma-t-max", "grid endpoint, finite and > 0", "N sin^2 eps",
     )
@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="unsigned 64-bit RNG seed")
 
     curve_command(
-        "loss-curve", "loss_curve", effective_size_loss,
+        "loss-curve", loss_curve, effective_size_loss,
         "GHZ vs cat loss-suppression curves as CSV",
         "--lambda-max", "grid endpoint, in (0, 1]", "N (1 - cos eps)",
     )

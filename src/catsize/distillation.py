@@ -3,11 +3,15 @@
 Each party applies the local two-outcome filtering measurement {A, Abar}
 with
 
-    A = (sqrt(1 - c) / s) [[s, -c], [0, 1]],   c = cos(eps), s = sin(eps),
+    A = [[s, -c], [0, 1]] / sqrt(1 + c),   c = cos(eps), s = sin(eps),
 
-built from the biorthonormal basis of {|phi1>, |phi2>}; Abar is the
-positive square root of I - A^dag A, which has rank one.  The n parties
-with a successful (A) outcome end up sharing an ideal n-qubit GHZ state.
+built from the biorthonormal basis of {|phi1>, |phi2>}, and
+
+    Abar = sqrt(2c / (1 + c)) u u^T,   u = (sqrt((1 + c)/2), s / sqrt(2 (1 + c))),
+
+the positive square root of I - A^dag A, which has rank one and trace
+2c / (1 + c).  The n parties with a successful (A) outcome end up sharing
+an ideal n-qubit GHZ state.
 
 The number of successes n is distributed as
 
@@ -43,20 +47,11 @@ __all__ = [
 ]
 
 
-def _sqrtm_psd_2x2(m: np.ndarray) -> np.ndarray:
-    # positive square root of a 2x2 PSD Hermitian matrix:
-    # sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
-    # (Cayley-Hamilton); the rank-one case det = 0 reduces to M / sqrt(tr M).
-    sdet = math.sqrt(max(float(np.linalg.det(m).real), 0.0))
-    denom_sq = float(np.trace(m).real) + 2.0 * sdet
-    if denom_sq <= 0.0:
-        return np.zeros((2, 2), dtype=complex)
-    return (m + sdet * np.eye(2)) / math.sqrt(denom_sq)
-
-
 def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     """The filtering measurement (A, A_bar) for 0 < eps <= pi/2.
 
+    Both are the closed forms of the module docstring, in which no entry
+    underflows or cancels at any eps.
     A^dag A + A_bar^dag A_bar = I, and the success outcome scales both
     branches alike: <phi1|A^dag A|phi1> = <phi2|A^dag A|phi2> = k^2 with
     k^2 = 1 - cos(eps), params.one_minus_c.  The pair is the form that
@@ -66,10 +61,9 @@ def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     if params.epsilon <= 0.0:
         raise ValueError("build_filter requires eps > 0 (linearly independent branches)")
     c, s = params.c_eps, params.s_eps
-    k = math.sqrt(params.one_minus_c)
-    a = (k / s) * np.array([[s, -c], [0.0, 1.0]], dtype=complex)
-    complement = np.eye(2, dtype=complex) - a.conj().T @ a
-    return a, _sqrtm_psd_2x2(complement)
+    a = np.array([[s, -c], [0.0, 1.0]], dtype=complex) / math.sqrt(1.0 + c)
+    u = np.array([math.sqrt((1.0 + c) / 2.0), s / math.sqrt(2.0 * (1.0 + c))], dtype=complex)
+    return a, math.sqrt(2.0 * c / (1.0 + c)) * np.outer(u, u)
 
 
 # Largest N accepted by outcome_distribution and simulate_protocol.  The

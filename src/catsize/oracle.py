@@ -42,14 +42,8 @@ __all__ = [
     "DEPOLARIZING",
     "CHANNEL_KINDS",
     "ChannelSpec",
-    "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
-    "IDENTITY_2",
-    "MAX_STATE_QUBITS",
-    "MAX_OPERATOR_QUBITS",
     "MAX_ENUM_QUBITS",
-    "ProtocolBranch",
     "kron_all",
     "kron_power",
     "branch_vectors",
@@ -58,7 +52,6 @@ __all__ = [
     "build_ghz_state",
     "apply_product_channel",
     "dense_trace_norm",
-    "partial_trace_to_first",
     "partial_trace_state",
     "partial_trace_operator",
     "apply_one_qubit",
@@ -71,8 +64,6 @@ __all__ = [
 MAX_STATE_QUBITS = 14
 MAX_OPERATOR_QUBITS = 10
 MAX_ENUM_QUBITS = 8
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -254,14 +245,6 @@ def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def partial_trace_to_first(state: np.ndarray) -> np.ndarray:
-    """2x2 reduced state of qubit 1 (the most significant bit); needs N >= 2."""
-    state, n = _as_state(state)
-    if n < 2:
-        raise ValueError("partial_trace_to_first requires N >= 2")
-    return partial_trace_state(state, [0])
-
-
 def partial_trace_operator(op: np.ndarray, keep) -> np.ndarray:
     """Partial trace of a dense operator onto the kept qubits (0-based).
 
@@ -274,20 +257,13 @@ def partial_trace_operator(op: np.ndarray, keep) -> np.ndarray:
     keep = tuple(sorted(keep))
     if any(q < 0 or q >= n for q in keep):
         raise ValueError("kept qubit index out of range")
-    traced = np.einsum(_trace_subscripts(n, keep), op.reshape((2,) * (2 * n)))
+    # row slot q is axis label q; column slot q is label n + q if q is kept
+    # and label q, summed with its row slot, if it is traced
+    col = [n + q if q in keep else q for q in range(n)]
+    out = [*keep, *(n + q for q in keep)]
+    traced = np.einsum(op.reshape((2,) * (2 * n)), [*range(n), *col], out)
     dim = 2 ** len(keep)
     return traced.reshape(dim, dim)
-
-
-@functools.lru_cache(maxsize=2**(MAX_OPERATOR_QUBITS + 1))
-def _trace_subscripts(n: int, keep: tuple[int, ...]) -> str:
-    # einsum subscripts of partial_trace_operator (the cache holds every kept
-    # set of every operator size): row slot q is letter q, column slot q is
-    # letter n + q if q is kept and letter q (traced) if not
-    row = [_LETTERS[q] for q in range(n)]
-    col = [_LETTERS[n + q] if q in keep else _LETTERS[q] for q in range(n)]
-    out = "".join(_LETTERS[q] for q in keep) + "".join(_LETTERS[n + q] for q in keep)
-    return "".join(row) + "".join(col) + "->" + out
 
 
 def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
@@ -365,7 +341,7 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBran
     return q, branches
 
 
-def ghz_fidelity(branch: ProtocolBranch, n_qubits: int) -> float:
+def ghz_fidelity(branch: ProtocolBranch) -> float:
     """Fidelity of a success branch's reduced state with the ideal GHZ state.
 
     The reduced density matrix on the successful qubits is compared with
@@ -373,10 +349,9 @@ def ghz_fidelity(branch: ProtocolBranch, n_qubits: int) -> float:
     """
     if branch.n_success < 1 or branch.state is None:
         raise ValueError("GHZ fidelity needs a success branch with a state")
-    keep = [
-        j for j in range(n_qubits) if (branch.mask >> (n_qubits - 1 - j)) & 1
-    ]
-    rho = partial_trace_state(branch.state, keep)
+    state, n = _as_state(branch.state)
+    keep = [j for j in range(n) if (branch.mask >> (n - 1 - j)) & 1]
+    rho = partial_trace_state(state, keep)
     ghz = build_ghz_state(len(keep))
     return float((ghz.conj() @ rho @ ghz).real)
 

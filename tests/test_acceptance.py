@@ -41,7 +41,7 @@ from catsize.oracle import (
     enumerate_protocol,
     ghz_fidelity,
     kron_power,
-    partial_trace_to_first,
+    partial_trace_state,
 )
 from catsize.report import build_effective_size_report
 
@@ -159,7 +159,7 @@ def test_criterion_4_distillation_exactness():
             worst_sum = max(worst_sum, abs(q.sum() - 1.0))
             for branch in branches:
                 if branch.n_success >= 1 and branch.state is not None:
-                    worst_fid = max(worst_fid, abs(ghz_fidelity(branch, n) - 1.0))
+                    worst_fid = max(worst_fid, abs(ghz_fidelity(branch) - 1.0))
             a, a_bar = build_filter(params)
             gap = a.conj().T @ a + a_bar.conj().T @ a_bar - np.eye(2)
             worst_complete = max(worst_complete, float(np.max(np.abs(gap))))
@@ -250,7 +250,7 @@ def test_criterion_7a_entropy_bound_oracle():
     for n in range(2, 11):
         for eps in GRID_EPS + (HALF_PI,):
             params = CatParams(n, eps)
-            dense = partial_trace_to_first(build_cat_state(params))
+            dense = partial_trace_state(build_cat_state(params), [0])
             worst = max(worst, float(np.max(np.abs(dense - reduced_rho1(params)))))
     ordering = True
     for eps in (0.01, 0.05, 0.1, 0.2):

@@ -11,7 +11,7 @@ from catsize.oracle import (
     build_cat_state,
     dense_trace_norm,
     kron_power,
-    partial_trace_to_first,
+    partial_trace_state,
 )
 
 HALF_PI = math.pi / 2
@@ -175,7 +175,7 @@ def test_reduced_rho1_trivial_cases():
 @pytest.mark.parametrize("eps", [0.1, 0.4, math.pi / 4, HALF_PI - 0.1, HALF_PI])
 def test_reduced_rho1_matches_oracle_partial_trace(n, eps):
     p = CatParams(n, eps)
-    dense = partial_trace_to_first(build_cat_state(p))
+    dense = partial_trace_state(build_cat_state(p), [0])
     assert np.max(np.abs(dense - reduced_rho1(p))) < 1e-12
 
 

@@ -76,9 +76,35 @@ def test_filter_matches_numeric_biorthonormal_construction(eps):
     a, a_bar = build_filter(p)
     a_num, a_bar_num = biorthonormal_filter(p)
     assert np.max(np.abs(a - a_num)) < 1e-12
-    # the PSD root of the rank-deficient complement is only conditioned to
-    # sqrt(machine eps) in the null direction
+    # the oracle's eigh root of the rank-deficient complement is only
+    # conditioned to sqrt(machine eps) in the null direction
     assert np.max(np.abs(a_bar - a_bar_num)) < 1e-7
+
+
+def _reference_filter(eps: float):
+    # (A, A_bar) at 60 digits from the biorthonormal form
+    # A = (sqrt(1 - c) / s) [[s, -c], [0, 1]] and A_bar = M / sqrt(tr M), the
+    # root of the rank-one M = I - A^T A; 1 - c is taken as 2 sin^2(eps/2),
+    # which 60 digits hold down to the smallest subnormal eps
+    with mp.workdps(60):
+        e = mp.mpf(eps)
+        c, s = mp.cos(e), mp.sin(e)
+        a = (mp.sqrt(2) * mp.sin(e / 2) / s) * mp.matrix([[s, -c], [0, 1]])
+        m = mp.eye(2) - a.T * a
+        return a, m / mp.sqrt(m[0, 0] + m[1, 1])
+
+
+@pytest.mark.parametrize(
+    "eps", [5e-324, 1e-300, 1e-161, 1e-8, 0.3, math.pi / 4, HALF_PI - 1e-8, HALF_PI]
+)
+def test_filter_matches_closed_form_at_full_precision(eps):
+    a, a_bar = build_filter(CatParams(3, eps))
+    ref_a, ref_a_bar = _reference_filter(eps)
+    for got, ref in ((a, ref_a), (a_bar, ref_a_bar)):
+        assert not got.imag.any()
+        for i in range(2):
+            for j in range(2):
+                assert abs(mp.mpf(float(got[i, j].real)) - ref[i, j]) <= 1e-15
 
 
 def success_probability(params: CatParams, j: int, any_prior_success: bool) -> float:

@@ -24,7 +24,6 @@ from catsize.oracle import (
     kron_power,
     partial_trace_operator,
     partial_trace_state,
-    partial_trace_to_first,
 )
 
 HALF_PI = math.pi / 2
@@ -68,7 +67,7 @@ def test_build_ghz_state():
         build_ghz_state(1), np.array([1, 1]) / math.sqrt(2), atol=1e-15
     )
     bell = build_ghz_state(2)
-    rho1 = partial_trace_to_first(bell)
+    rho1 = partial_trace_state(bell, [0])
     np.testing.assert_allclose(rho1, np.eye(2) / 2, atol=1e-15)
     np.testing.assert_allclose(
         build_ghz_state(3), build_cat_state(CatParams(3, HALF_PI)), atol=1e-15
@@ -124,7 +123,6 @@ def test_state_length_must_be_power_of_two():
     for call in (
         lambda s: apply_one_qubit(s, m, 0),
         lambda s: partial_trace_state(s, [0]),
-        lambda s: partial_trace_to_first(s),
     ):
         with pytest.raises(ValueError, match="power of two"):
             call(np.ones(6))
@@ -161,15 +159,13 @@ def test_dense_trace_norm_values():
 
 def test_partial_trace_to_first_cases():
     np.testing.assert_allclose(
-        partial_trace_to_first(build_ghz_state(5)), np.eye(2) / 2, atol=1e-15
+        partial_trace_state(build_ghz_state(5), [0]), np.eye(2) / 2, atol=1e-15
     )
     prod = np.zeros(2**4)
     prod[0] = 1.0
     np.testing.assert_allclose(
-        partial_trace_to_first(prod), np.diag([1.0, 0.0]), atol=1e-15
+        partial_trace_state(prod, [0]), np.diag([1.0, 0.0]), atol=1e-15
     )
-    with pytest.raises(ValueError):
-        partial_trace_to_first(np.array([1.0, 0.0]))
 
 
 def test_partial_trace_operator_factorizes():
@@ -297,7 +293,7 @@ def test_enumerate_protocol_half_pi_single_branch():
     q, branches = enumerate_protocol(CatParams(n, HALF_PI))
     assert q[n] == pytest.approx(1.0, abs=1e-12)
     full_success = [b for b in branches if b.n_success == n][0]
-    assert ghz_fidelity(full_success, n) == pytest.approx(1.0, abs=1e-12)
+    assert ghz_fidelity(full_success) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,eps", [(4, 0.8), (5, 0.3), (6, 1.2)])
@@ -307,7 +303,7 @@ def test_enumerate_protocol_ghz_fidelities(n, eps):
     np.testing.assert_allclose(q, closed, atol=1e-10)
     for b in branches:
         if b.n_success >= 1 and b.state is not None:
-            assert abs(ghz_fidelity(b, n) - 1.0) < 1e-10
+            assert abs(ghz_fidelity(b) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.8, HALF_PI - 0.1])
