@@ -117,12 +117,13 @@ def _cmd_distill_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # max_err is formatted here, so a nan or inf one (its row fails) is printed, not refused
     results = _CLI.run_validation(args.max_n)
-    rows = [("PASS" if r.passed else "FAIL", r.name, r.max_err, r.tol) for r in results]
-    _emit(csv_chunks("status,name,max_err,tol", "%s,%s,%.17g,%.17g\n", rows), args.output)
-    failures = [r for r in results if not r.passed]
+    rows = [("PASS" if r.passed else "FAIL", r.name, "%.17g" % r.max_err, r.tol) for r in results]
+    _emit(csv_chunks("status,name,max_err,tol", "%s,%s,%s,%.17g\n", rows), args.output)
+    failures = [r.name for r in results if not r.passed]
     if failures:
-        print(f"validation failed: {failures[0].name}", file=sys.stderr)
+        print(f"validation failed: {', '.join(failures)}", file=sys.stderr)
         return 1
     return 0
 

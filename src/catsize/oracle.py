@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CatParams, _check_gamma_t, _check_lam
+from .core import CatParams, _check_gamma_t, _check_lam, _check_positive_int
 
 __all__ = [
     "DEPHASING",
@@ -167,8 +167,7 @@ def build_cat_state(params: CatParams) -> np.ndarray:
 
 def build_ghz_state(n: int) -> np.ndarray:
     """Amplitudes of (|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_positive_int(n, "n")
     _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)

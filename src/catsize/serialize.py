@@ -14,6 +14,8 @@ cached run of zeros without forming the list.  ``csv_chunks`` writes each
 row through its caller's one-line %-template.  Both yield the text in
 pieces of at most _FLOAT_BATCH values or rows each, so a writer never
 holds a long payload at once; ``dumps_json`` joins the same pieces.
+Neither writes inf or nan: the one "nan" or "inf" a command prints is the
+max_err cell of a ``validate`` FAIL row, which that command formats.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def csv_chunks(header: str, row: str, rows):
     """CSV text as a stream of chunks: the header line, then the rows in blocks.
 
     row is the %-template of one line, its newline included: three %.17g
-    fields for a curve, "%s,%s,%.17g,%.17g" for validate.  Each row is a
+    fields for a curve, "%s,%s,%s,%.17g" for validate.  Each row is a
     tuple with one value per field, and each block of rows is formatted in
     one pass.
     """

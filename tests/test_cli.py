@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -459,6 +462,68 @@ def test_validate_out_of_range(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "size cap of the dense oracle" in err
+
+
+def test_run_validation_rejects_non_integer_counts():
+    from catsize.validation import run_validation
+
+    for max_n in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_n must be a positive integer"):
+            run_validation(max_n)
+
+
+def _nan_at_n2_gamma_005(params, gamma_t):
+    if params.N == 2 and gamma_t == 0.05:
+        return math.nan
+    return cat_offdiag_norm(params, gamma_t)
+
+
+def _inf_q0(params):
+    q = list(outcome_distribution(params).q)
+    return types.SimpleNamespace(q=[math.inf, *q[1:]])
+
+
+def _scaled_expected_n(params):
+    return expected_n(params) * (1 + 1e-6)
+
+
+DECOHERENCE_ROWS = ["decoherence_closed_form_dephasing", "decoherence_closed_form_depolarizing"]
+
+
+@pytest.mark.parametrize(
+    "target, replacement, failing",
+    [
+        ("catsize.loss.cat_loss_suppression", lambda params, lam: math.nan,
+         ["loss_subset_expectation"]),
+        ("catsize.decoherence.cat_offdiag_norm", _nan_at_n2_gamma_005, DECOHERENCE_ROWS),
+        ("catsize.decoherence.cat_offdiag_norm", lambda params, gamma_t: 0.0, DECOHERENCE_ROWS),
+        ("catsize.validation.entropy_s1", lambda params: math.nan, ["n_distill_upper_exact"]),
+        ("catsize.distillation.outcome_distribution", _inf_q0, ["protocol_distribution"]),
+        # a control: a finite error above its tolerance
+        ("catsize.validation.expected_n", _scaled_expected_n, ["protocol_mean_vs_expected_n"]),
+    ],
+    ids=["loss-nan", "offdiag-nan-at-one-point", "offdiag-zero", "entropy-nan", "q0-inf",
+         "expected-n-scaled"],
+)
+def test_validate_fails_loudly_on_a_broken_closed_form(
+    monkeypatch, capsys, target, replacement, failing
+):
+    # a closed form that returns nan, 0 or inf where validation reaches it
+    # fails exactly its rows: every row is printed, each cell parses, the
+    # exit code is 1 and stderr names each failing row
+    monkeypatch.setattr(target, replacement)
+    code, out, err = run_cli(capsys, "validate", "--max-n", "3")
+    assert code == 1
+    assert err == f"validation failed: {', '.join(failing)}\n"
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["status", "name", "max_err", "tol"]
+    assert len(rows) == 15
+    for status, name, max_err, tol in rows[1:]:
+        assert status == ("FAIL" if name in failing else "PASS"), name
+        float(max_err)
+        assert math.isfinite(float(tol))
+        if status == "PASS":
+            assert math.isfinite(float(max_err))
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

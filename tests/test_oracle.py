@@ -72,6 +72,9 @@ def test_build_ghz_state():
     np.testing.assert_allclose(
         build_ghz_state(3), build_cat_state(CatParams(3, HALF_PI)), atol=1e-15
     )
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            build_ghz_state(bad)
 
 
 def test_size_caps_are_hard_errors():
