@@ -147,7 +147,8 @@ def _protocol(max_n: int):
 
 
 def _residual_factorization(max_n: int):
-    for n, eps in product(range(3, max_n + 1), STANDARD_EPSILONS):
+    # at N = 2 the residual is a one-qubit cat
+    for n, eps in product(range(2, max_n + 1), STANDARD_EPSILONS):
         params = CatParams(n, eps)
         _, a_bar = oracle.biorthonormal_filter(params)
         vec = oracle.apply_one_qubit(oracle.build_cat_state(params), a_bar, 0)

@@ -456,6 +456,38 @@ def test_validate_row_names_are_pinned(capsys):
     ]
 
 
+# grid points per row at max_n = 2, 7 and 8; a speed-up must not come from
+# dropping checks, and no row may pass on an empty grid
+GRID_POINTS = {
+    "cat_state_normalization": (5, 30, 35),
+    "ghz_reduction_at_eps_half_pi": (1, 6, 7),
+    "decoherence_closed_form_dephasing": (12, 72, 84),
+    "decoherence_closed_form_depolarizing": (12, 72, 84),
+    "channel_equivalence": (12, 72, 84),
+    "ghz_decay_rate": (12, 42, 48),
+    "reduced_rho1_vs_partial_trace": (5, 30, 35),
+    "protocol_distribution": (4, 24, 28),
+    "protocol_mean_vs_expected_n": (4, 24, 28),
+    "protocol_ghz_fidelity": (12, 984, 2004),
+    "measurement_completeness": (4, 24, 28),
+    "residual_factorization": (4, 24, 28),
+    "loss_subset_expectation": (12, 72, 84),
+    "n_distill_upper_exact": (5, 30, 35),
+}
+
+
+@pytest.mark.parametrize("column, max_n", enumerate((2, 7, 8)))
+def test_validate_grid_points_per_row_are_pinned(column, max_n):
+    from collections import Counter
+
+    from catsize.validation import _CHECKS, ROWS
+
+    counts = Counter(row for check in _CHECKS for row, _ in check(max_n))
+    assert counts == {row: points[column] for row, points in GRID_POINTS.items()}
+    assert list(GRID_POINTS) == list(ROWS)
+    assert all(min(points) > 0 for points in GRID_POINTS.values())
+
+
 def test_validate_out_of_range(capsys):
     for max_n in ("20", "9", "1"):
         code, out, err = run_cli(capsys, "validate", "--max-n", max_n)

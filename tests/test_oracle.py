@@ -117,8 +117,13 @@ def test_apply_product_channel_matches_kron_factor_reference(n, kind):
     dim = 2**n
     op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     ch = ChannelSpec(kind, 0.37)
-    diff = np.max(np.abs(apply_product_channel(op, ch) - _kron_factor_product_channel(op, ch)))
-    assert diff <= 1e-14 * np.max(np.abs(op))
+    # the complex operator, and the same with its imaginary part set to 0
+    # (complex dtype), which takes the real path
+    for op in (op, op.real.astype(complex)):
+        out = apply_product_channel(op, ch)
+        assert out.dtype == np.complex128
+        diff = np.max(np.abs(out - _kron_factor_product_channel(op, ch)))
+        assert diff <= 1e-14 * np.max(np.abs(op))
 
 
 def test_state_length_must_be_power_of_two():
@@ -158,6 +163,26 @@ def test_dense_trace_norm_values():
     p = CatParams(4, 0.5)
     b0 = np.outer([1, 0], [p.c_eps, p.s_eps])
     assert dense_trace_norm(kron_power(b0, 4)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dense_trace_norm_real_path_matches_complex_path(n):
+    # a phase leaves the singular values alone but takes the complex path
+    rng = np.random.default_rng(300 + n)
+    op = rng.normal(size=(2**n, 2**n)).astype(complex)
+    real_path = dense_trace_norm(op)
+    assert real_path == pytest.approx(dense_trace_norm(op * np.exp(0.3j)), rel=1e-13)
+
+
+def test_nan_imaginary_part_keeps_the_complex_path():
+    op = np.eye(4, dtype=complex)
+    op[0, 1] = complex(0.0, math.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        dense_trace_norm(op)
+    for kind in CHANNEL_KINDS:
+        out = apply_product_channel(op, ChannelSpec(kind, 0.37))
+        assert out.dtype == np.complex128
+        assert np.isnan(out).any()
 
 
 def test_partial_trace_to_first_cases():
