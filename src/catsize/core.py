@@ -18,14 +18,18 @@ powers are formed by repeated multiplication.
 
 The scalar closed forms need only the standard library; reduced_rho1,
 the one array-valued form, imports numpy when called, so importing this
-module loads no numpy.
+module loads no numpy.  CatParams, like every record of the package, is a
+``collections.namedtuple`` subclass that checks its fields in ``__new__``.
+``collections`` is loaded when the interpreter starts, so the records load
+no module; the standard library's record decorator would load ``inspect``
+and with it ``ast``, ``dis`` and ``tokenize``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from numbers import Integral
 from typing import TYPE_CHECKING
@@ -114,21 +118,23 @@ def _check_lam(lam) -> float:
     return float(lam)
 
 
-@dataclass(frozen=True)
-class CatParams:
-    """Number of qubits N and branch angle epsilon in [0, pi/2] radians."""
+class CatParams(namedtuple("CatParams", "N epsilon")):
+    """Number of qubits N and branch angle epsilon in [0, pi/2] radians.
 
-    N: int
-    epsilon: float
+    An immutable record compared and hashed by value; N is stored as a
+    Python int and epsilon as a Python float, both checked when it is made.
+    """
 
-    def __post_init__(self) -> None:
-        n = _check_positive_int(self.N, "N")
-        if not (0.0 <= self.epsilon <= HALF_PI):
-            raise ValueError(
-                f"epsilon must lie in [0, pi/2], got {self.epsilon!r}"
-            )
-        object.__setattr__(self, "N", n)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+    __slots__ = ()
+
+    def __new__(cls, N: int, epsilon: float) -> CatParams:
+        n = _check_positive_int(N, "N")
+        if not (0.0 <= epsilon <= HALF_PI):
+            raise ValueError(f"epsilon must lie in [0, pi/2], got {epsilon!r}")
+        return super().__new__(cls, n, float(epsilon))
+
+    # _replace builds through _make, which would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def c_eps(self) -> float:

@@ -18,7 +18,7 @@ GHZ size
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .core import CatParams, Linspace, _check_gamma_t, _check_grid, _check_positive_int
@@ -81,8 +81,7 @@ def effective_size_decoherence(params: CatParams) -> float:
     return params.N * params.s_eps**2
 
 
-@dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(namedtuple("DecayCurve", "params n_ref times")):
     """Off-diagonal norms of the GHZ reference (n_ref qubits) and the cat
     state on the gamma_t grid times, a Linspace from 0, so both start at 1.
 
@@ -90,9 +89,7 @@ class DecayCurve:
     consumed, so a long curve is never held in memory.
     """
 
-    params: CatParams
-    n_ref: int
-    times: Linspace
+    __slots__ = ()
 
     def to_csv(self):
         """CSV with header ``gamma_t,ghz_norm,cat_norm``, as a stream of text chunks.

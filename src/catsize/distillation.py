@@ -28,8 +28,7 @@ report.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from numbers import Integral
 
@@ -105,20 +104,19 @@ def _q_payload(params: CatParams, q, source, trials, seed) -> dict:
     return {"N": n, "epsilon": eps, "q": q, "source": source, "trials": trials, "seed": seed}
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
+class OutcomeDistribution(namedtuple("OutcomeDistribution", "params lo log_q_window")):
     """Distribution q_0..q_N of the number of distilled GHZ parties.
 
     Only the window k = lo..lo + len(log_q_window) - 1 is stored, as ln q_k;
     every q_k outside it underflows to 0.  q is a SparseFloats over 0..N
     that holds exp of the window, built on first use: len(q) is N + 1 and
     iterating it gives every q_k, in memory of the window's size only.
-    The payload writes that same q.
+    The payload writes that same q.  The record holds an array, so it is
+    compared and hashed by identity; it has no __slots__, as the cached q
+    needs an instance __dict__.
     """
 
-    params: CatParams
-    lo: int
-    log_q_window: np.ndarray
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @cached_property
     def q(self) -> SparseFloats:
@@ -306,21 +304,18 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     return OutcomeDistribution(params, lo, _log_q(params, lo, hi))
 
 
-@dataclass(frozen=True, eq=False)
-class McResult:
+class McResult(namedtuple("McResult", "params outcomes tallies trials seed")):
     """Empirical outcome counts from a seeded protocol simulation at params.
 
     Only the outcomes that occurred are stored: outcomes[i] parties were
     distilled in tallies[i] trials, outcomes ascending.  The payload's q is
     a SparseFloats over 0..N that holds the frequencies of those outcomes,
-    tallies / trials.
+    tallies / trials.  The record holds arrays, so it is compared and
+    hashed by identity.
     """
 
-    params: CatParams
-    outcomes: np.ndarray
-    tallies: np.ndarray
-    trials: int
-    seed: int
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def to_payload(self) -> dict:
         freq = (self.tallies / self.trials).tolist()

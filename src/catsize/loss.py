@@ -20,7 +20,7 @@ the public functions check it with ``core._check_lam``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .core import CatParams, Linspace, _check_grid, _check_lam, _check_positive_int
@@ -84,8 +84,7 @@ def effective_size_loss(params: CatParams) -> float:
     return params.N * params.one_minus_c
 
 
-@dataclass(frozen=True)
-class LossCurve:
+class LossCurve(namedtuple("LossCurve", "params n_ref lambdas")):
     """Suppressions of the GHZ reference (n_ref qubits) and the cat state on
     the lam grid lambdas, a Linspace from 0 to at most 1.
 
@@ -93,9 +92,7 @@ class LossCurve:
     consumed, so a long curve is never held in memory.
     """
 
-    params: CatParams
-    n_ref: int
-    lambdas: Linspace
+    __slots__ = ()
 
     def to_csv(self):
         """CSV with header ``lambda,ghz_suppression,cat_suppression``, as a

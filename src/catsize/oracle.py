@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -85,19 +85,18 @@ DEPOLARIZING = "depolarizing"
 CHANNEL_KINDS = (DEPHASING, DEPOLARIZING)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(namedtuple("ChannelSpec", "kind gamma_t")):
     """A single-qubit CP map of the given kind at dimensionless time gamma_t."""
 
-    kind: str
-    gamma_t: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(
-                f"kind must be one of {CHANNEL_KINDS}, got {self.kind!r}"
-            )
-        object.__setattr__(self, "gamma_t", _check_gamma_t(self.gamma_t))
+    def __new__(cls, kind: str, gamma_t: float) -> ChannelSpec:
+        if kind not in CHANNEL_KINDS:
+            raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
+        return super().__new__(cls, kind, _check_gamma_t(gamma_t))
+
+    # _replace builds through _make, which would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def mu(self) -> float:
@@ -325,19 +324,17 @@ def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     return a, a_bar
 
 
-@dataclass(frozen=True)
-class ProtocolBranch:
+class ProtocolBranch(namedtuple("ProtocolBranch", "mask n_success probability state")):
     """One outcome string of the exhaustive protocol tree.
 
     mask bit for qubit j (1-based) is (mask >> (N - j)) & 1; set bits are
     successful (A) outcomes.  state is the normalized post-measurement
-    vector, or None for branches of probability below 1e-300.
+    vector, or None for branches of probability below 1e-300.  A branch
+    holds an array, so it is compared and hashed by identity.
     """
 
-    mask: int
-    n_success: int
-    probability: float
-    state: np.ndarray | None
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBranch]]:
@@ -345,20 +342,23 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBran
 
     Returns the exact outcome distribution aggregated over success counts
     together with every branch (in mask order), for fidelity checks
-    downstream.  The tree is walked level by level: qubit j's Abar and A
-    act once on each unnormalized vector of the 2^j outcome prefixes, so
-    the walk takes 2^(N+1) - 2 one-qubit applications, not N 2^N, and each
-    leaf is the same chain of operations as applying the mask's operators
-    qubit by qubit.
+    downstream.  The tree is walked level by level: the unnormalized vectors
+    of all 2^j outcome prefixes of qubits 1..j are stacked, and one
+    contraction applies qubit j's Abar and A to every one of them, so the
+    walk takes N contractions, not N 2^N one-qubit applications.  Each leaf
+    is the same chain of operations as applying the mask's operators qubit
+    by qubit with ``apply_one_qubit``.
     """
     n = params.N
     _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
     a, a_bar = biorthonormal_filter(params)
-    # prefix p of qubits 1..j sits at index p, so appending the outcome of
-    # qubit j + 1 as the low bit keeps the list in mask order
-    level = [build_cat_state(params)]
+    ops = np.stack([a_bar, a])  # indexed by the outcome bit: 0 fails, 1 succeeds
+    # row p holds prefix p; appending qubit j + 1's outcome o as the low
+    # bit, row 2 p + o, keeps the rows in mask order
+    level = build_cat_state(params).reshape(1, -1)
     for j in range(n):
-        level = [apply_one_qubit(vec, op, j) for vec in level for op in (a_bar, a)]
+        cube = level.reshape(len(level), 2**j, 2, 2 ** (n - j - 1))
+        level = np.einsum("oik,pakb->poaib", ops, cube).reshape(2 * len(level), -1)
     q = np.zeros(n + 1)
     branches: list[ProtocolBranch] = []
     for mask, vec in enumerate(level):

@@ -1,9 +1,13 @@
-"""One record with every effective-size measure for a single (N, epsilon)."""
+"""One record with every effective-size measure for a single (N, epsilon).
+
+The record is a namedtuple: its fields, in declaration order, are the keys
+of the JSON report, and ``to_payload`` is its ``_asdict``.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
 from .core import CatParams, entropy_s1, expected_n
 from .decoherence import effective_size_decoherence
@@ -12,22 +16,23 @@ from .loss import effective_size_loss
 __all__ = ["EffectiveSizeReport", "build_effective_size_report"]
 
 
-@dataclass(frozen=True)
-class EffectiveSizeReport:
+class EffectiveSizeReport(namedtuple("EffectiveSizeReport", [
+    "N",
+    "epsilon",
+    "n_decoherence",
+    "n_distill_mean",
+    "n_distill_upper_exact",
+    "n_distill_upper_asymptotic",
+    "n_loss",
+    "reference_N_eps_sq",
+])):
     """Effective sizes from all methods plus the N eps^2 reference scale."""
 
-    N: int
-    epsilon: float
-    n_decoherence: float
-    n_distill_mean: float
-    n_distill_upper_exact: float
-    n_distill_upper_asymptotic: float
-    n_loss: float
-    reference_N_eps_sq: float
+    __slots__ = ()
 
     def to_payload(self) -> dict:
         """Fields as a dict in declaration order (the JSON key order)."""
-        return asdict(self)
+        return self._asdict()
 
 
 def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
@@ -51,11 +56,10 @@ def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
     )
     # N may be as large as the largest double, and the N eps^2 scales can
     # exceed it; refuse what no JSON number can hold, naming the field
-    for field in fields(report):
-        value = getattr(report, field.name)
+    for name, value in zip(report._fields, report):
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(
-                f"{field.name} overflows a double at N = {params.N:.17g}, "
+                f"{name} overflows a double at N = {params.N:.17g}, "
                 f"epsilon = {params.epsilon!r}"
             )
     return report

@@ -15,7 +15,7 @@ that is above its tolerance or not finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, product
 
 import numpy as np
@@ -60,11 +60,8 @@ ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_err: float
-    tol: float
+class CheckResult(namedtuple("CheckResult", "name max_err tol")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

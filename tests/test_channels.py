@@ -5,6 +5,7 @@ entry rule below is the dense superoperator action on one qubit.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,11 +33,19 @@ def random_operators(count, seed=3):
 
 
 def test_channel_spec_validation():
-    with pytest.raises(ValueError):
+    refusal = "kind must be one of ('dephasing', 'depolarizing'), got 'amplitude-damping'"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         ChannelSpec("amplitude-damping", 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma_t must be >= 0, got -0.1$"):
         ChannelSpec(DEPHASING, -0.1)
-    assert 0.0 < ChannelSpec(DEPOLARIZING, 5.0).mu <= 1.0
+    with pytest.raises(ValueError, match="gamma_t must be"):
+        ChannelSpec(DEPHASING, 0.1)._replace(gamma_t=math.nan)
+    spec = ChannelSpec(kind=DEPOLARIZING, gamma_t=5)
+    assert spec == ChannelSpec(DEPOLARIZING, 5.0) and type(spec.gamma_t) is float
+    assert repr(spec) == "ChannelSpec(kind='depolarizing', gamma_t=5.0)"
+    with pytest.raises(AttributeError):
+        spec.gamma_t = 1.0
+    assert 0.0 < spec.mu <= 1.0
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)

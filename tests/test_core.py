@@ -36,6 +36,30 @@ def test_params_validation():
     CatParams(1, HALF_PI)
 
 
+def test_params_record_behaviour():
+    # a value record: made by keyword as the README makes it, compared and
+    # hashed by value, immutable, and checked however it is built
+    p = CatParams(N=2, epsilon=0.5)
+    assert p == CatParams(2, 0.5) and hash(p) == hash(CatParams(2, 0.5))
+    assert p != CatParams(2, 0.25)
+    assert len({p, CatParams(2, 0.5), CatParams(3, 0.5)}) == 2
+    assert repr(p) == "CatParams(N=2, epsilon=0.5)"
+    q = CatParams(np.int64(3), np.float32(0.5))
+    assert (type(q.N), type(q.epsilon)) == (int, float)
+    for attr in ("N", "epsilon", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, 1)
+    with pytest.raises(ValueError, match=r"^N must be a positive integer, got 0$"):
+        CatParams(0, 0.1)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, pi/2\], got -0.001$"):
+        CatParams(4, -0.001)
+    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, pi/2\], got nan$"):
+        CatParams(4, math.nan)
+    assert p._replace(N=7) == CatParams(7, 0.5)
+    with pytest.raises(ValueError, match="epsilon must lie"):
+        p._replace(epsilon=2.0)
+
+
 def test_params_reject_n_beyond_largest_double():
     # every closed form multiplies N into a double, so N must fit in one
     with pytest.raises(ValueError, match="largest double"):

@@ -18,7 +18,7 @@ from catsize.distillation import (
     outcome_distribution,
     simulate_protocol,
 )
-from catsize.oracle import biorthonormal_filter, branch_vectors
+from catsize.oracle import biorthonormal_filter, branch_vectors, enumerate_protocol
 from catsize.report import build_effective_size_report
 from catsize.serialize import dumps_json
 
@@ -396,11 +396,12 @@ def test_simulation_accepts_seed_range_ends():
 
 
 def test_array_results_compare_by_identity_and_hash():
-    # numpy-array fields would make a generated __eq__ raise and __hash__ fail
+    # numpy-array fields would make a field-wise __eq__ raise and __hash__ fail
     p = CatParams(8, 0.5)
     for make in (
         lambda: outcome_distribution(p),
         lambda: simulate_protocol(p, 100, seed=3),
+        lambda: enumerate_protocol(p)[1][5],
     ):
         a, b = make(), make()
         assert a == a

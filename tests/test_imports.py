@@ -1,9 +1,11 @@
-"""Import graph: the closed-form package and commands never load numpy.
+"""Import graph: the closed-form package and commands never load numpy,
+nor ``inspect``, which ``dataclasses`` would bring in.
 
 Each probe runs in a fresh interpreter, since this test process has numpy
 loaded already.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -94,7 +96,28 @@ def test_oracle_loads_no_closed_form_module():
     ],
 )
 def test_closed_form_commands_load_no_numpy(argv, code):
-    run_probe(main_probe(argv, code, numpy_loaded=False))
+    # nor dataclasses and the inspect, ast and dis it would load, some 13 ms
+    # of a command that computes for microseconds
+    probe = main_probe(argv, code, numpy_loaded=False)
+    run_probe(probe + "assert not {'dataclasses', 'inspect'} & set(sys.modules)\n")
+
+
+def test_no_module_imports_dataclasses():
+    # the records are namedtuple subclasses, which load no module
+    package = os.path.dirname(catsize.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "dataclasses" for m in imported), name
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ have, and a larger branch angle must never make the state smaller.
 """
 
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -20,9 +19,9 @@ EPS = [0.0, 5e-324, 1e-300, 1e-8, 1e-3, math.pi / 4, math.nextafter(HALF_PI, 0.0
 N = [2, *(10**k for k in (1, 2, 3, 6, 9, 12, 15, 18, 30, 100)), 2**53 + 1, int(1e300)]
 # the effective sizes; -N eps^2 log2(eps) / 2 is an asymptote, not bounded by N
 SIZES = [
-    f.name
-    for f in fields(EffectiveSizeReport)
-    if f.name.startswith("n_") and f.name != "n_distill_upper_asymptotic"
+    name
+    for name in EffectiveSizeReport._fields
+    if name.startswith("n_") and name != "n_distill_upper_asymptotic"
 ]
 
 
@@ -40,3 +39,13 @@ def test_sizes_lie_in_0_n_and_grow_with_eps(n):
         # n_distill_mean fall up to 1 ulp below N there, because cos of the
         # double nearest pi/2 is 6.1e-17, not 0
         assert abs(sizes[-1] - top) <= math.ulp(top), (name, sizes[-1])
+
+
+def test_payload_keys_keep_their_order():
+    # the JSON key order of effective-size is the record's field order
+    payload = build_effective_size_report(CatParams(N=10, epsilon=0.5)).to_payload()
+    assert type(payload) is dict
+    assert list(payload) == list(EffectiveSizeReport._fields) == [
+        "N", "epsilon", "n_decoherence", "n_distill_mean", "n_distill_upper_exact",
+        "n_distill_upper_asymptotic", "n_loss", "reference_N_eps_sq",
+    ]
