@@ -9,14 +9,20 @@ The closed forms in the analysis modules are validated against these
 routines; the oracle never calls them: it imports only ``core``, and from
 it only the parameter type and the parameter checks.
 
-The dense kernels (channel evolution, the trace-norm SVD and the stacked
-SVD of the loss enumeration) compute in real arithmetic when their operator's
-imaginary part is exactly 0, as every operator the validation suite builds
-is, and in complex arithmetic otherwise.  A real matrix's SVD is also a
-complex SVD of it, and singular values are unique, so both paths give the
-same singular values up to rounding.  Channel evolution interleaves the row
-and column bits once, applies the 4x4 superoperator to each qubit's slot
-pair in turn and restores the order once (see ``apply_product_channel``).
+The dense kernels (channel evolution, the trace-norm SVD, and the partial
+traces and stacked SVD of the loss enumeration) compute in real arithmetic
+when their operator's imaginary part is exactly 0, as every operator the
+validation suite builds is, and in complex arithmetic otherwise.  A real
+matrix's SVD is also a complex SVD of it, and singular values are unique,
+so both paths give the same singular values up to rounding.  Channel
+evolution interleaves the row and column bits once, applies the 4x4
+superoperator to each qubit's slot pair in turn, one GEMM per qubit that
+also rotates the next pair to the front, and restores the order once (see
+``apply_product_channel``); each channel's superoperator is built and
+checked once per spec and cached.  The GHZ fidelity of a protocol branch
+is read from its amplitudes, F = sum_{i & K == 0} |psi[i] + psi[i | K]|^2 / 2
+with K the branch's mask of successful qubits, for all branches of a walk
+in one stacked call (see ``ghz_fidelities``).
 
 Convention, fixed package-wide: qubit 1 is the MOST significant bit of the
 amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
@@ -68,6 +74,7 @@ __all__ = [
     "enumerate_protocol",
     "enumerate_loss",
     "ghz_fidelity",
+    "ghz_fidelities",
 ]
 
 MAX_STATE_QUBITS = 14
@@ -209,41 +216,54 @@ def _real_if_exact(a: np.ndarray) -> np.ndarray:
     return a.real if not a.imag.any() else a
 
 
+@functools.lru_cache(maxsize=8)
+def _superoperator(ch: ChannelSpec) -> np.ndarray:
+    """The 4x4 superoperator S = sum_K K (x) conj(K) of a channel, built once per spec.
+
+    The Kraus set is checked for completeness first.  S is exactly real for
+    both channel kinds (Y (x) conj(Y) has entries +-1 and 0), so it is
+    returned real, and read-only because the cache shares it between calls.
+    Equal specs are one cache entry.
+    """
+    kraus = ch.kraus_operators()
+    completeness = sum(k.conj().T @ k for k in kraus)
+    if np.max(np.abs(completeness - np.eye(2))) > 1e-12:
+        raise ValueError("Kraus set fails completeness: sum K^dag K != I")
+    # S[(i k), (j l)] = sum_K K[i, j] conj(K[k, l])
+    sup = _real_if_exact(sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in kraus).reshape(4, 4))
+    sup.flags.writeable = False
+    return sup
+
+
 def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """Apply the single-qubit Kraus set to every qubit slot of a dense operator.
 
     The 2^n x 2^n operator is read as a 2n-qubit tensor (row index first):
     K op K^dag applies K to row slot q and conj(K) to column slot n + q, so
     the channel on qubit q is the 4x4 superoperator S = sum_K K (x) conj(K)
-    contracted with that (row, column) slot pair.  One transpose interleaves
-    the slots to (r1 c1, r2 c2, ..., rn cn), so each qubit's pair is one axis
-    of size 4; S is contracted with each axis in turn, over a
-    (4^q, 4, 4^(n-q-1)) view, and one transpose at the end restores the
-    row-then-column order.  The contraction is a batched matmul: it ran
-    faster than the einsum form at one BLAS thread (the CLI entry's default)
-    and at OpenBLAS's default thread count (a library caller's).
+    (``_superoperator``) contracted with that (row, column) slot pair.  One
+    transpose interleaves the slots to (r1 c1, r2 c2, ..., rn cn), so each
+    qubit's pair is one axis of size 4.  Each step views the operator as
+    (4, rest), with the leading pair first, and takes one GEMM,
+    ``(out.T @ S.T)``: that applies S to the leading pair and moves it to
+    the end, so after n steps every pair has had S once and the axis order
+    is back to where it started.  One transpose at the end restores the
+    row-then-column order.
 
-    S is exactly real for both channel kinds (Y (x) conj(Y) has entries +-1
-    and 0), so an operator whose imaginary part is exactly 0 is evolved in
-    real arithmetic: the terms it drops are products of exact zeros, so it
-    agrees with the complex path up to rounding.  The result is complex128
-    either way.
+    An operator whose imaginary part is exactly 0 is evolved in real
+    arithmetic with the real S: the terms it drops are products of exact
+    zeros, so it agrees with the complex path up to rounding.  The result
+    is complex128 either way.
     """
     op = np.asarray(op, dtype=complex)
     n = _n_qubits_of_operator(op)
     _check_qubits(n, MAX_OPERATOR_QUBITS, "dense operators")
-    kraus = ch.kraus_operators()
-    completeness = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(completeness - np.eye(2))) > 1e-12:
-        raise ValueError("Kraus set fails completeness: sum K^dag K != I")
-    # S[(i k), (j l)] = sum_K K[i, j] conj(K[k, l])
-    sup = sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in kraus).reshape(4, 4)
-    sup = _real_if_exact(sup)
+    sup_t = _superoperator(ch).T
     # axes (r1, ..., rn, c1, ..., cn) -> (r1, c1, ..., rn, cn) and back
     interleave = [a for q in range(n) for a in (q, n + q)]
     out = _real_if_exact(op).reshape((2,) * (2 * n)).transpose(interleave)
-    for q in range(n):
-        out = np.matmul(sup, out.reshape(4**q, 4, 4 ** (n - q - 1)))
+    for _ in range(n):
+        out = out.reshape(4, -1).T @ sup_t
     out = out.reshape((2,) * (2 * n)).transpose(np.argsort(interleave))
     return out.astype(complex, order="C").reshape(op.shape)
 
@@ -285,13 +305,18 @@ def partial_trace_operator(op: np.ndarray, keep) -> np.ndarray:
     keep = tuple(sorted(keep))
     if any(q < 0 or q >= n for q in keep):
         raise ValueError("kept qubit index out of range")
-    # row slot q is axis label q; column slot q is label n + q if q is kept
-    # and label q, summed with its row slot, if it is traced
-    col = [n + q if q in keep else q for q in range(n)]
-    out = [*keep, *(n + q for q in keep)]
-    traced = np.einsum(op.reshape((2,) * (2 * n)), [*range(n), *col], out)
     dim = 2 ** len(keep)
-    return traced.reshape(dim, dim)
+    return _trace_out(op.reshape((2,) * (2 * n)), keep).reshape(dim, dim)
+
+
+def _trace_out(tensor: np.ndarray, keep: tuple) -> np.ndarray:
+    # partial trace of an operator read as a 2n-qubit tensor onto the sorted
+    # kept qubits, in the tensor's own dtype: row slot q is axis label q;
+    # column slot q is label n + q if q is kept and label q, summed with its
+    # row slot, if it is traced
+    n = tensor.ndim // 2
+    col = [n + q if q in keep else q for q in range(n)]
+    return np.einsum(tensor, [*range(n), *col], [*keep, *(n + q for q in keep)])
 
 
 def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
@@ -370,19 +395,48 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBran
     return q, branches
 
 
+def ghz_fidelities(states, masks) -> np.ndarray:
+    """GHZ fidelities of many branch states at once, one per row of ``states``.
+
+    Row b is a state on n qubits; the set bits of ``masks[b]`` (qubit j at
+    bit n - j, as in ``ProtocolBranch.mask``) are the kept qubits, and at
+    least one must be set.  The fidelity of the kept qubits' reduced state
+    with |GHZ_k> = (|0...0> + |1...1>)/sqrt(2) is a sum over the basis states
+    of the traced qubits.  Amplitude bit i of the 2^n-vector is the same
+    qubit as mask bit i, so the traced configurations are the indices i with
+    i & K == 0 for K = masks[b], and
+
+        F = sum_{i & K == 0} |psi[i] + psi[i | K]|^2 / 2,
+
+    the kept qubits all 0 at i and all 1 at i | K.  All rows take the same
+    elementwise operations and one row-wise sum.
+    """
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2:
+        raise ValueError(f"expected a (branches, 2^n) array of states, got shape {states.shape}")
+    n = _qubit_count(states.shape[1], "state length")
+    _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1, 1)
+    if len(masks) != len(states) or np.any((masks < 1) | (masks >= 2**n)):
+        raise ValueError(f"need one mask per state, each in [1, 2^{n})")
+    index = np.arange(2**n)
+    pair = states + np.take_along_axis(states, index | masks, axis=1)
+    weight = np.where(index & masks, 0.0, pair.real**2 + pair.imag**2)
+    return weight.sum(axis=1) / 2.0
+
+
 def ghz_fidelity(branch: ProtocolBranch) -> float:
     """Fidelity of a success branch's reduced state with the ideal GHZ state.
 
-    The reduced density matrix on the successful qubits is compared with
-    |GHZ_n><GHZ_n|; requires n_success >= 1 and a surviving state.
+    The reduced state on the successful qubits (the set bits of the mask)
+    is compared with |GHZ_k><GHZ_k|: F = sum_{i & mask == 0}
+    |psi[i] + psi[i | mask]|^2 / 2 over the amplitudes psi of the branch
+    state.  This is the one-row case of ``ghz_fidelities``.  Requires
+    n_success >= 1 and a surviving state.
     """
     if branch.n_success < 1 or branch.state is None:
         raise ValueError("GHZ fidelity needs a success branch with a state")
-    state, n = _as_state(branch.state)
-    keep = [j for j in range(n) if (branch.mask >> (n - 1 - j)) & 1]
-    rho = partial_trace_state(state, keep)
-    ghz = build_ghz_state(len(keep))
-    return float((ghz.conj() @ rho @ ghz).real)
+    return float(ghz_fidelities(np.reshape(branch.state, (1, -1)), [branch.mask])[0])
 
 
 def enumerate_loss(params: CatParams, lam: float) -> float:
@@ -413,13 +467,15 @@ def _loss_ratio_sums(params: CatParams) -> tuple[float, ...]:
     n = params.N
     phi1, phi2 = branch_vectors(params)
     dyad = np.outer(phi1, phi2.conj())
-    full_block = kron_power(dyad, n)
+    # the block is exactly real for real branch vectors, so its traces are
+    # taken, and their SVD is done, in real arithmetic
+    tensor = _real_if_exact(kron_power(dyad, n)).reshape((2,) * (2 * n))
     sums = []
     for k in range(n + 1):
         kept_sets = list(combinations(range(n), k))
-        stack = np.empty((len(kept_sets), 2**k, 2**k), dtype=complex)
+        stack = np.empty((len(kept_sets), 2**k, 2**k), dtype=tensor.dtype)
         for i, kept in enumerate(kept_sets):
-            stack[i] = partial_trace_operator(full_block, kept)
-        numer = np.linalg.svd(_real_if_exact(stack), compute_uv=False).sum()
+            stack[i] = _trace_out(tensor, kept).reshape(2**k, 2**k)
+        numer = np.linalg.svd(stack, compute_uv=False).sum()
         sums.append(float(numer) / dense_trace_norm(kron_power(dyad, k)))
     return tuple(sums)

@@ -20,7 +20,6 @@ max_err cell of a ``validate`` FAIL row, which that command formats.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from itertools import chain, islice, repeat
@@ -31,6 +30,37 @@ __all__ = ["SparseFloats", "fmt_float", "json_chunks", "dumps_json", "csv_chunks
 _FLOAT_BATCH = 4096
 # JSON text of _FLOAT_BATCH zeros; its first 3 k - 2 characters are k zeros
 _ZERO_RUN = ", ".join(["0"] * _FLOAT_BATCH)
+# the characters a JSON string writes with a two-character escape
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                  "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(ch: str) -> str:
+    # one character of a JSON string, in json.dumps's ASCII-only form
+    if ch in _SHORT_ESCAPES:
+        return _SHORT_ESCAPES[ch]
+    if " " <= ch <= "~":
+        return ch
+    code = ord(ch)
+    if code > 0xFFFF:  # beyond the BMP: a UTF-16 surrogate pair
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string literal, the bytes ``json.dumps(text)`` writes.
+
+    The output is ASCII: ``"`` and ``\\`` and the controls \\b, \\f, \\n,
+    \\r, \\t take their two-character escapes, space through ``~`` stay as
+    they are, and every other character is written \\uXXXX in lowercase
+    hex, as a surrogate pair above U+FFFF (a lone surrogate as itself).
+    The keys and labels the commands write are printable ASCII without a
+    quote or backslash, and are copied as they are.
+    """
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
 
 
 def _format(template: str, values: tuple) -> str:
@@ -129,11 +159,11 @@ def json_chunks(obj):
     elif kind is float:
         yield fmt_float(obj)
     elif kind is str:
-        yield json.dumps(obj)
+        yield _quote(obj)
     elif kind is dict:
         sep = "{"
         for k, v in obj.items():
-            yield f"{sep}{json.dumps(str(k))}: "
+            yield f"{sep}{_quote(str(k))}: "
             yield from json_chunks(v)
             sep = ", "
         yield "{}" if sep == "{" else "}"

@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from catsize import oracle
 from catsize.core import CatParams, normalization_constant
 from catsize.distillation import outcome_distribution
 from catsize.loss import cat_loss_suppression
@@ -13,11 +16,13 @@ from catsize.oracle import (
     apply_one_qubit,
     apply_product_channel,
     biorthonormal_filter,
+    branch_vectors,
     build_cat_state,
     build_ghz_state,
     dense_trace_norm,
     enumerate_loss,
     enumerate_protocol,
+    ghz_fidelities,
     ghz_fidelity,
     kron_all,
     kron_power,
@@ -123,6 +128,71 @@ def test_apply_product_channel_matches_kron_factor_reference(n, kind):
         assert out.dtype == np.complex128
         diff = np.max(np.abs(out - _kron_factor_product_channel(op, ch)))
         assert diff <= 1e-14 * np.max(np.abs(op))
+
+
+def _batched_matmul_product_channel(op, ch):
+    # reference: the superoperator applied to each qubit's slot pair by a
+    # batched matmul over a (4^q, 4, 4^(n-q-1)) view of the interleaved
+    # operator, in real arithmetic when the operator is exactly real
+    op = np.asarray(op, dtype=complex)
+    n = op.shape[0].bit_length() - 1
+    sup = sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in ch.kraus_operators()).reshape(4, 4)
+    sup = sup.real if not sup.imag.any() else sup
+    interleave = [a for q in range(n) for a in (q, n + q)]
+    out = (op.real if not op.imag.any() else op).reshape((2,) * (2 * n)).transpose(interleave)
+    for q in range(n):
+        out = np.matmul(sup, out.reshape(4**q, 4, 4 ** (n - q - 1)))
+    out = out.reshape((2,) * (2 * n)).transpose(np.argsort(interleave))
+    return out.astype(complex, order="C").reshape(op.shape)
+
+
+@pytest.mark.parametrize("gamma_t", [0.0, 0.37, 5.0])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_product_channel_matches_batched_matmul_reference(n, kind, gamma_t):
+    rng = np.random.default_rng(500 + n)
+    dim = 2**n
+    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ch = ChannelSpec(kind, gamma_t)
+    for op in (op, op.real.astype(complex)):
+        out, ref = apply_product_channel(op, ch), _batched_matmul_product_channel(op, ch)
+        assert out.dtype == np.complex128
+        assert np.max(np.abs(out - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+def _validate_blocks():
+    # the rank-one blocks validate evolves: the cat block per (N, eps) and
+    # the GHZ block per n
+    for n, eps in product(range(2, 9), (0.1, 0.3, math.pi / 4, HALF_PI - 0.1)):
+        phi1, phi2 = branch_vectors(CatParams(n, eps))
+        yield kron_power(np.outer(phi1, phi2.conj()), n)
+    for n in range(1, 9):
+        yield kron_power(np.array([[0.0, 1.0], [0.0, 0.0]]), n)
+
+
+def test_apply_product_channel_is_byte_identical_on_validate_blocks():
+    for block, kind, gamma_t in product(_validate_blocks(), CHANNEL_KINDS, (0.05, 0.5, 2.0)):
+        ch = ChannelSpec(kind, gamma_t)
+        out, ref = apply_product_channel(block, ch), _batched_matmul_product_channel(block, ch)
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_superoperator_cache_is_bounded_and_keyed_by_value():
+    cache = oracle._superoperator
+    cache.cache_clear()
+    block = kron_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 3)
+    first = apply_product_channel(block, ChannelSpec(DEPHASING, 0.37))
+    again = apply_product_channel(block, ChannelSpec(DEPHASING, 0.37))
+    assert first.tobytes() == again.tobytes()
+    assert (cache.cache_info().misses, cache.cache_info().currsize) == (1, 1)
+    assert cache(ChannelSpec(DEPHASING, 0.37)) is cache(ChannelSpec(DEPHASING, 0.37))
+    assert not cache(ChannelSpec(DEPHASING, 0.37)).flags.writeable
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 5):
+        apply_product_channel(block, ChannelSpec(CHANNEL_KINDS[i % 2], 0.01 * i))
+    assert cache.cache_info().currsize == maxsize
+    cache.cache_clear()
 
 
 def test_state_length_must_be_power_of_two():
@@ -323,6 +393,60 @@ def test_enumerate_protocol_ghz_fidelities(n, eps):
     for b in branches:
         if b.n_success >= 1 and b.state is not None:
             assert abs(ghz_fidelity(b) - 1.0) < 1e-10
+
+
+def _partial_trace_ghz_fidelity(branch):
+    # reference: the reduced state on the successful qubits from a dense
+    # partial trace, against the GHZ vector on as many qubits
+    n = branch.state.size.bit_length() - 1
+    keep = [j for j in range(n) if (branch.mask >> (n - 1 - j)) & 1]
+    rho = partial_trace_state(branch.state, keep)
+    ghz = build_ghz_state(len(keep))
+    return float((ghz.conj() @ rho @ ghz).real)
+
+
+def _exact_ghz_fidelity(branch):
+    # sum_{i & mask == 0} |psi[i] + psi[i | mask]|^2 / 2 in rational arithmetic
+    total = Fraction(0)
+    for i in range(branch.state.size):
+        if i & branch.mask == 0:
+            a, b = complex(branch.state[i]), complex(branch.state[i | branch.mask])
+            re, im = Fraction(a.real) + Fraction(b.real), Fraction(a.imag) + Fraction(b.imag)
+            total += re * re + im * im
+    return total / 2
+
+
+@pytest.mark.parametrize("eps", [0.1, math.pi / 4, HALF_PI - 0.1, HALF_PI])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ghz_fidelity_matches_the_partial_trace_form(n, eps):
+    ulp = np.finfo(float).eps
+    _, branches = enumerate_protocol(CatParams(n, eps))
+    kept = [b for b in branches if b.n_success >= 1 and b.state is not None]
+    stacked = ghz_fidelities([b.state for b in kept], [b.mask for b in kept])
+    assert stacked.shape == (len(kept),)
+    for branch, fid in zip(kept, stacked.tolist()):
+        one = ghz_fidelity(branch)
+        assert fid == one  # one implementation: the stacked rows are the one-row case
+        # within 4 ulp of the exact sum over the same amplitudes (2.0 ulp
+        # seen); the partial trace form rounds more, up to 1.0e-15 from the
+        # exact sum (N = 7, eps = pi/4), so the two differ by up to 1.22e-15
+        # (N = 8, eps = pi/4), 5.5 ulp
+        assert abs(Fraction(one) - _exact_ghz_fidelity(branch)) <= 4 * ulp
+        assert abs(one - _partial_trace_ghz_fidelity(branch)) <= 8 * ulp
+
+
+def test_ghz_fidelities_refuse_bad_input():
+    states = np.stack([build_ghz_state(3)] * 2)
+    np.testing.assert_allclose(ghz_fidelities(states, [7, 4]), [1.0, 0.5], atol=1e-15)
+    for bad_states, masks, match in [
+        (states[0], [7], "array of states"),
+        (states[:, :6], [7, 7], "power of two"),
+        (states, [7], "one mask per state"),
+        (states, [7, 0], "one mask per state"),
+        (states, [7, 8], "one mask per state"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            ghz_fidelities(bad_states, masks)
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.8, HALF_PI - 0.1])

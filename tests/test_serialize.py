@@ -152,3 +152,17 @@ def test_chunks_join_to_the_text():
     assert "".join(chunks) == "a,b,c\n" + "".join(line + "\n" for line in lines)
     assert len(chunks) == 1 + 3
     assert chunks[-1].endswith("4097,1,2\n")
+
+
+_EDGE_STRINGS = [
+    '"', "\\", *map(chr, range(0x20)), "\x7f", " ~", "\u2028", "\U0001f600", "\ud800", "\udfff",
+    "", "plain_key", "\xe9\uffff\U0010ffff",
+]
+
+
+@pytest.mark.parametrize("text", [*_EDGE_STRINGS, "".join(_EDGE_STRINGS)], ids=ascii)
+def test_strings_are_quoted_as_json_dumps_does(text):
+    # the quoting is json.dumps's default, ASCII-only form, byte for byte,
+    # as a value and as a key
+    assert dumps_json(text) == json.dumps(text)
+    assert dumps_json({text: text}) == json.dumps({text: text})
