@@ -19,10 +19,13 @@ evolution interleaves the row and column bits once, applies the 4x4
 superoperator to each qubit's slot pair in turn, one GEMM per qubit that
 also rotates the next pair to the front, and restores the order once (see
 ``apply_product_channel``); each channel's superoperator is built and
-checked once per spec and cached.  The GHZ fidelity of a protocol branch
-is read from its amplitudes, F = sum_{i & K == 0} |psi[i] + psi[i | K]|^2 / 2
-with K the branch's mask of successful qubits, for all branches of a walk
-in one stacked call (see ``ghz_fidelities``).
+checked once per spec and cached.  The protocol walk returns its branches
+as one stacked array of unnormalized vectors, row m the outcome string of
+mask m, with their probabilities and the distribution over success counts
+(see ``enumerate_protocol``).  The GHZ fidelity of a branch is read from
+its amplitudes, F = sum_{i & K == 0} |psi[i] + psi[i | K]|^2 / 2 with K the
+branch's mask of successful qubits, for many branches in one stacked call
+(see ``ghz_fidelities``).
 
 Convention, fixed package-wide: qubit 1 is the MOST significant bit of the
 amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
@@ -57,7 +60,6 @@ __all__ = [
     "DEPOLARIZING",
     "CHANNEL_KINDS",
     "ChannelSpec",
-    "PAULI_Z",
     "MAX_ENUM_QUBITS",
     "kron_all",
     "kron_power",
@@ -68,12 +70,10 @@ __all__ = [
     "apply_product_channel",
     "dense_trace_norm",
     "partial_trace_state",
-    "partial_trace_operator",
     "apply_one_qubit",
     "biorthonormal_filter",
     "enumerate_protocol",
     "enumerate_loss",
-    "ghz_fidelity",
     "ghz_fidelities",
 ]
 
@@ -293,22 +293,6 @@ def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def partial_trace_operator(op: np.ndarray, keep) -> np.ndarray:
-    """Partial trace of a dense operator onto the kept qubits (0-based).
-
-    The operator need not be Hermitian; tracing an off-diagonal block is
-    the use case in the loss analysis.
-    """
-    op = np.asarray(op, dtype=complex)
-    n = _n_qubits_of_operator(op)
-    _check_qubits(n, MAX_OPERATOR_QUBITS, "dense operators")
-    keep = tuple(sorted(keep))
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError("kept qubit index out of range")
-    dim = 2 ** len(keep)
-    return _trace_out(op.reshape((2,) * (2 * n)), keep).reshape(dim, dim)
-
-
 def _trace_out(tensor: np.ndarray, keep: tuple) -> np.ndarray:
     # partial trace of an operator read as a 2n-qubit tensor onto the sorted
     # kept qubits, in the tensor's own dtype: row slot q is axis label q;
@@ -349,30 +333,20 @@ def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     return a, a_bar
 
 
-class ProtocolBranch(namedtuple("ProtocolBranch", "mask n_success probability state")):
-    """One outcome string of the exhaustive protocol tree.
-
-    mask bit for qubit j (1-based) is (mask >> (N - j)) & 1; set bits are
-    successful (A) outcomes.  state is the normalized post-measurement
-    vector, or None for branches of probability below 1e-300.  A branch
-    holds an array, so it is compared and hashed by identity.
-    """
-
-    __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-
-def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBranch]]:
+def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exhaustive Born-rule branching of the filtering protocol.
 
-    Returns the exact outcome distribution aggregated over success counts
-    together with every branch (in mask order), for fidelity checks
-    downstream.  The tree is walked level by level: the unnormalized vectors
-    of all 2^j outcome prefixes of qubits 1..j are stacked, and one
-    contraction applies qubit j's Abar and A to every one of them, so the
-    walk takes N contractions, not N 2^N one-qubit applications.  Each leaf
-    is the same chain of operations as applying the mask's operators qubit
-    by qubit with ``apply_one_qubit``.
+    Returns ``(q, probs, branches)``.  ``branches`` is the (2^N, 2^N) stack
+    of unnormalized post-measurement vectors, one row per outcome string:
+    row m is the branch of mask m, whose bit for qubit j (1-based) is
+    (m >> (N - j)) & 1, set for a successful (A) outcome.  ``probs[m]`` is
+    the squared norm of row m, and ``q[k]`` the sum of ``probs`` over the
+    masks with k set bits.  The tree is walked level by level: the
+    unnormalized vectors of all 2^j outcome prefixes of qubits 1..j are
+    stacked, and one contraction applies qubit j's Abar and A to every one
+    of them, so the walk takes N contractions, not N 2^N one-qubit
+    applications.  Each row is the same chain of operations as applying the
+    mask's operators qubit by qubit with ``apply_one_qubit``.
     """
     n = params.N
     _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
@@ -384,22 +358,16 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, list[ProtocolBran
     for j in range(n):
         cube = level.reshape(len(level), 2**j, 2, 2 ** (n - j - 1))
         level = np.einsum("oik,pakb->poaib", ops, cube).reshape(2 * len(level), -1)
-    q = np.zeros(n + 1)
-    branches: list[ProtocolBranch] = []
-    for mask, vec in enumerate(level):
-        prob = float(np.vdot(vec, vec).real)
-        successes = bin(mask).count("1")
-        q[successes] += prob
-        state = vec / math.sqrt(prob) if prob > 1e-300 else None
-        branches.append(ProtocolBranch(mask, successes, prob, state))
-    return q, branches
+    probs = np.array([np.vdot(vec, vec).real for vec in level])
+    successes = [bin(mask).count("1") for mask in range(2**n)]
+    return np.bincount(successes, weights=probs, minlength=n + 1), probs, level
 
 
 def ghz_fidelities(states, masks) -> np.ndarray:
     """GHZ fidelities of many branch states at once, one per row of ``states``.
 
     Row b is a state on n qubits; the set bits of ``masks[b]`` (qubit j at
-    bit n - j, as in ``ProtocolBranch.mask``) are the kept qubits, and at
+    bit n - j, as in ``enumerate_protocol``) are the kept qubits, and at
     least one must be set.  The fidelity of the kept qubits' reduced state
     with |GHZ_k> = (|0...0> + |1...1>)/sqrt(2) is a sum over the basis states
     of the traced qubits.  Amplitude bit i of the 2^n-vector is the same
@@ -423,20 +391,6 @@ def ghz_fidelities(states, masks) -> np.ndarray:
     pair = states + np.take_along_axis(states, index | masks, axis=1)
     weight = np.where(index & masks, 0.0, pair.real**2 + pair.imag**2)
     return weight.sum(axis=1) / 2.0
-
-
-def ghz_fidelity(branch: ProtocolBranch) -> float:
-    """Fidelity of a success branch's reduced state with the ideal GHZ state.
-
-    The reduced state on the successful qubits (the set bits of the mask)
-    is compared with |GHZ_k><GHZ_k|: F = sum_{i & mask == 0}
-    |psi[i] + psi[i | mask]|^2 / 2 over the amplitudes psi of the branch
-    state.  This is the one-row case of ``ghz_fidelities``.  Requires
-    n_success >= 1 and a surviving state.
-    """
-    if branch.n_success < 1 or branch.state is None:
-        raise ValueError("GHZ fidelity needs a success branch with a state")
-    return float(ghz_fidelities(np.reshape(branch.state, (1, -1)), [branch.mask])[0])
 
 
 def enumerate_loss(params: CatParams, lam: float) -> float:

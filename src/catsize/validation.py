@@ -131,15 +131,16 @@ def _reduced_rho1(max_n: int):
 def _protocol(max_n: int):
     for n, eps in product(range(2, max_n + 1), STANDARD_EPSILONS):
         params = CatParams(n, eps)
-        q_dense, branches = oracle.enumerate_protocol(params)
+        q_dense, probs, branches = oracle.enumerate_protocol(params)
         q_closed = np.fromiter(distillation.outcome_distribution(params).q, float, n + 1)
         yield "protocol_distribution", float(np.max(np.abs(q_dense - q_closed)))
         mean = float(np.dot(np.arange(n + 1), q_dense))
         yield "protocol_mean_vs_expected_n", _rel_err(mean, expected_n(params))
-        # every success branch with a state, in one stacked fidelity call
-        kept = [b for b in branches if b.n_success >= 1 and b.state is not None]
-        fids = oracle.ghz_fidelities([b.state for b in kept], [b.mask for b in kept])
-        for fid in fids.tolist():
+        # every success branch (mask >= 1) normalized, in one stacked
+        # fidelity call; below probability 1e-300 a branch has no state
+        masks = 1 + np.flatnonzero(probs[1:] > 1e-300)
+        states = branches[masks] / np.sqrt(probs[masks])[:, None]
+        for fid in oracle.ghz_fidelities(states, masks).tolist():
             yield "protocol_ghz_fidelity", abs(fid - 1.0)
         a, a_bar = distillation.build_filter(params)
         completeness = a.conj().T @ a + a_bar.conj().T @ a_bar

@@ -39,7 +39,7 @@ from catsize.oracle import (
     dense_trace_norm,
     enumerate_loss,
     enumerate_protocol,
-    ghz_fidelity,
+    ghz_fidelities,
     kron_power,
     partial_trace_state,
 )
@@ -153,13 +153,16 @@ def test_criterion_4_distillation_exactness():
     for n in GRID_N:
         for eps in GRID_EPS:
             params = CatParams(n, eps)
-            q_dense, branches = enumerate_protocol(params)
+            q_dense, probs, branches = enumerate_protocol(params)
             q = np.fromiter(outcome_distribution(params).q, float, n + 1)
             worst_q = max(worst_q, float(np.max(np.abs(q_dense - q))))
             worst_sum = max(worst_sum, abs(q.sum() - 1.0))
-            for branch in branches:
-                if branch.n_success >= 1 and branch.state is not None:
-                    worst_fid = max(worst_fid, abs(ghz_fidelity(branch) - 1.0))
+            # every success branch (mask >= 1) that has a state, normalized
+            for mask in range(1, 2**n):
+                if probs[mask] > 1e-300:
+                    state = branches[mask] / math.sqrt(probs[mask])
+                    fid = ghz_fidelities([state], [mask])[0]
+                    worst_fid = max(worst_fid, abs(fid - 1.0))
             a, a_bar = build_filter(params)
             gap = a.conj().T @ a + a_bar.conj().T @ a_bar - np.eye(2)
             worst_complete = max(worst_complete, float(np.max(np.abs(gap))))

@@ -18,7 +18,7 @@ from catsize.distillation import (
     outcome_distribution,
     simulate_protocol,
 )
-from catsize.oracle import biorthonormal_filter, branch_vectors, enumerate_protocol
+from catsize.oracle import biorthonormal_filter, branch_vectors
 from catsize.report import build_effective_size_report
 from catsize.serialize import dumps_json
 
@@ -401,7 +401,6 @@ def test_array_results_compare_by_identity_and_hash():
     for make in (
         lambda: outcome_distribution(p),
         lambda: simulate_protocol(p, 100, seed=3),
-        lambda: enumerate_protocol(p)[1][5],
     ):
         a, b = make(), make()
         assert a == a

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -170,6 +171,25 @@ def test_each_name_has_one_home():
     assert not shared, shared
     for name, sub in catsize._EXPORTS.items():
         assert homes.get(name) == [f"catsize.{sub}"], name
+
+
+def test_every_oracle_export_has_a_caller():
+    # a public oracle name that no other module of the package and no
+    # perfbench script uses is kept alive only by its tests; the files are
+    # read, not imported
+    from catsize import oracle
+
+    package = os.path.dirname(catsize.__file__)
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    paths = [os.path.join(package, n) for n in os.listdir(package) if n != "oracle.py"]
+    paths += [os.path.join(perfbench, n) for n in os.listdir(perfbench)]
+    text = ""
+    for path in sorted(paths):
+        if path.endswith(".py"):
+            with open(path, encoding="utf-8") as fh:
+                text += fh.read()
+    unused = [name for name in oracle.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not unused, unused
 
 
 def test_moved_names_stay_where_callers_found_them():

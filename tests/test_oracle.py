@@ -23,10 +23,8 @@ from catsize.oracle import (
     enumerate_loss,
     enumerate_protocol,
     ghz_fidelities,
-    ghz_fidelity,
     kron_all,
     kron_power,
-    partial_trace_operator,
     partial_trace_state,
 )
 
@@ -265,19 +263,17 @@ def test_partial_trace_to_first_cases():
     )
 
 
-def test_partial_trace_operator_factorizes():
+def test_trace_out_factorizes():
     # tracing qubits of a product operator multiplies in their traces
     rng = np.random.default_rng(8)
     ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-    full = np.kron(np.kron(ops[0], ops[1]), ops[2])
-    traced = partial_trace_operator(full, keep=[1])
+    full = np.kron(np.kron(ops[0], ops[1]), ops[2]).reshape((2,) * 6)
+    traced = oracle._trace_out(full, (1,))
     expected = np.trace(ops[0]) * np.trace(ops[2]) * ops[1]
     np.testing.assert_allclose(traced, expected, atol=1e-12)
-    scalar = partial_trace_operator(full, keep=[])
-    assert scalar.shape == (1, 1)
-    assert scalar[0, 0] == pytest.approx(
-        np.trace(ops[0]) * np.trace(ops[1]) * np.trace(ops[2])
-    )
+    scalar = oracle._trace_out(full, ())
+    assert scalar.shape == ()
+    assert scalar == pytest.approx(np.trace(ops[0]) * np.trace(ops[1]) * np.trace(ops[2]))
 
 
 def test_apply_one_qubit_matches_kron():
@@ -347,10 +343,8 @@ def _per_mask_protocol(params):
             op = a if (mask >> (n - 1 - j)) & 1 else a_bar
             vec = apply_one_qubit(vec, op, j)
         prob = float(np.vdot(vec, vec).real)
-        successes = bin(mask).count("1")
-        q[successes] += prob
-        state = vec / math.sqrt(prob) if prob > 1e-300 else None
-        branches.append((mask, successes, prob, state))
+        q[bin(mask).count("1")] += prob
+        branches.append((prob, vec))
     return q, branches
 
 
@@ -359,58 +353,62 @@ def _per_mask_protocol(params):
 def test_enumerate_protocol_equals_the_per_mask_loop(n, eps):
     params = CatParams(n, eps)
     q_ref, ref = _per_mask_protocol(params)
-    q, branches = enumerate_protocol(params)
+    q, probs, branches = enumerate_protocol(params)
     assert q.tobytes() == q_ref.tobytes()
-    assert len(branches) == len(ref) == 2**n
-    for branch, (mask, successes, prob, state) in zip(branches, ref):
-        assert (branch.mask, branch.n_success, branch.probability) == (mask, successes, prob)
-        if state is None:
-            assert branch.state is None
-        else:
-            assert np.array_equal(branch.state, state)
-            assert branch.state.tobytes() == state.tobytes()
+    assert probs.shape == (2**n,) and branches.shape == (2**n, 2**n) == (len(ref), 2**n)
+    assert probs.tobytes() == np.array([prob for prob, _ in ref]).tobytes()
+    for vec, (_, vec_ref) in zip(branches, ref):
+        assert np.array_equal(vec, vec_ref)
+        assert vec.tobytes() == vec_ref.tobytes()
+
+
+def _success_states(params):
+    # the success branches (mask >= 1) above the probability floor, each
+    # normalized, with their masks: what validate reads the fidelity of
+    _, probs, branches = enumerate_protocol(params)
+    masks = [m for m in range(1, len(probs)) if probs[m] > 1e-300]
+    return [branches[m] / math.sqrt(probs[m]) for m in masks], masks
 
 
 def test_enumerate_protocol_hand_case():
-    q, branches = enumerate_protocol(CatParams(2, math.pi / 3))
+    q, probs, _ = enumerate_protocol(CatParams(2, math.pi / 3))
     np.testing.assert_allclose(q, [0.4, 0.4, 0.2], atol=1e-12)
-    assert abs(sum(b.probability for b in branches) - 1.0) < 1e-12
+    assert abs(sum(probs) - 1.0) < 1e-12
 
 
 def test_enumerate_protocol_half_pi_single_branch():
     n = 4
-    q, branches = enumerate_protocol(CatParams(n, HALF_PI))
+    q, probs, branches = enumerate_protocol(CatParams(n, HALF_PI))
     assert q[n] == pytest.approx(1.0, abs=1e-12)
-    full_success = [b for b in branches if b.n_success == n][0]
-    assert ghz_fidelity(full_success) == pytest.approx(1.0, abs=1e-12)
+    full_success = branches[-1] / math.sqrt(probs[-1])  # mask 2^n - 1: every qubit succeeds
+    assert ghz_fidelities([full_success], [2**n - 1])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n,eps", [(4, 0.8), (5, 0.3), (6, 1.2)])
 def test_enumerate_protocol_ghz_fidelities(n, eps):
-    q, branches = enumerate_protocol(CatParams(n, eps))
+    q, _, _ = enumerate_protocol(CatParams(n, eps))
     closed = np.fromiter(outcome_distribution(CatParams(n, eps)).q, float, n + 1)
     np.testing.assert_allclose(q, closed, atol=1e-10)
-    for b in branches:
-        if b.n_success >= 1 and b.state is not None:
-            assert abs(ghz_fidelity(b) - 1.0) < 1e-10
+    for fid in ghz_fidelities(*_success_states(CatParams(n, eps))):
+        assert abs(fid - 1.0) < 1e-10
 
 
-def _partial_trace_ghz_fidelity(branch):
+def _partial_trace_ghz_fidelity(state, mask):
     # reference: the reduced state on the successful qubits from a dense
     # partial trace, against the GHZ vector on as many qubits
-    n = branch.state.size.bit_length() - 1
-    keep = [j for j in range(n) if (branch.mask >> (n - 1 - j)) & 1]
-    rho = partial_trace_state(branch.state, keep)
+    n = state.size.bit_length() - 1
+    keep = [j for j in range(n) if (mask >> (n - 1 - j)) & 1]
+    rho = partial_trace_state(state, keep)
     ghz = build_ghz_state(len(keep))
     return float((ghz.conj() @ rho @ ghz).real)
 
 
-def _exact_ghz_fidelity(branch):
+def _exact_ghz_fidelity(state, mask):
     # sum_{i & mask == 0} |psi[i] + psi[i | mask]|^2 / 2 in rational arithmetic
     total = Fraction(0)
-    for i in range(branch.state.size):
-        if i & branch.mask == 0:
-            a, b = complex(branch.state[i]), complex(branch.state[i | branch.mask])
+    for i in range(state.size):
+        if i & mask == 0:
+            a, b = complex(state[i]), complex(state[i | mask])
             re, im = Fraction(a.real) + Fraction(b.real), Fraction(a.imag) + Fraction(b.imag)
             total += re * re + im * im
     return total / 2
@@ -420,19 +418,18 @@ def _exact_ghz_fidelity(branch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ghz_fidelity_matches_the_partial_trace_form(n, eps):
     ulp = np.finfo(float).eps
-    _, branches = enumerate_protocol(CatParams(n, eps))
-    kept = [b for b in branches if b.n_success >= 1 and b.state is not None]
-    stacked = ghz_fidelities([b.state for b in kept], [b.mask for b in kept])
-    assert stacked.shape == (len(kept),)
-    for branch, fid in zip(kept, stacked.tolist()):
-        one = ghz_fidelity(branch)
-        assert fid == one  # one implementation: the stacked rows are the one-row case
+    states, masks = _success_states(CatParams(n, eps))
+    stacked = ghz_fidelities(states, masks)
+    assert stacked.shape == (len(masks),)
+    for state, mask, fid in zip(states, masks, stacked.tolist()):
+        # one implementation: each stacked row is its own one-row call
+        assert fid == ghz_fidelities([state], [mask])[0]
         # within 4 ulp of the exact sum over the same amplitudes (2.0 ulp
         # seen); the partial trace form rounds more, up to 1.0e-15 from the
         # exact sum (N = 7, eps = pi/4), so the two differ by up to 1.22e-15
         # (N = 8, eps = pi/4), 5.5 ulp
-        assert abs(Fraction(one) - _exact_ghz_fidelity(branch)) <= 4 * ulp
-        assert abs(one - _partial_trace_ghz_fidelity(branch)) <= 8 * ulp
+        assert abs(Fraction(fid) - _exact_ghz_fidelity(state, mask)) <= 4 * ulp
+        assert abs(fid - _partial_trace_ghz_fidelity(state, mask)) <= 8 * ulp
 
 
 def test_ghz_fidelities_refuse_bad_input():
@@ -478,6 +475,18 @@ def test_enumerate_loss_cases():
     )
 
 
+def _traced_block(op, kept):
+    # partial trace onto the kept qubits, one np.trace per traced qubit's
+    # row/column axis pair, independent of the kernel enumerate_loss runs;
+    # the highest qubit goes first, so the lower axes keep their numbers
+    n = op.shape[0].bit_length() - 1
+    tensor = op.reshape((2,) * (2 * n))
+    for q in reversed(range(n)):
+        if q not in kept:
+            tensor = np.trace(tensor, axis1=q, axis2=tensor.ndim // 2 + q)
+    return tensor.reshape(2 ** len(kept), 2 ** len(kept))
+
+
 def _per_subset_loss_reference(params, lam):
     # reference: one partial trace and one SVD per loss subset, for each lambda
     n = params.N
@@ -496,7 +505,7 @@ def _per_subset_loss_reference(params, lam):
         weight = lam ** len(lost) * (1.0 - lam) ** len(kept)
         if weight == 0.0:
             continue
-        traced = partial_trace_operator(full_block, kept)
+        traced = _traced_block(full_block, kept)
         numer = float(np.linalg.svd(traced, compute_uv=False).sum())
         total += weight * numer / reference[len(kept)]
     return total
