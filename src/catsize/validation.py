@@ -5,11 +5,13 @@ normalization_constant, reduced_rho1, expected_n and N * entropy_s1 (the
 report's n_distill_mean and n_distill_upper_exact), ``decoherence``'s
 cat_offdiag_norm and ghz_offdiag_norm, ``distillation``'s
 outcome_distribution and build_filter, and ``loss.cat_loss_suppression``.
-The report's n_decoherence and n_loss have no row yet.  ``ROWS`` lists the
-rows in the order ``validate`` prints them, each with its tolerance.  Each
-check yields a ``(row, error)`` pair per grid point; ``run_validation``
-keeps each row's worst error, NaN once one is seen, and a row fails when
-that is above its tolerance or not finite.
+The report's n_decoherence and n_loss have no row yet.  The state rows
+(norm, GHZ limit, rho1 with N * S1, residual after a failed filter) share
+one dense cat state per (N, eps).  ``ROWS`` lists the rows in the order
+``validate`` prints them, each with its tolerance.  Each check yields a
+``(row, error)`` pair per grid point; ``run_validation`` keeps each row's
+worst error, NaN once one is seen, and a row fails when that is above its
+tolerance or not finite.
 """
 
 from __future__ import annotations
@@ -75,19 +77,29 @@ def _rel_err(value, ref) -> float:
     return abs(value - ref) / abs(ref) if ref else math.inf
 
 
-def _cat_state_norm(max_n: int):
+def _cat_state(max_n: int):
     for n, eps in product(range(2, max_n + 1), EPSILONS_TO_HALF_PI):
         params = CatParams(n, eps)
         raw = oracle.cat_amplitudes(params)
         norm = float(np.vdot(raw, raw).real)
         yield "cat_state_normalization", abs(norm - normalization_constant(params))
-
-
-def _ghz_reduction(max_n: int):
-    for n in range(2, max_n + 1):
-        cat = oracle.build_cat_state(CatParams(n, math.pi / 2))
-        ghz = oracle.build_ghz_state(n)
-        yield "ghz_reduction_at_eps_half_pi", float(np.max(np.abs(cat - ghz)))
+        cat = raw / np.linalg.norm(raw)  # as build_cat_state normalises
+        if eps == math.pi / 2:
+            ghz = oracle.build_ghz_state(n)
+            yield "ghz_reduction_at_eps_half_pi", float(np.max(np.abs(cat - ghz)))
+        dense = oracle.partial_trace_state(cat, [0])
+        yield "reduced_rho1_vs_partial_trace", float(np.max(np.abs(dense - reduced_rho1(params))))
+        lams = np.linalg.eigvalsh(dense).tolist()
+        bound = -n * sum(lam * math.log2(lam) for lam in lams if lam > 0.0)
+        yield "n_distill_upper_exact", abs(bound - n * entropy_s1(params))
+        if eps < math.pi / 2:
+            # at N = 2 the residual is a one-qubit cat
+            _, a_bar = oracle.biorthonormal_filter(params)
+            vec = oracle.apply_one_qubit(cat, a_bar, 0)
+            rest = oracle.partial_trace_state(vec / np.linalg.norm(vec), list(range(1, n)))
+            residual_cat = oracle.build_cat_state(CatParams(n - 1, eps))
+            fid = float((residual_cat.conj() @ rest @ residual_cat).real)
+            yield "residual_factorization", abs(fid - 1.0)
 
 
 def _decoherence(max_n: int):
@@ -117,17 +129,6 @@ def _ghz_rate(max_n: int):
             yield "ghz_decay_rate", _rel_err(dense, decoherence.ghz_offdiag_norm(n, gamma_t))
 
 
-def _reduced_rho1(max_n: int):
-    # the dense rho1 of each point also gives the entropy bound N S1
-    for n, eps in product(range(2, max_n + 1), EPSILONS_TO_HALF_PI):
-        params = CatParams(n, eps)
-        dense = oracle.partial_trace_state(oracle.build_cat_state(params), [0])
-        yield "reduced_rho1_vs_partial_trace", float(np.max(np.abs(dense - reduced_rho1(params))))
-        lams = np.linalg.eigvalsh(dense).tolist()
-        bound = -n * sum(lam * math.log2(lam) for lam in lams if lam > 0.0)
-        yield "n_distill_upper_exact", abs(bound - n * entropy_s1(params))
-
-
 def _protocol(max_n: int):
     for n, eps in product(range(2, max_n + 1), STANDARD_EPSILONS):
         params = CatParams(n, eps)
@@ -147,18 +148,6 @@ def _protocol(max_n: int):
         yield "measurement_completeness", float(np.max(np.abs(completeness - np.eye(2))))
 
 
-def _residual_factorization(max_n: int):
-    # at N = 2 the residual is a one-qubit cat
-    for n, eps in product(range(2, max_n + 1), STANDARD_EPSILONS):
-        params = CatParams(n, eps)
-        _, a_bar = oracle.biorthonormal_filter(params)
-        vec = oracle.apply_one_qubit(oracle.build_cat_state(params), a_bar, 0)
-        rest = oracle.partial_trace_state(vec / np.linalg.norm(vec), list(range(1, n)))
-        residual_cat = oracle.build_cat_state(CatParams(n - 1, eps))
-        fid = float((residual_cat.conj() @ rest @ residual_cat).real)
-        yield "residual_factorization", abs(fid - 1.0)
-
-
 def _loss(max_n: int):
     for n, eps, lam in product(range(2, max_n + 1), STANDARD_EPSILONS, STANDARD_LAMBDAS):
         params = CatParams(n, eps)
@@ -166,8 +155,7 @@ def _loss(max_n: int):
         yield "loss_subset_expectation", abs(dense - loss.cat_loss_suppression(params, lam))
 
 
-_CHECKS = (_cat_state_norm, _ghz_reduction, _decoherence, _ghz_rate, _reduced_rho1, _protocol,
-           _residual_factorization, _loss)
+_CHECKS = (_cat_state, _decoherence, _ghz_rate, _protocol, _loss)
 
 
 def run_validation(max_n: int) -> list[CheckResult]:

@@ -114,5 +114,6 @@ def test_closed_pipe_exits_quietly(argv):
         code = proc.wait(timeout=60)
     finally:
         proc.kill()
+        proc.stderr.close()
     assert len(head) == 20
     assert (code, err) == (EXIT_BROKEN_PIPE, b"")

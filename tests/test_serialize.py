@@ -160,9 +160,19 @@ _EDGE_STRINGS = [
 ]
 
 
+# the strings of this list that need no JSON escape
+_WRITTEN = {"", " ~", "plain_key"}
+
+
 @pytest.mark.parametrize("text", [*_EDGE_STRINGS, "".join(_EDGE_STRINGS)], ids=ascii)
 def test_strings_are_quoted_as_json_dumps_does(text):
-    # the quoting is json.dumps's default, ASCII-only form, byte for byte,
-    # as a value and as a key
-    assert dumps_json(text) == json.dumps(text)
-    assert dumps_json({text: text}) == json.dumps({text: text})
+    # printable ASCII without a quote or backslash, as every key and label
+    # of a command is, is written byte for byte as json.dumps writes it, as a
+    # value and as a key; any other string is refused in either place
+    if text in _WRITTEN:
+        assert dumps_json(text) == json.dumps(text)
+        assert dumps_json({text: text}) == json.dumps({text: text})
+    else:
+        for obj in (text, {text: None}, {"k": text}):
+            with pytest.raises(ValueError, match="cannot serialize string"):
+                dumps_json(obj)
