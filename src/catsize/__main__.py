@@ -12,7 +12,8 @@ in-process leaves ``os.environ`` alone.
 Output is written as it is produced, so a reader that closes the pipe
 early (``catsize distill-sim ... | head -c 20``) ends the command with
 exit status 141, 128 + SIGPIPE as a shell reports a command killed by
-that signal, and with nothing on stderr.
+that signal, and with nothing on stderr.  Any other error writing stdout
+(``> /dev/full``) prints one ``error: cannot write stdout: ...`` line, exit 2.
 """
 
 import os
@@ -45,14 +46,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = cli_main(argv)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe.  Python's exit would flush stdout into
-        # it again and print a second error, so stdout is pointed at devnull
+    except OSError as exc:
+        # cli_main reports --output errors itself, so this is stdout's: a
+        # closed pipe or a refused write.  Python's exit would flush stdout
+        # again and print a second error, so stdout is pointed at devnull
         # (the recipe of the signal module's documentation)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -70,7 +70,7 @@ def _emit(chunks, output: str | None) -> None:
     # at the call (a redirection included) or to the --output file.  If
     # producing a chunk fails, stdout keeps the chunks written before it,
     # and a regular --output file is removed, so it never holds part of an
-    # output (a symlink such as /dev/stdout is left alone)
+    # output (a symlink such as /dev/stdout is left alone); __main__ reports stdout's errors
     if output is None:
         sys.stdout.writelines(chunks)
         return

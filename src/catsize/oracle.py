@@ -30,8 +30,10 @@ branch's mask of successful qubits, for many branches in one stacked call
 Convention, fixed package-wide: qubit 1 is the MOST significant bit of the
 amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
 
-Size caps are hard errors: 14 qubits for state vectors, 10 for dense
-operators, 8 for exhaustive enumerations.
+Every dense entry point checks its size by one rule, and the caps are hard
+errors: 14 qubits for state vectors, 10 for dense operators, 8 for
+exhaustive enumerations.  An array input has 2^n entries on each axis
+(``_qubits``); a parameter input is checked on N before any 2^N is formed.
 
 Two single-qubit channels are supported (``ChannelSpec``, of a kind in
 ``CHANNEL_KINDS``), both at a dimensionless time gamma_t with
@@ -189,23 +191,17 @@ def build_ghz_state(n: int) -> np.ndarray:
     return vec
 
 
-def _qubit_count(size: int, what: str) -> int:
-    n = size.bit_length() - 1
-    if 2**n != size:
-        raise ValueError(f"{what} {size} is not a power of two")
+def _qubits(shape: tuple, ndim: int, cap: int, what: str) -> int:
+    """Qubit count n of an array of shape (2^n,) * ndim, refused above cap qubits.
+
+    The one size check of the array entry points; the parameter entry points
+    check their qubit count with ``_check_qubits`` and never form 2^N.
+    """
+    n = shape[0].bit_length() - 1 if shape else -1
+    if shape != (2**n,) * ndim:
+        raise ValueError(f"{what} need shape (2^n,) * {ndim}, 2^n a power of two, got {shape}")
+    _check_qubits(n, cap, what)
     return n
-
-
-def _as_state(state) -> tuple[np.ndarray, int]:
-    # flat complex amplitudes and their qubit count
-    state = np.asarray(state, dtype=complex).ravel()
-    return state, _qubit_count(state.size, "state length")
-
-
-def _n_qubits_of_operator(op: np.ndarray) -> int:
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    return _qubit_count(op.shape[0], "matrix dimension")
 
 
 def _real_if_exact(a: np.ndarray) -> np.ndarray:
@@ -256,8 +252,7 @@ def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     is complex128 either way.
     """
     op = np.asarray(op, dtype=complex)
-    n = _n_qubits_of_operator(op)
-    _check_qubits(n, MAX_OPERATOR_QUBITS, "dense operators")
+    n = _qubits(op.shape, 2, MAX_OPERATOR_QUBITS, "dense operators")
     sup_t = _superoperator(ch).T
     # axes (r1, ..., rn, c1, ..., cn) -> (r1, c1, ..., rn, cn) and back
     interleave = [a for q in range(n) for a in (q, n + q)]
@@ -275,15 +270,14 @@ def dense_trace_norm(op: np.ndarray) -> float:
     matrix, which has the same singular values (see the module docstring).
     """
     op = np.asarray(op, dtype=complex)
-    n = _n_qubits_of_operator(op)
-    _check_qubits(n, MAX_OPERATOR_QUBITS, "dense operators")
+    _qubits(op.shape, 2, MAX_OPERATOR_QUBITS, "dense operators")
     return float(np.linalg.svd(_real_if_exact(op), compute_uv=False).sum())
 
 
 def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix of a pure state on the kept qubits (0-based)."""
-    state, n = _as_state(state)
-    _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
+    state = np.asarray(state, dtype=complex).ravel()
+    n = _qubits(state.shape, 1, MAX_STATE_QUBITS, "dense state vectors")
     keep = list(keep)
     if any(q < 0 or q >= n for q in keep):
         raise ValueError("kept qubit index out of range")
@@ -305,7 +299,8 @@ def _trace_out(tensor: np.ndarray, keep: tuple) -> np.ndarray:
 
 def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 operator to one qubit slot of a state vector (0-based)."""
-    state, n = _as_state(state)
+    state = np.asarray(state, dtype=complex).ravel()
+    n = _qubits(state.shape, 1, MAX_STATE_QUBITS, "dense state vectors")
     if not (0 <= qubit < n):
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     cube = state.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
@@ -382,8 +377,7 @@ def ghz_fidelities(states, masks) -> np.ndarray:
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:
         raise ValueError(f"expected a (branches, 2^n) array of states, got shape {states.shape}")
-    n = _qubit_count(states.shape[1], "state length")
-    _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
+    n = _qubits(states.shape[1:], 1, MAX_STATE_QUBITS, "dense state vectors")
     masks = np.asarray(masks, dtype=np.int64).reshape(-1, 1)
     if len(masks) != len(states) or np.any((masks < 1) | (masks >= 2**n)):
         raise ValueError(f"need one mask per state, each in [1, 2^{n})")
@@ -430,6 +424,7 @@ def _loss_ratio_sums(params: CatParams) -> tuple[float, ...]:
         stack = np.empty((len(kept_sets), 2**k, 2**k), dtype=tensor.dtype)
         for i, kept in enumerate(kept_sets):
             stack[i] = _trace_out(tensor, kept).reshape(2**k, 2**k)
-        numer = np.linalg.svd(stack, compute_uv=False).sum()
-        sums.append(float(numer) / dense_trace_norm(kron_power(dyad, k)))
+        numer = float(np.linalg.svd(stack, compute_uv=False).sum())
+        # the k = N stack is the untraced block alone, so its sum is its own norm
+        sums.append(numer / (numer if k == n else dense_trace_norm(kron_power(dyad, k))))
     return tuple(sums)

@@ -48,8 +48,8 @@ def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
         # N S1 bounds the mean distilled-GHZ size per copy of any asymptotic
         # multi-copy protocol
         n_distill_upper_exact=n * entropy_s1(params),
-        # its small-eps, large-N eps^2 leading form; 0 at eps = 0, where
-        # log2 has no value
+        # its small-eps leading-log form, negative for eps > 1 rad where
+        # log2(eps) > 0; 0 at eps = 0, where log2 has no value
         n_distill_upper_asymptotic=0.0 if eps == 0.0 else -n * eps * eps * math.log2(eps) / 2.0,
         n_loss=effective_size_loss(params),
         reference_N_eps_sq=n * eps**2,

@@ -1,9 +1,11 @@
-"""BLAS thread policy of the process entry (``catsize.__main__.main``).
+"""BLAS thread policy and stdout errors of the process entry (``catsize.__main__.main``).
 
 ``python -m catsize`` and the console script ask for one BLAS thread before
 numpy loads, unless the user has set a thread-count variable; the library
 and an in-process ``cli.main`` leave the environment alone.  Each probe runs
 in a fresh interpreter, since this test process has numpy loaded already.
+A closed stdout pipe exits 141 quietly; any other stdout write error exits 2
+with one error line.
 """
 
 import json
@@ -117,3 +119,27 @@ def test_closed_pipe_exits_quietly(argv):
         proc.stderr.close()
     assert len(head) == 20
     assert (code, err) == (EXIT_BROKEN_PIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["effective-size", "--n", "5", "--epsilon", "0.1"], ["validate", "--max-n", "2"]],
+)
+def test_full_device_exits_2_with_one_error_line(argv, unbuffered):
+    # a stdout that refuses the write (ENOSPC) is reported like a refused
+    # --output: one error line, exit 2, nothing more at interpreter exit;
+    # unbuffered, the write fails, buffered, the final flush does
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "catsize", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n"
+    )

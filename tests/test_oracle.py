@@ -90,6 +90,8 @@ def test_size_caps_are_hard_errors():
         enumerate_protocol(CatParams(9, 0.3))
     with pytest.raises(ValueError):
         enumerate_loss(CatParams(9, 0.3), 0.1)
+    with pytest.raises(ValueError, match="capped at 14 qubits"):
+        apply_one_qubit(np.ones(2**15), np.eye(2), 0)
 
 
 def test_apply_product_channel_identity_at_zero_time():
