@@ -122,7 +122,8 @@ class CatParams(namedtuple("CatParams", "N epsilon")):
     """Number of qubits N and branch angle epsilon in [0, pi/2] radians.
 
     An immutable record compared and hashed by value; N is stored as a
-    Python int and epsilon as a Python float, both checked when it is made.
+    Python int and epsilon as a Python float, both checked when it is made;
+    an epsilon of -0.0 is stored as 0.0.
     """
 
     __slots__ = ()
@@ -131,7 +132,7 @@ class CatParams(namedtuple("CatParams", "N epsilon")):
         n = _check_positive_int(N, "N")
         if not (0.0 <= epsilon <= HALF_PI):
             raise ValueError(f"epsilon must lie in [0, pi/2], got {epsilon!r}")
-        return super().__new__(cls, n, float(epsilon))
+        return super().__new__(cls, n, float(epsilon) + 0.0)
 
     # _replace builds through _make, which would skip the checks of __new__
     _make = classmethod(lambda cls, fields: cls(*fields))

@@ -28,8 +28,8 @@ report.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, namedtuple
-from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -109,16 +109,15 @@ class OutcomeDistribution(namedtuple("OutcomeDistribution", "params lo log_q_win
 
     Only the window k = lo..lo + len(log_q_window) - 1 is stored, as ln q_k;
     every q_k outside it underflows to 0.  q is a SparseFloats over 0..N
-    that holds exp of the window, built on first use: len(q) is N + 1 and
-    iterating it gives every q_k, in memory of the window's size only.
-    The payload writes that same q.  The record holds an array, so it is
-    compared and hashed by identity; it has no __slots__, as the cached q
-    needs an instance __dict__.
+    that holds exp of the window, rebuilt on each access: len(q) is N + 1
+    and iterating it gives every q_k, in memory of the window's size only.
+    The record holds an array, so it is compared and hashed by identity.
     """
 
+    __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    @cached_property
+    @property
     def q(self) -> SparseFloats:
         window = range(self.lo, self.lo + self.log_q_window.size)
         return SparseFloats(self.params.N + 1, window, np.exp(self.log_q_window).tolist())
@@ -265,20 +264,8 @@ def _window(params: CatParams) -> tuple[int, int]:
         return bool(_log_q(params, k, k)[0] >= _LOG_Q_FLOOR)
 
     mode = min(max(math.floor((n + 1) * params.one_minus_c), 1), n)
-    lo, top = 1, mode
-    while lo < top:
-        mid = (lo + top) // 2
-        if clears(mid):
-            top = mid
-        else:
-            lo = mid + 1
-    bottom, hi = mode, n
-    while bottom < hi:
-        mid = (bottom + hi + 1) // 2
-        if clears(mid):
-            bottom = mid
-        else:
-            hi = mid - 1
+    lo = 1 + bisect_left(range(1, mode), True, key=clears)
+    hi = n - bisect_left(range(n, mode, -1), True, key=clears)
     return (0 if clears(0) else lo), hi
 
 

@@ -116,6 +116,20 @@ def test_epsilon_sq_overlap_alternative(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["effective-size", "--n", "2", "--epsilon", "-0.0"],
+        ["effective-size", "--n", "2", "--epsilon-sq-overlap", "-0.0"],
+        ["distill-sim", "--n", "2", "--epsilon", "-0.0", "--trials", "3", "--seed", "1"],
+    ],
+)
+def test_negative_zero_epsilon_prints_zero(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert '"epsilon": 0,' in out and '"epsilon": -0' not in out
+
+
 def test_invalid_parameters_exit_2(capsys):
     code, _, err = run_cli(capsys, "effective-size", "--n", "1", "--epsilon", "0.3")
     assert code == 2

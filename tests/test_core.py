@@ -46,6 +46,8 @@ def test_params_record_behaviour():
     assert repr(p) == "CatParams(N=2, epsilon=0.5)"
     q = CatParams(np.int64(3), np.float32(0.5))
     assert (type(q.N), type(q.epsilon)) == (int, float)
+    # -0.0 is stored as +0.0, so no output prints "epsilon": -0
+    assert math.copysign(1.0, CatParams(2, -0.0).epsilon) == 1.0
     for attr in ("N", "epsilon", "other"):
         with pytest.raises(AttributeError):
             setattr(p, attr, 1)

@@ -76,6 +76,15 @@ def _q0_without_factor_2(params, lo, hi):
     return log_q
 
 
+def _q0_without_factor_2_where_c_n_underflows(params, lo, hi):
+    # q_0 loses its factor 2 only where c^N underflows, far past the qubit
+    # counts the dense oracle reaches
+    log_q = _LOG_Q(params, lo, hi)
+    if lo == 0 and math.exp(params.log_cN) == 0.0:
+        log_q[0] -= math.log(2.0)
+    return log_q
+
+
 def _channel_without_rotation(op, ch):
     # each step applies S to the leading (row, column) pair and leaves it
     # in front, so qubit 1 gets S n times and the other qubits never
@@ -148,6 +157,9 @@ DEFECTS = [
     Defect("log_q_raised", "catsize.distillation._log_q",
            _log_q_raised, 2, {"protocol_distribution"},
            "item 3: q_k compared relatively or in ln q"),
+    Defect("q0_without_factor_2_where_c_n_underflows", "catsize.distillation._log_q",
+           _q0_without_factor_2_where_c_n_underflows, 2, {"protocol_distribution"},
+           "item 4: an exact protocol oracle past 8 qubits"),
     Defect("cat_norm_log1p_only", "catsize.decoherence._cat_norm",
            _cat_norm_log1p_only, 2,
            {"decoherence_closed_form_dephasing", "decoherence_closed_form_depolarizing"},

@@ -239,7 +239,7 @@ def test_window_matches_the_dense_pmf(n, eps):
     dist = outcome_distribution(p)
     dense_log_q = distillation._log_q(p, 0, n)
     dense_q = np.exp(dense_log_q)
-    assert dist.to_payload()["q"] is dist.q
+    assert list(dist.to_payload()["q"]) == list(dist.q)
     assert len(dist.q) == n + 1
     assert list(dist.q) == dense_q.tolist()
     nonzero = np.flatnonzero(dense_q)
@@ -250,6 +250,10 @@ def test_window_matches_the_dense_pmf(n, eps):
     else:
         # 1 - c rounds to 0: q_k = 0 exactly for k >= 1
         assert dense_log_q[0] == 0.0 and np.all(dense_log_q[1:] == -np.inf)
+    # the window ends against a scan of every k: the first and the last k
+    # whose ln q_k clears the floor ((0, 0) at eps = 0)
+    clears = np.flatnonzero(dense_log_q >= distillation._LOG_Q_FLOOR)
+    assert (dist.lo, dist.lo + dist.log_q_window.size - 1) == (clears[0], clears[-1])
 
 
 SPARSE_Q_GRID = [
@@ -295,14 +299,14 @@ def _mp_outcome(n, eps, k):
     [(n, eps) for n in (10, 10**3, 10**6, 10**7) for eps in (1 / math.sqrt(n), math.pi / 4)],
 )
 def test_outcome_distribution_matches_mpmath(n, eps):
-    # the saddle-point pmf against 40-digit binomials at k = 1, 2, the mode,
-    # the mode + 3 sigma, N/2 and N; ln q_k also in the tails, where q_k
-    # underflows and the window holds no entry
+    # the saddle-point pmf against 40-digit binomials at k = 0, 1, 2, the
+    # mode, the mode + 3 sigma, N/2 and N; ln q_k also in the tails, where
+    # q_k underflows and the window holds no entry
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
     mode = math.floor((n + 1) * p.one_minus_c)
     sigma = math.sqrt(n * p.one_minus_c * p.c_eps)
-    for k in sorted({1, 2, mode, min(n, mode + math.ceil(3 * sigma)), n // 2, n}):
+    for k in sorted({0, 1, 2, mode, min(n, mode + math.ceil(3 * sigma)), n // 2, n}):
         q_ref, log_ref = _mp_outcome(n, eps, k)
         ln_q = distillation._log_q(p, k, k)[0]
         assert abs(ln_q - log_ref) <= 1e-12 * max(1.0, abs(log_ref)), k
@@ -407,6 +411,9 @@ def test_array_results_compare_by_identity_and_hash():
         assert a != b
         assert hash(a) == hash(a)
         assert len({a, b}) == 2
+        # slotted like every other record: no attribute can be added
+        with pytest.raises(AttributeError):
+            setattr(a, "other", 1)
 
 
 def test_simulation_half_pi_always_succeeds():
