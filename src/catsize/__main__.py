@@ -14,8 +14,15 @@ early (``catsize distill-sim ... | head -c 20``) ends the command with
 exit status 141, 128 + SIGPIPE as a shell reports a command killed by
 that signal, and with nothing on stderr.  Any other error writing stdout
 (``> /dev/full``) prints one ``error: cannot write stdout: ...`` line, exit 2.
+
+At exit the interpreter's full garbage collections would walk numpy's
+import-time heap for tens of milliseconds; :func:`main` registers
+``gc.freeze`` with ``atexit``, once per process, so they skip it.  A caller
+of ``main`` in its own process keeps normal collection while it runs.
 """
 
+import atexit
+import gc
 import os
 import sys
 
@@ -43,6 +50,8 @@ def main(argv: list[str] | None = None) -> int:
             os.environ[var] = "1"
     from .cli import main as cli_main
 
+    atexit.unregister(gc.freeze)  # so that it runs once however often main is called
+    atexit.register(gc.freeze)
     try:
         code = cli_main(argv)
         sys.stdout.flush()

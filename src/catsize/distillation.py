@@ -71,8 +71,8 @@ def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
 # output of distill-sim, two JSON lists of N + 1 entries, almost all "0, ":
 # 6 bytes per N.  The cap is the largest power of two at which the output
 # stays under 1 GiB: 768 MiB at 2^27.  Measured there (2-core Xeon, Python
-# 3.11, stdout to /dev/null): 0.3 s and 41 MiB max RSS at eps = 1e-3, and
-# 1.0 s and 84 MiB at eps = pi/4, where the window is widest.
+# 3.11, stdout to /dev/null): 0.39 s and 36 MiB max RSS at eps = 1e-3, and
+# 1.2 s and 86 MiB at eps = pi/4, where the window is widest.
 MAX_DISTRIBUTION_N = 2**27
 # Largest trials accepted by simulate_protocol.  Memory does not grow with
 # the trials, the time does: 1.1 s per 2^20 trials at N = 2^27 and

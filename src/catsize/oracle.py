@@ -313,13 +313,16 @@ def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     A = k * Phi^(-1) where Phi has columns |phi1>, |phi2> (that is exactly
     k (|0><phi1~| + |1><phi2~|) in the biorthonormal basis), with k^2 the
     smallest eigenvalue of Phi Phi^dag so that I - A^dag A is rank one.
-    Abar is the PSD square root from an eigendecomposition.
+    Abar is the PSD square root from an eigendecomposition.  An eps whose
+    k^2 (1 - cos eps) is subnormal, eps below ~2.1e-154, is refused.
     """
     if params.epsilon <= 0.0:
         raise ValueError("biorthonormal basis requires eps > 0")
     phi1, phi2 = branch_vectors(params)
     basis = np.column_stack([phi1, phi2])
     k_sq = float(np.linalg.eigvalsh(basis @ basis.conj().T)[0])
+    if k_sq < np.finfo(float).tiny:
+        raise ValueError(f"biorthonormal filter needs a normal k^2, got {k_sq!r}")
     a = math.sqrt(k_sq) * np.linalg.inv(basis)
     complement = np.eye(2, dtype=complex) - a.conj().T @ a
     w, v = np.linalg.eigh(complement)
@@ -338,8 +341,8 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, np.ndarray, np.nd
     the squared norm of row m, and ``q[k]`` the sum of ``probs`` over the
     masks with k set bits.  The tree is walked level by level: the
     unnormalized vectors of all 2^j outcome prefixes of qubits 1..j are
-    stacked, and one contraction applies qubit j's Abar and A to every one
-    of them, so the walk takes N contractions, not N 2^N one-qubit
+    stacked, and two broadcast products apply qubit j's Abar and A to every
+    one of them, so the walk takes N steps, not N 2^N one-qubit
     applications.  Each row is the same chain of operations as applying the
     mask's operators qubit by qubit with ``apply_one_qubit``.
     """
@@ -352,7 +355,10 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, np.ndarray, np.nd
     level = build_cat_state(params).reshape(1, -1)
     for j in range(n):
         cube = level.reshape(len(level), 2**j, 2, 2 ** (n - j - 1))
-        level = np.einsum("oik,pakb->poaib", ops, cube).reshape(2 * len(level), -1)
+        # out[p, o, a, i, b] = sum_k ops[o, i, k] cube[p, a, k, b]
+        out = ops[None, :, None, :, 0, None] * cube[:, None, :, None, 0, :]
+        out += ops[None, :, None, :, 1, None] * cube[:, None, :, None, 1, :]
+        level = out.reshape(2 * len(level), -1)
     probs = np.array([np.vdot(vec, vec).real for vec in level])
     successes = [bin(mask).count("1") for mask in range(2**n)]
     return np.bincount(successes, weights=probs, minlength=n + 1), probs, level

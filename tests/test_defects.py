@@ -45,6 +45,21 @@ def _probabilities_of_one(params):
     return q, np.ones_like(probs), branches
 
 
+def _walk_first_term_only(params):
+    # the protocol walk keeps the k = 0 product and drops the k = 1 term
+    n = params.N
+    a, a_bar = oracle.biorthonormal_filter(params)
+    ops = np.stack([a_bar, a])
+    level = oracle.build_cat_state(params).reshape(1, -1)
+    for j in range(n):
+        cube = level.reshape(len(level), 2**j, 2, 2 ** (n - j - 1))
+        out = ops[None, :, None, :, 0, None] * cube[:, None, :, None, 0, :]
+        level = out.reshape(2 * len(level), -1)
+    probs = np.array([np.vdot(vec, vec).real for vec in level])
+    successes = [bin(mask).count("1") for mask in range(2**n)]
+    return np.bincount(successes, weights=probs, minlength=n + 1), probs, level
+
+
 def _unit_norm_amplitudes(params):
     # the raw amplitudes come back normalized, so K reads 1
     raw = _CAT_AMPLITUDES(params)
@@ -132,6 +147,9 @@ DEFECTS = [
            _mask_bits_reversed, 2, {"protocol_ghz_fidelity"}),
     Defect("branches_unnormalized", "catsize.oracle.enumerate_protocol",
            _probabilities_of_one, 2, {"protocol_ghz_fidelity"}),
+    Defect("walk_first_term_only", "catsize.oracle.enumerate_protocol",
+           _walk_first_term_only, 2,
+           {"protocol_distribution", "protocol_mean_vs_expected_n", "protocol_ghz_fidelity"}),
     Defect("cat_amplitudes_unit_norm", "catsize.oracle.cat_amplitudes",
            _unit_norm_amplitudes, 2, {"cat_state_normalization"}),
     Defect("ghz_sign_flipped", "catsize.oracle.build_ghz_state",

@@ -1,13 +1,16 @@
-"""BLAS thread policy and stdout errors of the process entry (``catsize.__main__.main``).
+"""BLAS thread policy, stdout errors and the exit-time heap freeze of the
+process entry (``catsize.__main__.main``).
 
 ``python -m catsize`` and the console script ask for one BLAS thread before
 numpy loads, unless the user has set a thread-count variable; the library
 and an in-process ``cli.main`` leave the environment alone.  Each probe runs
 in a fresh interpreter, since this test process has numpy loaded already.
 A closed stdout pipe exits 141 quietly; any other stdout write error exits 2
-with one error line.
+with one error line.  The entry freezes the heap at exit, never while a
+command runs.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -16,7 +19,7 @@ import sys
 import pytest
 
 import catsize
-from catsize.__main__ import _BLAS_THREAD_VARS, _USER_THREAD_VARS, EXIT_BROKEN_PIPE
+from catsize.__main__ import _BLAS_THREAD_VARS, _USER_THREAD_VARS, EXIT_BROKEN_PIPE, main
 
 SRC = os.path.dirname(os.path.dirname(catsize.__file__))
 DISTILL = ["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"]
@@ -83,6 +86,38 @@ def test_library_and_in_process_cli_leave_the_environment_alone():
         "print(json.dumps({'same': dict(os.environ) == before}))\n"
     )
     assert out == {"same": True}
+
+
+def test_entry_freezes_the_heap_at_exit():
+    # atexit runs its handlers last in, first out, so this probe, registered
+    # before the entry runs, runs after the entry's handler
+    out = run_probe(
+        "import atexit, gc, json\n"
+        "atexit.register(lambda: print(json.dumps({'frozen': gc.get_freeze_count()})))\n"
+        + entry_probe(DISTILL)
+    )
+    assert out["frozen"] > 0
+
+
+def test_entry_registers_the_freeze_once_per_process():
+    out = run_probe(
+        "import atexit, contextlib, gc, io, json\n"
+        "calls = []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: calls.append(1) or freeze()\n"
+        "atexit.register(lambda: print(json.dumps({'calls': len(calls)})))\n"
+        "from catsize.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({DISTILL!r}) == 0\n"
+        "    assert main(['effective-size', '--n', '5', '--epsilon', '0.1']) == 0\n"
+    )
+    assert out == {"calls": 1}
+
+
+def test_in_process_entry_keeps_normal_collection(capsys):
+    assert main(["effective-size", "--n", "5", "--epsilon", "0.1"]) == 0
+    assert capsys.readouterr().out
+    assert gc.get_freeze_count() == 0
 
 
 def test_console_script_is_the_entry():

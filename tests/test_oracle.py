@@ -7,7 +7,7 @@ import pytest
 
 from catsize import oracle
 from catsize.core import CatParams, normalization_constant
-from catsize.distillation import outcome_distribution
+from catsize.distillation import build_filter, outcome_distribution
 from catsize.loss import cat_loss_suppression
 from catsize.oracle import (
     CHANNEL_KINDS,
@@ -350,7 +350,8 @@ def _per_mask_protocol(params):
     return q, branches
 
 
-@pytest.mark.parametrize("eps", [0.1, math.pi / 4, HALF_PI - 0.1])
+# 0.3 is a validate grid point; at pi/2, c = 0 and signed zeros decide the bytes
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.3, math.pi / 4, HALF_PI - 0.1, HALF_PI])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_enumerate_protocol_equals_the_per_mask_loop(n, eps):
     params = CatParams(n, eps)
@@ -362,6 +363,20 @@ def test_enumerate_protocol_equals_the_per_mask_loop(n, eps):
     for vec, (_, vec_ref) in zip(branches, ref):
         assert np.array_equal(vec, vec_ref)
         assert vec.tobytes() == vec_ref.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-320, 1e-200, 1e-160])
+def test_filter_refuses_eps_with_no_normal_k_squared(eps):
+    # k^2 ~ eps^2 / 2 is 0 or subnormal here: A came back NaN, 0 or digits off
+    for func in (biorthonormal_filter, enumerate_protocol):
+        with pytest.raises(ValueError, match="eps > 0|normal k"):
+            func(CatParams(2, eps))
+
+
+def test_filter_just_above_the_subnormal_edge():
+    p = CatParams(2, 1e-150)
+    a, _ = biorthonormal_filter(p)
+    assert np.max(np.abs(a - build_filter(p)[0])) <= 2.2e-16
 
 
 def _success_states(params):
