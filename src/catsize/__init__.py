@@ -16,8 +16,8 @@ The oracle, the validation suite and the CLI are the submodules
 imports only ``core``.
 
 Each concept has one form: noise rates (gamma_t, the loss probability
-lam) are floats, the filter is an (A, A_bar) pair of 2x2 arrays, and the
-distributions carry the CatParams they were computed at.
+lam) are floats, the filter is an (A, A_bar) pair of real 2x2 arrays, and
+the distributions carry the CatParams they were computed at.
 """
 
 import importlib

@@ -60,8 +60,8 @@ def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     if params.epsilon <= 0.0:
         raise ValueError("build_filter requires eps > 0 (linearly independent branches)")
     c, s = params.c_eps, params.s_eps
-    a = np.array([[s, -c], [0.0, 1.0]], dtype=complex) / math.sqrt(1.0 + c)
-    u = np.array([math.sqrt((1.0 + c) / 2.0), s / math.sqrt(2.0 * (1.0 + c))], dtype=complex)
+    a = np.array([[s, -c], [0.0, 1.0]]) / math.sqrt(1.0 + c)
+    u = np.array([math.sqrt((1.0 + c) / 2.0), s / math.sqrt(2.0 * (1.0 + c))])
     return a, math.sqrt(2.0 * c / (1.0 + c)) * np.outer(u, u)
 
 

@@ -9,12 +9,10 @@ The closed forms in the analysis modules are validated against these
 routines; the oracle never calls them: it imports only ``core``, and from
 it only the parameter type and the parameter checks.
 
-The dense kernels (channel evolution, the trace-norm SVD, and the partial
-traces and stacked SVD of the loss enumeration) compute in real arithmetic
-when their operator's imaginary part is exactly 0, as every operator the
-validation suite builds is, and in complex arithmetic otherwise.  A real
-matrix's SVD is also a complex SVD of it, and singular values are unique,
-so both paths give the same singular values up to rounding.  Channel
+Every kernel computes in the dtype of its input: the branch vectors, the
+GHZ state, the filter and both channels' superoperators have only real
+entries, so the states and operators the validation suite builds are
+real and stay real, and a complex input stays complex.  Channel
 evolution interleaves the row and column bits once, applies the 4x4
 superoperator to each qubit's slot pair in turn, one GEMM per qubit that
 also rotates the next pair to the front, and restores the order once (see
@@ -33,7 +31,8 @@ amplitude index, so |b1 b2 ... bN> sits at index b1*2^(N-1) + ... + bN.
 Every dense entry point checks its size by one rule, and the caps are hard
 errors: 14 qubits for state vectors, 10 for dense operators, 8 for
 exhaustive enumerations.  An array input has 2^n entries on each axis
-(``_qubits``); a parameter input is checked on N before any 2^N is formed.
+(``_qubits``); a parameter input is checked on N before any 2^N is formed,
+and ``kron_all`` checks its product's shape before its first multiply.
 
 Two single-qubit channels are supported (``ChannelSpec``, of a kind in
 ``CHANNEL_KINDS``), both at a dimensionless time gamma_t with
@@ -52,6 +51,7 @@ import functools
 import math
 from collections import namedtuple
 from itertools import combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -83,10 +83,10 @@ MAX_STATE_QUBITS = 14
 MAX_OPERATOR_QUBITS = 10
 MAX_ENUM_QUBITS = 8
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2)
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 # the two single-qubit channel kinds of ChannelSpec
 DEPHASING = "dephasing"
@@ -142,38 +142,43 @@ def kron_all(mats) -> np.ndarray:
     Each step multiplies the running (r, c) product and the next (rm, cm)
     factor broadcast to (r, rm, c, cm) and reshapes to (r rm, c cm): the
     products ``np.kron`` forms, bit for bit, without its per-call shape
-    handling.  Every factor must be 2-D.
+    handling.  Every factor must be 2-D.  The product's shape is checked
+    first: a vector (one side 1) above 2^MAX_STATE_QUBITS entries, or any
+    other product with a side above 2^MAX_OPERATOR_QUBITS, is refused.
     """
-    out = np.array([[1.0 + 0.0j]])
+    mats = [np.asarray(m) for m in mats]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError(f"kron_all takes 2-D factors, got shapes {[m.shape for m in mats]}")
+    shape = tuple(math.prod(m.shape[i] for m in mats) for i in (0, 1))
+    cap = MAX_STATE_QUBITS if min(shape) == 1 else MAX_OPERATOR_QUBITS
+    if max(shape) > 2**cap:
+        raise ValueError(f"kron_all products capped at {cap} qubits, got shape {shape}")
+    out = np.ones((1, 1))
     for m in mats:
-        m = np.asarray(m, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError(f"kron_all takes 2-D factors, got shape {m.shape}")
         (r, c), (rm, cm) = out.shape, m.shape
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r * rm, c * cm)
     return out
 
 
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a matrix."""
+    """n-fold Kronecker power of a matrix, n in [0, MAX_STATE_QUBITS] (bools rejected)."""
+    if not isinstance(n, Integral) or isinstance(n, bool) or not 0 <= n <= MAX_STATE_QUBITS:
+        raise ValueError(f"n must be an integer in [0, {MAX_STATE_QUBITS}], got {n!r}")
     return kron_all([mat] * n)
 
 
 def branch_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     """(|phi1>, |phi2>) built from the raw parameters."""
-    phi1 = np.array([1.0, 0.0], dtype=complex)
-    phi2 = np.array([params.c_eps, params.s_eps], dtype=complex)
+    phi1 = np.array([1.0, 0.0])
+    phi2 = np.array([params.c_eps, params.s_eps])
     return phi1, phi2
 
 
 def cat_amplitudes(params: CatParams) -> np.ndarray:
     """Unnormalized amplitudes of |phi1>^(x)N + |phi2>^(x)N."""
     _check_qubits(params.N, MAX_STATE_QUBITS, "dense state vectors")
-    phi1, phi2 = branch_vectors(params)
-    return (
-        kron_all([phi1.reshape(2, 1)] * params.N).ravel()
-        + kron_all([phi2.reshape(2, 1)] * params.N).ravel()
-    )
+    powers = [kron_all([v.reshape(2, 1)] * params.N).ravel() for v in branch_vectors(params)]
+    return powers[0] + powers[1]
 
 
 def build_cat_state(params: CatParams) -> np.ndarray:
@@ -186,7 +191,7 @@ def build_ghz_state(n: int) -> np.ndarray:
     """Amplitudes of (|0...0> + |1...1>) / sqrt(2) on n qubits."""
     n = _check_positive_int(n, "n")
     _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
-    vec = np.zeros(2**n, dtype=complex)
+    vec = np.zeros(2**n)
     vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
     return vec
 
@@ -204,29 +209,21 @@ def _qubits(shape: tuple, ndim: int, cap: int, what: str) -> int:
     return n
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """``a.real`` if the imaginary part of ``a`` is exactly 0, else ``a``.
-
-    A NaN imaginary entry is nonzero, so such an array keeps the complex path.
-    """
-    return a.real if not a.imag.any() else a
-
-
 @functools.lru_cache(maxsize=8)
 def _superoperator(ch: ChannelSpec) -> np.ndarray:
     """The 4x4 superoperator S = sum_K K (x) conj(K) of a channel, built once per spec.
 
     The Kraus set is checked for completeness first.  S is exactly real for
-    both channel kinds (Y (x) conj(Y) has entries +-1 and 0), so it is
-    returned real, and read-only because the cache shares it between calls.
-    Equal specs are one cache entry.
+    both channel kinds (Y (x) conj(Y) has entries +-1 and 0) and is returned
+    real, read-only because the cache shares it; equal specs share one entry.
     """
     kraus = ch.kraus_operators()
     completeness = sum(k.conj().T @ k for k in kraus)
     if np.max(np.abs(completeness - np.eye(2))) > 1e-12:
         raise ValueError("Kraus set fails completeness: sum K^dag K != I")
     # S[(i k), (j l)] = sum_K K[i, j] conj(K[k, l])
-    sup = _real_if_exact(sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in kraus).reshape(4, 4))
+    sup = sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in kraus).reshape(4, 4)
+    sup = sup.real if not sup.imag.any() else sup
     sup.flags.writeable = False
     return sup
 
@@ -244,39 +241,30 @@ def apply_product_channel(op: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     ``(out.T @ S.T)``: that applies S to the leading pair and moves it to
     the end, so after n steps every pair has had S once and the axis order
     is back to where it started.  One transpose at the end restores the
-    row-then-column order.
-
-    An operator whose imaginary part is exactly 0 is evolved in real
-    arithmetic with the real S: the terms it drops are products of exact
-    zeros, so it agrees with the complex path up to rounding.  The result
-    is complex128 either way.
+    row-then-column order into a fresh C-ordered array, even at n = 0.
     """
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     n = _qubits(op.shape, 2, MAX_OPERATOR_QUBITS, "dense operators")
     sup_t = _superoperator(ch).T
     # axes (r1, ..., rn, c1, ..., cn) -> (r1, c1, ..., rn, cn) and back
     interleave = [a for q in range(n) for a in (q, n + q)]
-    out = _real_if_exact(op).reshape((2,) * (2 * n)).transpose(interleave)
+    out = op.reshape((2,) * (2 * n)).transpose(interleave)
     for _ in range(n):
         out = out.reshape(4, -1).T @ sup_t
     out = out.reshape((2,) * (2 * n)).transpose(np.argsort(interleave))
-    return out.astype(complex, order="C").reshape(op.shape)
+    return out.copy(order="C").reshape(op.shape)
 
 
 def dense_trace_norm(op: np.ndarray) -> float:
-    """Sum of singular values, from a full dense SVD.
-
-    An operator whose imaginary part is exactly 0 is decomposed as a real
-    matrix, which has the same singular values (see the module docstring).
-    """
-    op = np.asarray(op, dtype=complex)
+    """Sum of singular values, from a full dense SVD."""
+    op = np.asarray(op)
     _qubits(op.shape, 2, MAX_OPERATOR_QUBITS, "dense operators")
-    return float(np.linalg.svd(_real_if_exact(op), compute_uv=False).sum())
+    return float(np.linalg.svd(op, compute_uv=False).sum())
 
 
 def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix of a pure state on the kept qubits (0-based)."""
-    state = np.asarray(state, dtype=complex).ravel()
+    state = np.asarray(state).ravel()
     n = _qubits(state.shape, 1, MAX_STATE_QUBITS, "dense state vectors")
     keep = list(keep)
     if any(q < 0 or q >= n for q in keep):
@@ -299,12 +287,12 @@ def _trace_out(tensor: np.ndarray, keep: tuple) -> np.ndarray:
 
 def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 operator to one qubit slot of a state vector (0-based)."""
-    state = np.asarray(state, dtype=complex).ravel()
+    state = np.asarray(state).ravel()
     n = _qubits(state.shape, 1, MAX_STATE_QUBITS, "dense state vectors")
     if not (0 <= qubit < n):
         raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
     cube = state.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
-    return np.einsum("ij,ajb->aib", np.asarray(m, dtype=complex), cube).ravel()
+    return np.einsum("ij,ajb->aib", np.asarray(m), cube).ravel()
 
 
 def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
@@ -324,10 +312,9 @@ def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     if k_sq < np.finfo(float).tiny:
         raise ValueError(f"biorthonormal filter needs a normal k^2, got {k_sq!r}")
     a = math.sqrt(k_sq) * np.linalg.inv(basis)
-    complement = np.eye(2, dtype=complex) - a.conj().T @ a
+    complement = np.eye(2) - a.conj().T @ a
     w, v = np.linalg.eigh(complement)
-    w = np.clip(w, 0.0, None)
-    a_bar = (v * np.sqrt(w)) @ v.conj().T
+    a_bar = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return a, a_bar
 
 
@@ -380,7 +367,7 @@ def ghz_fidelities(states, masks) -> np.ndarray:
     the kept qubits all 0 at i and all 1 at i | K.  All rows take the same
     elementwise operations and one row-wise sum.
     """
-    states = np.asarray(states, dtype=complex)
+    states = np.asarray(states)
     if states.ndim != 2:
         raise ValueError(f"expected a (branches, 2^n) array of states, got shape {states.shape}")
     n = _qubits(states.shape[1:], 1, MAX_STATE_QUBITS, "dense state vectors")
@@ -421,9 +408,7 @@ def _loss_ratio_sums(params: CatParams) -> tuple[float, ...]:
     n = params.N
     phi1, phi2 = branch_vectors(params)
     dyad = np.outer(phi1, phi2.conj())
-    # the block is exactly real for real branch vectors, so its traces are
-    # taken, and their SVD is done, in real arithmetic
-    tensor = _real_if_exact(kron_power(dyad, n)).reshape((2,) * (2 * n))
+    tensor = kron_power(dyad, n).reshape((2,) * (2 * n))
     sums = []
     for k in range(n + 1):
         kept_sets = list(combinations(range(n), k))

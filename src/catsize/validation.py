@@ -120,7 +120,7 @@ def _decoherence(max_n: int):
 
 
 def _ghz_rate(max_n: int):
-    dyad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    dyad = np.array([[0.0, 1.0], [0.0, 0.0]])
     for n in range(1, max_n + 1):
         block = oracle.kron_power(dyad, n)
         for gamma_t, kind in product(STANDARD_GAMMA_TS, CHANNEL_KINDS):

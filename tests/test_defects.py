@@ -103,7 +103,7 @@ def _q0_without_factor_2_where_c_n_underflows(params, lo, hi):
 def _channel_without_rotation(op, ch):
     # each step applies S to the leading (row, column) pair and leaves it
     # in front, so qubit 1 gets S n times and the other qubits never
-    op = np.asarray(op, dtype=complex)
+    op = np.asarray(op)
     n = op.shape[0].bit_length() - 1
     interleave = [a for q in range(n) for a in (q, n + q)]
     out = op.reshape((2,) * (2 * n)).transpose(interleave)

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from catsize import oracle
+from catsize import oracle, validation
 from catsize.core import CatParams, normalization_constant
 from catsize.distillation import build_filter, outcome_distribution
 from catsize.loss import cat_loss_suppression
@@ -92,6 +92,20 @@ def test_size_caps_are_hard_errors():
         enumerate_loss(CatParams(9, 0.3), 0.1)
     with pytest.raises(ValueError, match="capped at 14 qubits"):
         apply_one_qubit(np.ones(2**15), np.eye(2), 0)
+    # kron_all checks the product's shape before it multiplies: a vector
+    # up to 14 qubits, any other product up to 10 on each side
+    assert kron_all([np.ones((2, 1))] * 14).shape == (2**14, 1)
+    assert kron_power(np.eye(2), 10).shape == (2**10, 2**10)
+    for mats, cap in [
+        ([np.ones((2, 1))] * 15, 14),
+        ([np.ones((1, 2))] * 15, 14),
+        ([np.eye(2)] * 11, 10),
+        ([np.ones((2, 1))] * 11 + [np.ones((1, 2))], 10),
+    ]:
+        with pytest.raises(ValueError, match=f"capped at {cap} qubits"):
+            kron_all(mats)
+    with pytest.raises(ValueError, match="capped at 10 qubits"):
+        kron_power(np.eye(2), 11)
 
 
 def test_apply_product_channel_identity_at_zero_time():
@@ -103,10 +117,11 @@ def test_apply_product_channel_identity_at_zero_time():
 
 
 def _kron_factor_product_channel(op, ch):
-    # reference: conjugate by the full 2^n x 2^n factor I (x) K (x) I per qubit
+    # reference: conjugate by the full 2^n x 2^n factor I (x) K (x) I per
+    # qubit, in complex arithmetic
     n = op.shape[0].bit_length() - 1
     for q in range(n):
-        acc = np.zeros_like(op)
+        acc = np.zeros(op.shape, dtype=complex)
         for k in ch.kraus_operators():
             kf = np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (n - q - 1)))
             acc += kf @ op @ kf.conj().T
@@ -121,11 +136,11 @@ def test_apply_product_channel_matches_kron_factor_reference(n, kind):
     dim = 2**n
     op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     ch = ChannelSpec(kind, 0.37)
-    # the complex operator, and the same with its imaginary part set to 0
-    # (complex dtype), which takes the real path
-    for op in (op, op.real.astype(complex)):
+    # the complex operator, its real part as complex and its real part as
+    # float64: the result keeps the input's dtype
+    for op in (op, op.real.astype(complex), op.real):
         out = apply_product_channel(op, ch)
-        assert out.dtype == np.complex128
+        assert out.dtype == op.dtype
         diff = np.max(np.abs(out - _kron_factor_product_channel(op, ch)))
         assert diff <= 1e-14 * np.max(np.abs(op))
 
@@ -133,17 +148,17 @@ def test_apply_product_channel_matches_kron_factor_reference(n, kind):
 def _batched_matmul_product_channel(op, ch):
     # reference: the superoperator applied to each qubit's slot pair by a
     # batched matmul over a (4^q, 4, 4^(n-q-1)) view of the interleaved
-    # operator, in real arithmetic when the operator is exactly real
-    op = np.asarray(op, dtype=complex)
+    # operator, in the operator's dtype with the exactly real superoperator
+    op = np.asarray(op)
     n = op.shape[0].bit_length() - 1
     sup = sum(np.einsum("ij,kl->ikjl", k, k.conj()) for k in ch.kraus_operators()).reshape(4, 4)
     sup = sup.real if not sup.imag.any() else sup
     interleave = [a for q in range(n) for a in (q, n + q)]
-    out = (op.real if not op.imag.any() else op).reshape((2,) * (2 * n)).transpose(interleave)
+    out = op.reshape((2,) * (2 * n)).transpose(interleave)
     for q in range(n):
         out = np.matmul(sup, out.reshape(4**q, 4, 4 ** (n - q - 1)))
     out = out.reshape((2,) * (2 * n)).transpose(np.argsort(interleave))
-    return out.astype(complex, order="C").reshape(op.shape)
+    return np.ascontiguousarray(out).reshape(op.shape)
 
 
 @pytest.mark.parametrize("gamma_t", [0.0, 0.37, 5.0])
@@ -154,9 +169,9 @@ def test_apply_product_channel_matches_batched_matmul_reference(n, kind, gamma_t
     dim = 2**n
     op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     ch = ChannelSpec(kind, gamma_t)
-    for op in (op, op.real.astype(complex)):
+    for op in (op, op.real.astype(complex), op.real):
         out, ref = apply_product_channel(op, ch), _batched_matmul_product_channel(op, ch)
-        assert out.dtype == np.complex128
+        assert out.dtype == ref.dtype == op.dtype
         assert np.max(np.abs(out - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
@@ -175,6 +190,43 @@ def test_apply_product_channel_is_byte_identical_on_validate_blocks():
         ch = ChannelSpec(kind, gamma_t)
         out, ref = apply_product_channel(block, ch), _batched_matmul_product_channel(block, ch)
         assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_apply_product_channel_returns_a_fresh_array(n):
+    # at n = 0 no GEMM runs, so only a copy keeps the result apart from op
+    rng = np.random.default_rng(700 + n)
+    real = rng.normal(size=(2**n, 2**n))
+    for op in (real, real + 1j * rng.normal(size=real.shape)):
+        for kind in CHANNEL_KINDS:
+            out = apply_product_channel(op, ChannelSpec(kind, 0.37))
+            assert not np.shares_memory(op, out)
+            assert out.flags.c_contiguous and out.dtype == op.dtype
+
+
+def test_validate_gives_the_oracle_only_real_data(monkeypatch):
+    # every array that validate passes to, or gets back from, the oracle
+    # entry points it calls is float64 (ghz_fidelities' integer masks aside)
+    names = ["apply_one_qubit", "apply_product_channel", "biorthonormal_filter",
+             "branch_vectors", "build_cat_state", "build_ghz_state", "cat_amplitudes",
+             "dense_trace_norm", "enumerate_loss", "enumerate_protocol", "ghz_fidelities",
+             "kron_power", "partial_trace_state"]
+    seen = {name: set() for name in names}
+
+    def record(name, func):
+        def wrapper(*args):
+            result = func(*args)
+            for value in (*args, *(result if isinstance(result, tuple) else (result,))):
+                if isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+                    seen[name].add(value.dtype)
+            return result
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(oracle, name, record(name, getattr(oracle, name)))
+    assert all(r.passed for r in validation.run_validation(3))
+    assert {name for name, dtypes in seen.items() if not dtypes} == {"enumerate_loss"}
+    assert set().union(*seen.values()) == {np.dtype(np.float64)}
 
 
 def test_superoperator_cache_is_bounded_and_keyed_by_value():
@@ -236,9 +288,9 @@ def test_dense_trace_norm_values():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_dense_trace_norm_real_path_matches_complex_path(n):
-    # a phase leaves the singular values alone but takes the complex path
+    # a phase leaves the singular values alone but makes the SVD complex
     rng = np.random.default_rng(300 + n)
-    op = rng.normal(size=(2**n, 2**n)).astype(complex)
+    op = rng.normal(size=(2**n, 2**n))
     real_path = dense_trace_norm(op)
     assert real_path == pytest.approx(dense_trace_norm(op * np.exp(0.3j)), rel=1e-13)
 
@@ -291,9 +343,9 @@ def test_apply_one_qubit_matches_kron():
 
 
 def _chained_kron(mats):
-    out = np.array([[1.0 + 0.0j]])
+    out = np.ones((1, 1))
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        out = np.kron(out, np.asarray(m))
     return out
 
 
@@ -329,6 +381,11 @@ def test_kron_all_refuses_factors_of_other_ranks():
         kron_all([_SQUARE, np.array([1.0, -1.0])])
     with pytest.raises(ValueError, match="2-D factors"):
         kron_all([np.ones((2, 2, 2))])
+    # n = 0 is the empty product; n is a count of factors
+    assert kron_power(_SQUARE, 0).tobytes() == np.ones((1, 1)).tobytes()
+    for n in (-3, True, False, 2.0, 15):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            kron_power(_SQUARE, n)
 
 
 def _per_mask_protocol(params):
