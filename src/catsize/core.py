@@ -65,14 +65,14 @@ class Linspace:
     step = endpoint / (steps - 1), or (i / (steps - 1)) * endpoint where
     step underflows to 0, and the last point is exactly endpoint.  With
     endpoint finite and > 0 every point is finite and >= 0, and the points
-    rise with i up to the last step, which _check_grid checks.
+    rise with i up to the last step, which a curve checks when it is made.
     """
 
     def __init__(self, endpoint: float, steps: int) -> None:
         if not (0.0 < endpoint < math.inf):
             raise ValueError(f"grid endpoint must be finite and > 0, got {endpoint!r}")
-        if not isinstance(steps, Integral) or steps < 2:
-            raise ValueError(f"a grid needs at least 2 points, got {steps!r}")
+        if not isinstance(steps, Integral) or not (2 <= steps <= sys.maxsize):
+            raise ValueError(f"a grid needs at least 2 points, at most sys.maxsize, got {steps!r}")
         self.endpoint = float(endpoint)
         self._div = int(steps) - 1
         self._step = self.endpoint / self._div
@@ -87,17 +87,6 @@ class Linspace:
         else:
             head = map(end.__rmul__, map(div.__rtruediv__, range(div)))  # (i / div) * end
         return chain(head, (end,))
-
-
-def _check_grid(grid: Linspace, name: str) -> Linspace:
-    """grid as it is, checked in O(1); TypeError unless a Linspace."""
-    if not isinstance(grid, Linspace):
-        raise TypeError(f"{name} must be a Linspace, got {type(grid).__name__}")
-    # a subnormal step can round up so far that the point before the last
-    # one passes the endpoint; where the step underflows to 0 none can
-    if (grid._div - 1) * grid._step > grid.endpoint:
-        raise ValueError(f"{name} must be sorted ascending")
-    return grid
 
 
 def _check_gamma_t(gamma_t) -> float:
@@ -169,6 +158,41 @@ class CatParams(namedtuple("CatParams", "N epsilon")):
     def log_cN(self) -> float:
         """N * ln cos(epsilon)."""
         return self.N * self.log_c
+
+
+class _Curve(namedtuple("_Curve", "params n_ref grid")):
+    """A GHZ reference curve (n_ref qubits) and a cat curve on one noise grid,
+    a Linspace from 0 checked when the record is made.  to_csv is the one way
+    to read it: the rows are computed as its text is consumed, so a long curve
+    is never held in memory.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, params: CatParams, n_ref: int, grid: Linspace) -> _Curve:
+        n_ref = _check_positive_int(n_ref, "n_ref")
+        if not isinstance(grid, Linspace):
+            raise TypeError(f"{cls._grid_name} must be a Linspace, got {type(grid).__name__}")
+        # a subnormal step can round up so far that the point before the last
+        # one passes the endpoint; where the step underflows to 0 none can
+        if (grid._div - 1) * grid._step > grid.endpoint:
+            raise ValueError(f"{cls._grid_name} must be sorted ascending")
+        return super().__new__(cls, params, n_ref, grid)
+
+    # _replace builds through _make, which would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def to_csv(self):
+        """CSV with the header ``_header``, as a stream of text chunks formatted
+        block by block as they are read; ``"".join(curve.to_csv())`` is the text.
+        """
+        # imported here: the oracle imports core and must not load serialize
+        from .serialize import csv_chunks
+
+        # _points looks the point functions up when called, so a replacement is seen
+        ghz, cat = self._points()
+        rows = zip(self.grid, map(ghz, self.grid), map(cat, self.grid))
+        return csv_chunks(self._header, "%.17g,%.17g,%.17g\n", rows)
 
 
 def normalization_constant(params: CatParams) -> float:

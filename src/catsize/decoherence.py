@@ -18,11 +18,9 @@ GHZ size
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import partial
 
-from .core import CatParams, Linspace, _check_gamma_t, _check_grid, _check_positive_int
-from .serialize import csv_chunks
+from .core import CatParams, Linspace, _check_gamma_t, _check_positive_int, _Curve
 
 __all__ = [
     "DecayCurve",
@@ -34,7 +32,7 @@ __all__ = [
 
 
 # The point functions below are unchecked: the public functions check their
-# arguments, and decay_curve checks its grid once.
+# arguments, and DecayCurve checks its grid once.
 
 
 def _ghz_norm(n: int, gamma_t: float) -> float:
@@ -81,33 +79,18 @@ def effective_size_decoherence(params: CatParams) -> float:
     return params.N * params.s_eps**2
 
 
-class DecayCurve(namedtuple("DecayCurve", "params n_ref times")):
+class DecayCurve(_Curve):
     """Off-diagonal norms of the GHZ reference (n_ref qubits) and the cat
-    state on the gamma_t grid times, a Linspace from 0, so both start at 1.
-
-    to_csv is the one way to read it: the rows are computed as its text is
-    consumed, so a long curve is never held in memory.
-    """
+    state on the gamma_t grid, a Linspace from 0, so both start at 1."""
 
     __slots__ = ()
+    _header = "gamma_t,ghz_norm,cat_norm"
+    _grid_name = "gamma_t grid"
 
-    def to_csv(self):
-        """CSV with header ``gamma_t,ghz_norm,cat_norm``, as a stream of text chunks.
-
-        The rows are computed and formatted block by block as the chunks
-        are read; ``"".join(curve.to_csv())`` is the whole text.
-        """
-        ghz = map(partial(_ghz_norm, self.n_ref), self.times)
-        cat = map(partial(_cat_norm, *_cat_consts(self.params)), self.times)
-        header = "gamma_t,ghz_norm,cat_norm"
-        return csv_chunks(header, "%.17g,%.17g,%.17g\n", zip(self.times, ghz, cat))
+    def _points(self):
+        return partial(_ghz_norm, self.n_ref), partial(_cat_norm, *_cat_consts(self.params))
 
 
 def decay_curve(params: CatParams, n_ref: int, grid: Linspace) -> DecayCurve:
-    """Both decay curves on the gamma_t grid Linspace(gamma_t_max, steps).
-
-    The grid is checked here, once; the points are not checked again one
-    by one.
-    """
-    n_ref = _check_positive_int(n_ref, "n_ref")
-    return DecayCurve(params=params, n_ref=n_ref, times=_check_grid(grid, "gamma_t grid"))
+    """Both decay curves on the gamma_t grid Linspace(gamma_t_max, steps)."""
+    return DecayCurve(params, n_ref, grid)

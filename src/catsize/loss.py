@@ -20,11 +20,9 @@ the public functions check it with ``core._check_lam``.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import partial
 
-from .core import CatParams, Linspace, _check_grid, _check_lam, _check_positive_int
-from .serialize import csv_chunks
+from .core import CatParams, Linspace, _check_lam, _check_positive_int, _Curve
 
 __all__ = [
     "LossCurve",
@@ -36,7 +34,7 @@ __all__ = [
 
 
 # The point functions below are unchecked: the public functions check their
-# arguments, and loss_curve checks its grid once.
+# arguments, and LossCurve checks its grid once.
 
 
 def _ghz_loss(n: int, lam: float) -> float:
@@ -84,38 +82,21 @@ def effective_size_loss(params: CatParams) -> float:
     return params.N * params.one_minus_c
 
 
-class LossCurve(namedtuple("LossCurve", "params n_ref lambdas")):
+class LossCurve(_Curve):
     """Suppressions of the GHZ reference (n_ref qubits) and the cat state on
-    the lam grid lambdas, a Linspace from 0 to at most 1.
-
-    to_csv is the one way to read it: the rows are computed as its text is
-    consumed, so a long curve is never held in memory.
-    """
+    the lam grid, a Linspace from 0 to at most 1."""
 
     __slots__ = ()
+    _header = "lambda,ghz_suppression,cat_suppression"
+    _grid_name = "lambda grid"
 
-    def to_csv(self):
-        """CSV with header ``lambda,ghz_suppression,cat_suppression``, as a
-        stream of text chunks.
-
-        The rows are computed and formatted block by block as the chunks
-        are read; ``"".join(curve.to_csv())`` is the whole text.
-        """
-        ghz = map(partial(_ghz_loss, self.n_ref), self.lambdas)
-        cat = map(partial(_cat_loss, *_cat_consts(self.params)), self.lambdas)
-        header = "lambda,ghz_suppression,cat_suppression"
-        return csv_chunks(header, "%.17g,%.17g,%.17g\n", zip(self.lambdas, ghz, cat))
+    def _points(self):
+        return partial(_ghz_loss, self.n_ref), partial(_cat_loss, *_cat_consts(self.params))
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas: Linspace) -> LossCurve:
-    """Both suppression curves on the lam grid Linspace(lambda_max, steps),
-    lambda_max <= 1.
-
-    The grid is checked here, once; the points are not checked again one
-    by one.
-    """
-    n_ref = _check_positive_int(n_ref, "n_ref")
-    lambdas = _check_grid(lambdas, "lambda grid")
+    """Both suppression curves on the lam grid Linspace(lambda_max, steps), lambda_max <= 1."""
+    curve = LossCurve(params, n_ref, lambdas)
     if lambdas.endpoint > 1.0:
         raise ValueError(f"lambda grid must lie in [0, 1], got endpoint {lambdas.endpoint!r}")
-    return LossCurve(params=params, n_ref=n_ref, lambdas=lambdas)
+    return curve

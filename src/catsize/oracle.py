@@ -376,8 +376,10 @@ def ghz_fidelities(states, masks) -> np.ndarray:
         raise ValueError(f"need one mask per state, each in [1, 2^{n})")
     index = np.arange(2**n)
     pair = states + np.take_along_axis(states, index | masks, axis=1)
-    weight = np.where(index & masks, 0.0, pair.real**2 + pair.imag**2)
-    return weight.sum(axis=1) / 2.0
+    weight = pair.real**2
+    if pair.dtype.kind == "c":  # a real array's .imag would allocate zeros
+        weight += pair.imag**2
+    return np.where(index & masks, 0.0, weight).sum(axis=1) / 2.0
 
 
 def enumerate_loss(params: CatParams, lam: float) -> float:

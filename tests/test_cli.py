@@ -32,6 +32,11 @@ REPORT_KEYS = [
 ]
 
 
+# command, endpoint flag and grid name of each curve
+DECAY_GRID = ("decoherence-curve", "--gamma-t-max", "gamma_t grid")
+LOSS_GRID = ("loss-curve", "--lambda-max", "lambda grid")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -314,21 +319,30 @@ def test_distill_sim_trials_cap(capsys):
         assert err.startswith(f"error: trials = {trials} exceeds {cap}, the largest accepted")
 
 
-@pytest.mark.parametrize("steps, expected_code", [(3, 0), (1001, 2)])
-def test_curve_grid_whose_step_rounds_up(capsys, steps, expected_code):
+@pytest.mark.parametrize(
+    "command, flag, grid_name, endpoint, steps, expected_code",
+    [
+        # ids: steps-exit code
+        pytest.param(*DECAY_GRID, "1.2846e-320", 3, 0, id="3-0"),
+        pytest.param(*DECAY_GRID, "1.2846e-320", 1001, 2, id="1001-2"),
+        pytest.param(*LOSS_GRID, "4.4e-323", 7, 2, id="7-2"),
+    ],
+)
+def test_curve_grid_whose_step_rounds_up(
+    capsys, command, flag, grid_name, endpoint, steps, expected_code
+):
     # at a subnormal endpoint the step can round up so far that the point
     # before the last passes the endpoint (at 1001 steps, not at 3): an
-    # unsorted grid, refused as such
+    # unsorted grid, refused as such by either curve
     with np.errstate(over="ignore"):
-        grid = np.linspace(0.0, 1.2846e-320, steps)
+        grid = np.linspace(0.0, float(endpoint), steps)
     assert bool(np.all(np.diff(grid) >= 0)) == (expected_code == 0)
     code, out, err = run_cli(
-        capsys, "decoherence-curve", "--n", "10", "--epsilon", "0.3",
-        "--gamma-t-max", "1.2846e-320", "--steps", str(steps),
+        capsys, command, "--n", "10", "--epsilon", "0.3", flag, endpoint, "--steps", str(steps),
     )
     assert code == expected_code
     if code:
-        assert (out, err) == ("", "error: gamma_t grid must be sorted ascending\n")
+        assert (out, err) == ("", f"error: {grid_name} must be sorted ascending\n")
 
 
 def test_n_beyond_largest_double_exit_2(capsys):

@@ -283,6 +283,15 @@ def test_linspace_refuses_fewer_than_2_points_or_a_non_integer_count(steps):
         Linspace(1.0, steps)
 
 
+def test_linspace_holds_no_more_points_than_len_can_count():
+    # len() of a larger grid would raise OverflowError, in the tracer's
+    # point count and wherever a caller sizes the grid
+    assert len(Linspace(1.0, sys.maxsize)) == sys.maxsize
+    for steps in (sys.maxsize + 1, 2**1100):
+        with pytest.raises(ValueError, match="at most sys.maxsize"):
+            Linspace(1.0, steps)
+
+
 @pytest.mark.parametrize(
     "grid",
     [[0.0, 0.5], (0.0, 0.5), np.linspace(0.0, 0.5, 2), range(2)],

@@ -231,6 +231,26 @@ def test_moved_names_stay_where_callers_found_them():
         catsize.no_such_name  # noqa: B018
 
 
+def test_curves_share_one_to_csv_replaceable_per_class(monkeypatch, capsys):
+    # one to_csv serves both curves, yet perfbench's tracer replaces it on
+    # each class, so that its decoherence and loss spans stay apart
+    from catsize import cli
+    from catsize.decoherence import DecayCurve
+    from catsize.loss import LossCurve
+
+    shared = LossCurve.to_csv
+    assert DecayCurve.to_csv is shared
+    loss_argv = ["loss-curve", "--n", "100", "--epsilon", "0.2", "--steps", "7"]
+    assert cli.main(loss_argv) == 0
+    loss_text = capsys.readouterr().out
+    monkeypatch.setattr(DecayCurve, "to_csv", lambda self: ["patched\n"])
+    assert LossCurve.to_csv is shared
+    assert cli.main(loss_argv) == 0
+    assert capsys.readouterr().out == loss_text
+    assert cli.main(["decoherence-curve", "--n", "100", "--epsilon", "0.2"]) == 0
+    assert capsys.readouterr().out == "patched\n"
+
+
 def test_cli_numpy_commands_are_replaceable_attributes(monkeypatch, capsys):
     # the handlers call through the module attribute, so a replacement is seen
     from catsize import cli

@@ -170,7 +170,7 @@ def test_decay_columns_match_the_point_functions(eps):
     grid = np.linspace(0.0, 25.0, 9001).tolist()
     curve = decay_curve(p, 7, Linspace(25.0, 9001))
     times, ghz, cat = csv_columns(curve)
-    assert list(curve.times) == list(times) == grid
+    assert list(curve.grid) == list(times) == grid
     assert ghz == tuple(ghz_offdiag_norm(7, t) for t in grid)
     assert cat == tuple(cat_offdiag_norm(p, t) for t in grid)
 
