@@ -17,7 +17,7 @@ import os
 import sys
 from itertools import chain
 
-from .core import CatParams, Linspace
+from .core import CatParams, Linspace, _check_int
 from .decoherence import decay_curve, effective_size_decoherence
 from .loss import effective_size_loss, loss_curve
 from .report import build_effective_size_report
@@ -94,13 +94,11 @@ def _cmd_effective_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    # decoherence-curve and loss-curve.  args.curve is the module's factory
-    # as it stood when main() built the parser, so a replacement is seen; it
-    # and Linspace check the endpoint.  n_ref defaults to the rounded
-    # matched size, at least 1.
+    # decoherence-curve and loss-curve.  args.curve is the module's factory as it
+    # stood when main() built the parser, so a replacement is seen; it and Linspace
+    # check the endpoint.  n_ref defaults to the rounded matched size, at least 1.
     params = CatParams(args.n, _resolve_epsilon(args))
-    if not (2 <= args.steps <= MAX_CURVE_STEPS):
-        raise ValueError(f"--steps must lie in [2, {MAX_CURVE_STEPS}], got {args.steps}")
+    _check_int(args.steps, "--steps", lo=2, hi=MAX_CURVE_STEPS)
     n_ref = args.n_ref if args.n_ref is not None else max(1, round(args.matched_size(params)))
     curve = args.curve(params, n_ref, Linspace(args.endpoint, args.steps))
     _emit(curve.to_csv(), args.output)

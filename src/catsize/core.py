@@ -49,13 +49,13 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 
 
-def _check_positive_int(value, name: str) -> int:
-    """value as a Python int; ValueError unless 1 <= value <= largest double (bools rejected)."""
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    if value > sys.float_info.max:
-        raise ValueError(f"{name} must not exceed the largest double: {value.bit_length()} bits")
-    return int(value)
+def _check_int(value, name: str, lo: int = 1, hi: float = sys.float_info.max) -> int:
+    """value as a Python int; ValueError unless an integer (bools rejected) in [lo, hi]."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    bits = int(value).bit_length() if isinstance(value, Integral) else 0
+    got = f"a {bits}-bit integer" if bits > 64 else repr(value)  # repr raises past 4300 digits
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {got}")
 
 
 class Linspace:
@@ -71,14 +71,20 @@ class Linspace:
     def __init__(self, endpoint: float, steps: int) -> None:
         if not (0.0 < endpoint < math.inf):
             raise ValueError(f"grid endpoint must be finite and > 0, got {endpoint!r}")
-        if not isinstance(steps, Integral) or not (2 <= steps <= sys.maxsize):
-            raise ValueError(f"a grid needs at least 2 points, at most sys.maxsize, got {steps!r}")
         self.endpoint = float(endpoint)
-        self._div = int(steps) - 1
+        self._div = _check_int(steps, "steps", lo=2, hi=sys.maxsize) - 1
         self._step = self.endpoint / self._div
 
     def __len__(self) -> int:
         return self._div + 1
+
+    def __eq__(self, other):
+        if not isinstance(other, Linspace):
+            return NotImplemented
+        return (self.endpoint, len(self)) == (other.endpoint, len(other))
+
+    def __hash__(self) -> int:
+        return hash((self.endpoint, len(self)))
 
     def __iter__(self):
         div, step, end = self._div, self._step, self.endpoint
@@ -118,7 +124,7 @@ class CatParams(namedtuple("CatParams", "N epsilon")):
     __slots__ = ()
 
     def __new__(cls, N: int, epsilon: float) -> CatParams:
-        n = _check_positive_int(N, "N")
+        n = _check_int(N, "N")
         if not (0.0 <= epsilon <= HALF_PI):
             raise ValueError(f"epsilon must lie in [0, pi/2], got {epsilon!r}")
         return super().__new__(cls, n, float(epsilon) + 0.0)
@@ -170,7 +176,7 @@ class _Curve(namedtuple("_Curve", "params n_ref grid")):
     __slots__ = ()
 
     def __new__(cls, params: CatParams, n_ref: int, grid: Linspace) -> _Curve:
-        n_ref = _check_positive_int(n_ref, "n_ref")
+        n_ref = _check_int(n_ref, "n_ref")
         if not isinstance(grid, Linspace):
             raise TypeError(f"{cls._grid_name} must be a Linspace, got {type(grid).__name__}")
         # a subnormal step can round up so far that the point before the last

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .core import CatParams, Linspace, _check_gamma_t, _check_positive_int, _Curve
+from .core import CatParams, Linspace, _check_gamma_t, _check_int, _Curve
 
 __all__ = [
     "DecayCurve",
@@ -41,7 +41,7 @@ def _ghz_norm(n: int, gamma_t: float) -> float:
 
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
-    return _ghz_norm(_check_positive_int(n, "n"), _check_gamma_t(gamma_t))
+    return _ghz_norm(_check_int(n, "n"), _check_gamma_t(gamma_t))
 
 
 def _cat_consts(params: CatParams) -> tuple[float, float, float]:

@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from numbers import Integral
 
 import numpy as np
 
-from .core import CatParams, _check_positive_int
+from .core import CatParams, _check_int
 from .serialize import SparseFloats
 
 __all__ = [
@@ -86,16 +85,6 @@ _MC_BLOCK = 1 << 16
 # below about -745.13, and the margin covers the rounding of the window ends
 _LOG_Q_FLOOR = -750.0
 _LN2 = math.log(2.0)
-
-
-def _check_distribution_size(params: CatParams) -> int:
-    # refuse before any work: the written distribution grows linearly in N
-    if params.N > MAX_DISTRIBUTION_N:
-        raise ValueError(
-            f"N = {params.N} exceeds {MAX_DISTRIBUTION_N}, the largest N accepted: "
-            "the written distributions take 6 bytes per N"
-        )
-    return params.N
 
 
 def _q_payload(params: CatParams, q, source, trials, seed) -> dict:
@@ -286,7 +275,7 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     157 entries at N = 1e6 and eps = 1e-3 (instead of N + 1), 35080 at
     eps = pi/4, 448 at N = 2^26 and eps = 1e-3.
     """
-    _check_distribution_size(params)
+    _check_int(params.N, "N", hi=MAX_DISTRIBUTION_N)
     lo, hi = _window(params)
     return OutcomeDistribution(params, lo, _log_q(params, lo, hi))
 
@@ -308,13 +297,6 @@ class McResult(namedtuple("McResult", "params outcomes tallies trials seed")):
         freq = (self.tallies / self.trials).tolist()
         q = SparseFloats(self.params.N + 1, self.outcomes.tolist(), freq)
         return _q_payload(self.params, q, "mc", self.trials, self.seed)
-
-
-def _check_seed(seed) -> int:
-    """seed as a Python int; ValueError unless an integer in [0, 2^64) (bools rejected)."""
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
 
 
 def _first_success(params: CatParams, e: np.ndarray) -> np.ndarray:
@@ -359,14 +341,9 @@ def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     seed; each block of _MC_BLOCK trials draws its uniforms, then one
     binomial per trial with a success, in trial order.
     """
-    trials = _check_positive_int(trials, "trials")
-    if trials > MAX_TRIALS:
-        raise ValueError(
-            f"trials = {trials} exceeds {MAX_TRIALS}, the largest accepted: "
-            "the simulation takes about 1 s per 2^20 trials"
-        )
-    seed = _check_seed(seed)
-    n = _check_distribution_size(params)
+    trials = _check_int(trials, "trials", hi=MAX_TRIALS)
+    seed = _check_int(seed, "seed", lo=0, hi=2**64 - 1)
+    n = _check_int(params.N, "N", hi=MAX_DISTRIBUTION_N)
     omc = params.one_minus_c
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = Counter()  # outcome -> trials with that outcome, over all blocks

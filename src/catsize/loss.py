@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .core import CatParams, Linspace, _check_lam, _check_positive_int, _Curve
+from .core import CatParams, Linspace, _check_lam, _check_int, _Curve
 
 __all__ = [
     "LossCurve",
@@ -43,7 +43,7 @@ def _ghz_loss(n: int, lam: float) -> float:
 
 def ghz_loss_suppression(n: int, lam: float) -> float:
     """Expected off-diagonal element relative to no loss: (1 - lam)^n, lam in [0, 1]."""
-    return _ghz_loss(_check_positive_int(n, "n"), _check_lam(lam))
+    return _ghz_loss(_check_int(n, "n"), _check_lam(lam))
 
 
 def _cat_consts(params: CatParams) -> tuple[int, float, float, float]:

@@ -51,11 +51,10 @@ import functools
 import math
 from collections import namedtuple
 from itertools import combinations
-from numbers import Integral
 
 import numpy as np
 
-from .core import CatParams, _check_gamma_t, _check_lam, _check_positive_int
+from .core import CatParams, _check_gamma_t, _check_int, _check_lam
 
 __all__ = [
     "DEPHASING",
@@ -79,7 +78,7 @@ __all__ = [
     "ghz_fidelities",
 ]
 
-MAX_STATE_QUBITS = 14
+MAX_STATE_QUBITS = 14  # the size caps of the dense oracle, in qubits (module docstring)
 MAX_OPERATOR_QUBITS = 10
 MAX_ENUM_QUBITS = 8
 
@@ -162,9 +161,7 @@ def kron_all(mats) -> np.ndarray:
 
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a matrix, n in [0, MAX_STATE_QUBITS] (bools rejected)."""
-    if not isinstance(n, Integral) or isinstance(n, bool) or not 0 <= n <= MAX_STATE_QUBITS:
-        raise ValueError(f"n must be an integer in [0, {MAX_STATE_QUBITS}], got {n!r}")
-    return kron_all([mat] * n)
+    return kron_all([mat] * _check_int(n, "n", lo=0, hi=MAX_STATE_QUBITS))
 
 
 def branch_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +186,7 @@ def build_cat_state(params: CatParams) -> np.ndarray:
 
 def build_ghz_state(n: int) -> np.ndarray:
     """Amplitudes of (|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    n = _check_positive_int(n, "n")
+    n = _check_int(n, "n")
     _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
     vec = np.zeros(2**n)
     vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)

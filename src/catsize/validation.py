@@ -23,7 +23,7 @@ from itertools import chain, product
 import numpy as np
 
 from . import decoherence, distillation, loss, oracle
-from .core import (CatParams, _check_positive_int, entropy_s1, expected_n,
+from .core import (CatParams, _check_int, entropy_s1, expected_n,
                    normalization_constant, reduced_rho1)
 from .oracle import CHANNEL_KINDS, DEPHASING, DEPOLARIZING, MAX_ENUM_QUBITS
 
@@ -160,10 +160,7 @@ _CHECKS = (_cat_state, _decoherence, _ghz_rate, _protocol, _loss)
 
 def run_validation(max_n: int) -> list[CheckResult]:
     """Run every oracle-equivalence check for N = 2..max_n, max_n in [2, MAX_ENUM_QUBITS]."""
-    if not (2 <= _check_positive_int(max_n, "max_n") <= MAX_ENUM_QUBITS):
-        raise ValueError(
-            f"max_n must lie in [2, {MAX_ENUM_QUBITS}] (size cap of the dense oracle), got {max_n}"
-        )
+    max_n = _check_int(max_n, "max_n", lo=2, hi=MAX_ENUM_QUBITS)
     worst = dict.fromkeys(ROWS, 0.0)
     for row, err in chain.from_iterable(check(max_n) for check in _CHECKS):
         if err > worst[row] or math.isnan(err):

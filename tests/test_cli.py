@@ -254,7 +254,7 @@ def test_distill_sim_refuses_n_above_the_size_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "distill-sim", "--n", "11", "--epsilon", "0.5")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: N = 11 exceeds 10")
+    assert err.startswith("error: N must be an integer in [1, 10], got 11")
     code, _, _ = run_cli(capsys, "distill-sim", "--n", "10", "--epsilon", "0.5")
     assert code == 0
 
@@ -316,7 +316,7 @@ def test_distill_sim_trials_cap(capsys):
         )
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: trials = {trials} exceeds {cap}, the largest accepted")
+        assert err.startswith(f"error: trials must be an integer in [1, {cap}], got {trials}")
 
 
 @pytest.mark.parametrize(
@@ -351,7 +351,9 @@ def test_n_beyond_largest_double_exit_2(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "largest double" in err
+    assert err == (
+        "error: N must be an integer in [1, 1.7976931348623157e+308], got a 1329-bit integer\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["decoherence-curve", "loss-curve"])
@@ -362,7 +364,7 @@ def test_n_ref_beyond_largest_double_exit_2(capsys, command):
         "--n-ref", "1" + "0" * 400,
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: n_ref") and "largest double" in err
+    assert err.startswith("error: n_ref") and "[1, 1.7976931348623157e+308], got a 1329-bit" in err
 
 
 def test_import_loads_only_the_library():
@@ -419,10 +421,10 @@ def test_distill_sim_half_pi(capsys):
 def test_distill_sim_bad_flags(capsys):
     # simulate_protocol's own checks refuse the flag: exit 2, no output
     for flag, value, message in [
-        ("--trials", "0", "trials must be a positive integer"),
-        ("--trials", "-5", "trials must be a positive integer"),
-        ("--seed", "-1", "seed must be an unsigned 64-bit integer"),
-        ("--seed", str(2**64), "seed must be an unsigned 64-bit integer"),
+        ("--trials", "0", "trials must be an integer in [1, 33554432], got 0"),
+        ("--trials", "-5", "trials must be an integer in [1, 33554432], got -5"),
+        ("--seed", "-1", "seed must be an integer in [0, 18446744073709551615], got -1"),
+        ("--seed", str(2**64), "seed must be an integer in [0, 18446744073709551615], got a 65"),
     ]:
         code, out, err = run_cli(
             capsys, "distill-sim", "--n", "2", "--epsilon", "0.5", flag, value
@@ -521,14 +523,14 @@ def test_validate_out_of_range(capsys):
         code, out, err = run_cli(capsys, "validate", "--max-n", max_n)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "size cap of the dense oracle" in err
+        assert err == f"error: max_n must be an integer in [2, 8], got {max_n}\n"
 
 
 def test_run_validation_rejects_non_integer_counts():
     from catsize.validation import run_validation
 
     for max_n in (2.5, True, "3"):
-        with pytest.raises(ValueError, match="max_n must be a positive integer"):
+        with pytest.raises(ValueError, match=r"^max_n must be an integer in \[2, 8\], got "):
             run_validation(max_n)
 
 

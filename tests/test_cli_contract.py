@@ -1,12 +1,13 @@
 """The command-line contract over the whole input domain, as a property test.
 
-Every run of ``effective-size``, both curves and ``distill-sim`` either
-exits 0 with finite, parseable output and nothing on stderr, or exits 2
-with nothing on stdout and one ``error:`` line on stderr.  N goes up to
-10^400 and the angle over every float, nan and both infinities included.
-The trials and steps drawn stay near 1000, plus values just past each cap,
-and distill-sim's N stays near 10^4 below its cap, so the test takes a few
-seconds; the caps themselves refuse the larger values before any work.
+Every run of ``effective-size``, both curves, ``distill-sim`` and
+``validate`` either exits 0 with finite, parseable output and nothing on
+stderr, or exits 2 with nothing on stdout and one ``error:`` line on
+stderr.  N goes up to 10^400 and the angle over every float, nan and both
+infinities included.  The trials and steps drawn stay near 1000, plus
+values just past each cap, distill-sim's N stays near 10^4 below its cap
+and validate's --max-n at 2 or 3, so the test takes a few seconds; the
+caps themselves refuse the larger values before any work.
 
 Kept apart from test_cli.py so that the rest of the CLI tests run without
 hypothesis, the one test dependency that is optional.
@@ -89,6 +90,12 @@ def distill_sim_argv(draw):
     return ["distill-sim", f"--n={n}", _angle_flag(draw), f"--trials={trials}", f"--seed={seed}"]
 
 
+@st.composite
+def validate_argv(draw):
+    max_n = draw(_mostly(st.integers(2, 3), st.sampled_from([-1, 0, 1, 9, 10**400])))
+    return ["validate", f"--max-n={max_n}"]
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -109,6 +116,10 @@ def _check_output(argv, out):
         steps = int(next(a for a in argv if a.startswith("--steps=")).split("=")[1])
         assert len(rows) == steps
         assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    elif argv[0] == "validate":
+        header, *rows = out.splitlines()
+        assert header == "status,name,max_err,tol" and rows
+        assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
     else:
         assert _finite_numbers(json.loads(out, parse_constant=_reject_constant))
 
@@ -123,8 +134,8 @@ def _run(argv):
 
 
 @pytest.mark.parametrize(
-    "argvs", [effective_size_argv(), curve_argv(), distill_sim_argv()],
-    ids=["effective-size", "curves", "distill-sim"],
+    "argvs", [effective_size_argv(), curve_argv(), distill_sim_argv(), validate_argv()],
+    ids=["effective-size", "curves", "distill-sim", "validate"],
 )
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -51,7 +52,9 @@ def test_params_record_behaviour():
     for attr in ("N", "epsilon", "other"):
         with pytest.raises(AttributeError):
             setattr(p, attr, 1)
-    with pytest.raises(ValueError, match=r"^N must be a positive integer, got 0$"):
+    with pytest.raises(
+        ValueError, match=r"^N must be an integer in \[1, 1\.7976931348623157e\+308\], got 0$"
+    ):
         CatParams(0, 0.1)
     with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, pi/2\], got -0.001$"):
         CatParams(4, -0.001)
@@ -64,7 +67,7 @@ def test_params_record_behaviour():
 
 def test_params_reject_n_beyond_largest_double():
     # every closed form multiplies N into a double, so N must fit in one
-    with pytest.raises(ValueError, match="largest double"):
+    with pytest.raises(ValueError, match="got a 1329-bit integer"):
         CatParams(10**400, 0.1)
     with pytest.raises(ValueError):
         CatParams(int(sys.float_info.max) + 1, 0.1)
@@ -85,7 +88,8 @@ def test_counts_beyond_largest_double_are_refused():
         lambda n: loss_curve(p, n, Linspace(0.5, 2)),
     ):
         for n in (10**400, big):
-            with pytest.raises(ValueError, match="largest double"):
+            bound = r"\[1, 1\.7976931348623157e\+308\], got a 1[03]\d\d-bit integer$"
+            with pytest.raises(ValueError, match=bound):
                 call(n)
         call(int(sys.float_info.max))
 
@@ -279,7 +283,7 @@ def test_linspace_refuses_an_endpoint_not_finite_and_positive(endpoint):
 
 @pytest.mark.parametrize("steps", [1, 0, -5, 2.0, 2.5])
 def test_linspace_refuses_fewer_than_2_points_or_a_non_integer_count(steps):
-    with pytest.raises(ValueError, match="a grid needs at least 2 points"):
+    with pytest.raises(ValueError, match=rf"^steps must be an integer in \[2, {sys.maxsize}\]"):
         Linspace(1.0, steps)
 
 
@@ -288,7 +292,8 @@ def test_linspace_holds_no_more_points_than_len_can_count():
     # point count and wherever a caller sizes the grid
     assert len(Linspace(1.0, sys.maxsize)) == sys.maxsize
     for steps in (sys.maxsize + 1, 2**1100):
-        with pytest.raises(ValueError, match="at most sys.maxsize"):
+        bound = rf"^steps must be an integer in \[2, {sys.maxsize}\]"
+        with pytest.raises(ValueError, match=bound):
             Linspace(1.0, steps)
 
 
@@ -306,3 +311,80 @@ def test_curves_take_only_a_linspace(grid):
         decay_curve(p, 1, grid)
     with pytest.raises(TypeError, match="lambda grid must be a Linspace"):
         loss_curve(p, 1, grid)
+
+
+def test_curves_and_grids_compare_by_value():
+    from catsize.decoherence import decay_curve
+    from catsize.loss import loss_curve
+
+    p = CatParams(10, 0.1)
+    for make in (decay_curve, loss_curve):
+        a, b = make(p, 1, Linspace(1.0, 3)), make(p, 1, Linspace(1.0, 3))
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert make(p, 1, Linspace(1.0, 4)) != a
+    assert Linspace(1.0, 3) != Linspace(1.0, 4)
+    assert Linspace(1.0, 3) != Linspace(2.0, 3)
+    assert Linspace(1.0, 3).__eq__((1.0, 3)) is NotImplemented
+
+
+def _integer_entry_points():
+    # (id, call, name, lo, hi): each integer input of the library with the
+    # bounds its refusal names
+    from catsize import distillation
+    from catsize.decoherence import decay_curve, ghz_offdiag_norm
+    from catsize.loss import ghz_loss_suppression, loss_curve
+    from catsize.oracle import MAX_ENUM_QUBITS, MAX_STATE_QUBITS, build_ghz_state
+    from catsize.validation import run_validation
+
+    p, largest = CatParams(8, 0.5), sys.float_info.max
+
+    def unchecked(n):
+        # a record made past CatParams' own check, so that the cap's check sees n
+        return tuple.__new__(CatParams, (n, 0.5))
+
+    return [
+        ("CatParams-N", lambda v: CatParams(v, 0.1), "N", 1, largest),
+        ("decay_curve-n_ref", lambda v: decay_curve(p, v, Linspace(1.0, 2)), "n_ref", 1, largest),
+        ("loss_curve-n_ref", lambda v: loss_curve(p, v, Linspace(1.0, 2)), "n_ref", 1, largest),
+        ("ghz_offdiag_norm-n", lambda v: ghz_offdiag_norm(v, 0.5), "n", 1, largest),
+        ("ghz_loss_suppression-n", lambda v: ghz_loss_suppression(v, 0.5), "n", 1, largest),
+        ("build_ghz_state-n", build_ghz_state, "n", 1, largest),
+        ("Linspace-steps", lambda v: Linspace(1.0, v), "steps", 2, sys.maxsize),
+        ("kron_power-n", lambda v: kron_power(np.eye(2), v), "n", 0, MAX_STATE_QUBITS),
+        ("run_validation-max_n", run_validation, "max_n", 2, MAX_ENUM_QUBITS),
+        ("simulate_protocol-trials", lambda v: distillation.simulate_protocol(p, v, 0),
+         "trials", 1, distillation.MAX_TRIALS),
+        ("simulate_protocol-seed", lambda v: distillation.simulate_protocol(p, 10, v),
+         "seed", 0, 2**64 - 1),
+        ("outcome_distribution-N", lambda v: distillation.outcome_distribution(unchecked(v)),
+         "N", 1, distillation.MAX_DISTRIBUTION_N),
+        ("simulate_protocol-N", lambda v: distillation.simulate_protocol(unchecked(v), 10, 0),
+         "N", 1, distillation.MAX_DISTRIBUTION_N),
+    ]
+
+
+@pytest.mark.parametrize("entry", _integer_entry_points(), ids=lambda e: e[0])
+def test_every_integer_input_is_refused_by_one_rule(entry):
+    _, call, name, lo, hi = entry
+    for value in (True, 2.0, lo - 1, int(hi) + 1, 2**1100):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value).startswith(f"{name} must be an integer in [{lo}, {hi}], got ")
+    assert str(info.value).endswith("got a 1101-bit integer")
+
+
+def test_numpy_integers_are_taken_as_python_ints():
+    from catsize.core import _check_int
+    from catsize.decoherence import decay_curve
+    from catsize.distillation import simulate_protocol
+    from catsize.validation import run_validation
+
+    assert type(_check_int(np.int64(3), "n")) is int
+    assert type(CatParams(np.int64(3), 0.1).N) is int
+    curve = decay_curve(CatParams(3, 0.1), np.int64(2), Linspace(1.0, np.int64(3)))
+    assert (type(curve.n_ref), len(curve.grid)) == (int, 3)
+    res = simulate_protocol(CatParams(3, 0.1), np.int64(10), np.int64(2**63 - 1))
+    assert (type(res.trials), type(res.seed)) == (int, int)
+    assert kron_power(np.eye(2), np.int64(2)).shape == (4, 4)
+    assert len(run_validation(np.int64(2))) > 0

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp
 
 from catsize import distillation
-from catsize.core import CatParams, _check_positive_int, expected_n
+from catsize.core import CatParams, _check_int, expected_n
 from catsize.distillation import (
     _bd0,
     _first_success,
@@ -113,7 +113,7 @@ def success_probability(params: CatParams, j: int, any_prior_success: bool) -> f
     Before the first success: p = (1 - c) / (1 + c^(N-j+1)).
     After any success the remaining parties are iid: p = 1 - c.
     """
-    j = _check_positive_int(j, "measurement index")
+    j = _check_int(j, "measurement index")
     if j > params.N:
         raise ValueError(f"measurement index {j} out of range 1..{params.N}")
     omc = params.one_minus_c
@@ -388,7 +388,8 @@ def test_simulation_deterministic_and_reproducible():
 def test_simulation_rejects_bad_seed(seed):
     # a seed that is not an unsigned 64-bit integer is refused, never
     # truncated or cast into the one McResult.seed then records
-    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+    bound = r"^seed must be an integer in \[0, 18446744073709551615\], got "
+    with pytest.raises(ValueError, match=bound):
         simulate_protocol(CatParams(8, 0.5), 10, seed)
 
 
@@ -507,9 +508,9 @@ def test_simulation_domain_edges(n, eps):
 def test_distribution_size_cap(monkeypatch):
     assert distillation.MAX_DISTRIBUTION_N >= 10**7
     monkeypatch.setattr(distillation, "MAX_DISTRIBUTION_N", 10)
-    with pytest.raises(ValueError, match="exceeds 10"):
+    with pytest.raises(ValueError, match=r"^N must be an integer in \[1, 10\], got 11$"):
         outcome_distribution(CatParams(11, 0.5))
-    with pytest.raises(ValueError, match="exceeds 10"):
+    with pytest.raises(ValueError, match=r"^N must be an integer in \[1, 10\], got 11$"):
         simulate_protocol(CatParams(11, 0.5), 5, seed=0)
     assert len(outcome_distribution(CatParams(10, 0.5)).q) == 11
     assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
@@ -520,7 +521,7 @@ def test_trials_cap(monkeypatch):
     # the cap bounds the run time; the bound itself is accepted
     assert distillation.MAX_TRIALS >= 10**7
     monkeypatch.setattr(distillation, "MAX_TRIALS", 5)
-    with pytest.raises(ValueError, match="trials = 6 exceeds 5, the largest accepted"):
+    with pytest.raises(ValueError, match=r"^trials must be an integer in \[1, 5\], got 6$"):
         simulate_protocol(CatParams(10, 0.5), 6, seed=0)
     assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
 

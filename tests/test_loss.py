@@ -143,7 +143,7 @@ def test_loss_curve_csv():
     # the endpoint 1 is in the domain
     last = "".join(loss_curve(p, 2, Linspace(1.0, 2)).to_csv()).splitlines()[-1]
     assert last == f"1,0,{fmt_float(cat_loss_suppression(p, 1.0))}"
-    with pytest.raises(ValueError, match="n_ref must be a positive integer"):
+    with pytest.raises(ValueError, match=r"^n_ref must be an integer in \[1, "):
         loss_curve(p, 0, Linspace(1.0, 2))
     # the grid check shared with decay_curve: a subnormal step that rounds up
     with pytest.raises(ValueError, match="^lambda grid must be sorted ascending$"):

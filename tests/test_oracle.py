@@ -75,7 +75,7 @@ def test_build_ghz_state():
         build_ghz_state(3), build_cat_state(CatParams(3, HALF_PI)), atol=1e-15
     )
     for bad in (0, 2.5, True):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[1, "):
             build_ghz_state(bad)
 
 
