@@ -17,7 +17,7 @@ import os
 import sys
 from itertools import chain
 
-from .core import CatParams, Linspace, _check_int
+from .core import CatParams, Linspace, _check_int, _check_real
 from .decoherence import decay_curve, effective_size_decoherence
 from .loss import effective_size_loss, loss_curve
 from .report import build_effective_size_report
@@ -60,9 +60,7 @@ def _resolve_epsilon(args: argparse.Namespace) -> float:
     v = args.epsilon_sq_overlap
     if v is None:
         return args.epsilon
-    if not (0.0 <= v <= 1.0):
-        raise ValueError(f"--epsilon-sq-overlap must lie in [0, 1], got {v!r}")
-    return math.asin(math.sqrt(v))
+    return math.asin(math.sqrt(_check_real(v, "--epsilon-sq-overlap", hi=1.0)))
 
 
 def _emit(chunks, output: str | None) -> None:

@@ -58,6 +58,17 @@ def _check_int(value, name: str, lo: int = 1, hi: float = sys.float_info.max) ->
     raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {got}")
 
 
+def _check_real(value, name: str, lo: float = 0.0, hi: float = math.inf) -> float:
+    """value as a Python float; ValueError unless lo <= value <= hi (NaN rejected).
+
+    The float conversion makes an overflowing product such as -2 gamma_t
+    round to -inf quietly, where a numpy scalar would warn.
+    """
+    if lo <= value <= hi:
+        return float(value)
+    raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+
+
 class Linspace:
     """The grid of steps points from 0 to endpoint, computed as it is read.
 
@@ -69,9 +80,8 @@ class Linspace:
     """
 
     def __init__(self, endpoint: float, steps: int) -> None:
-        if not (0.0 < endpoint < math.inf):
-            raise ValueError(f"grid endpoint must be finite and > 0, got {endpoint!r}")
-        self.endpoint = float(endpoint)
+        # (5e-324, the largest double) is (0, inf) for doubles
+        self.endpoint = _check_real(endpoint, "grid endpoint", lo=5e-324, hi=sys.float_info.max)
         self._div = _check_int(steps, "steps", lo=2, hi=sys.maxsize) - 1
         self._step = self.endpoint / self._div
 
@@ -95,24 +105,6 @@ class Linspace:
         return chain(head, (end,))
 
 
-def _check_gamma_t(gamma_t) -> float:
-    """gamma_t as a Python float; ValueError unless it is >= 0 (NaN rejected).
-
-    The float conversion makes an overflowing product such as -2 gamma_t
-    round to -inf quietly, where a numpy scalar would warn.
-    """
-    if not (gamma_t >= 0.0):
-        raise ValueError(f"gamma_t must be >= 0, got {gamma_t!r}")
-    return float(gamma_t)
-
-
-def _check_lam(lam) -> float:
-    """lam as a Python float; ValueError unless it lies in [0, 1] (NaN rejected)."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"loss probability must lie in [0, 1], got {lam!r}")
-    return float(lam)
-
-
 class CatParams(namedtuple("CatParams", "N epsilon")):
     """Number of qubits N and branch angle epsilon in [0, pi/2] radians.
 
@@ -125,9 +117,7 @@ class CatParams(namedtuple("CatParams", "N epsilon")):
 
     def __new__(cls, N: int, epsilon: float) -> CatParams:
         n = _check_int(N, "N")
-        if not (0.0 <= epsilon <= HALF_PI):
-            raise ValueError(f"epsilon must lie in [0, pi/2], got {epsilon!r}")
-        return super().__new__(cls, n, float(epsilon) + 0.0)
+        return super().__new__(cls, n, _check_real(epsilon, "epsilon", hi=HALF_PI) + 0.0)
 
     # _replace builds through _make, which would skip the checks of __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -217,8 +207,7 @@ def reduced_rho1(params: CatParams) -> np.ndarray:
     """
     import numpy as np
 
-    if params.N < 2:
-        raise ValueError("reduced_rho1 requires N >= 2")
+    _check_int(params.N, "N", lo=2)
     c, s = params.c_eps, params.s_eps
     cN = math.exp(params.log_cN)
     cNm2 = math.exp((params.N - 2) * params.log_c)
@@ -251,8 +240,7 @@ def entropy_s1(params: CatParams) -> float:
     which is free of the catastrophic cancellation the assembled matrix
     entries suffer for small eps.
     """
-    if params.N < 2:
-        raise ValueError("entropy_s1 requires N >= 2")
+    _check_int(params.N, "N", lo=2)
     s2 = params.s_eps**2
     cN = math.exp(params.log_cN)
     # the exponent in float arithmetic: the int 2 N - 2 can exceed the largest

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .core import CatParams, Linspace, _check_gamma_t, _check_int, _Curve
+from .core import CatParams, Linspace, _check_int, _check_real, _Curve
 
 __all__ = [
     "DecayCurve",
@@ -41,7 +41,7 @@ def _ghz_norm(n: int, gamma_t: float) -> float:
 
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
-    return _ghz_norm(_check_int(n, "n"), _check_gamma_t(gamma_t))
+    return _ghz_norm(_check_int(n, "n"), _check_real(gamma_t, "gamma_t"))
 
 
 def _cat_consts(params: CatParams) -> tuple[float, float, float]:
@@ -71,7 +71,7 @@ def cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
     ``decoherence_closed_form_<kind>`` rows and acceptance criterion 1
     compare the block evolved under each kind with this one value.
     """
-    return _cat_norm(*_cat_consts(params), _check_gamma_t(gamma_t))
+    return _cat_norm(*_cat_consts(params), _check_real(gamma_t, "gamma_t"))
 
 
 def effective_size_decoherence(params: CatParams) -> float:

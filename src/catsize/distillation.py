@@ -33,7 +33,7 @@ from collections import Counter, namedtuple
 
 import numpy as np
 
-from .core import CatParams, _check_int
+from .core import HALF_PI, CatParams, _check_int, _check_real
 from .serialize import SparseFloats
 
 __all__ = [
@@ -56,8 +56,7 @@ def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     oracle.biorthonormal_filter returns.  eps = 0 is rejected: |phi2> =
     |phi1> and the biorthonormal basis does not exist.
     """
-    if params.epsilon <= 0.0:
-        raise ValueError("build_filter requires eps > 0 (linearly independent branches)")
+    _check_real(params.epsilon, "epsilon", lo=5e-324, hi=HALF_PI)
     c, s = params.c_eps, params.s_eps
     a = np.array([[s, -c], [0.0, 1.0]]) / math.sqrt(1.0 + c)
     u = np.array([math.sqrt((1.0 + c) / 2.0), s / math.sqrt(2.0 * (1.0 + c))])

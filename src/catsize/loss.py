@@ -14,7 +14,7 @@ Matching the suppression rates at lam -> 0 gives the loss-based effective
 size n_eff = N (1 - cos eps) ~ N eps^2 / 2.
 
 The loss probability is a plain float, as gamma_t is in ``decoherence``;
-the public functions check it with ``core._check_lam``.
+the public functions check it with ``core._check_real``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .core import CatParams, Linspace, _check_lam, _check_int, _Curve
+from .core import CatParams, Linspace, _check_int, _check_real, _Curve
 
 __all__ = [
     "LossCurve",
@@ -43,7 +43,7 @@ def _ghz_loss(n: int, lam: float) -> float:
 
 def ghz_loss_suppression(n: int, lam: float) -> float:
     """Expected off-diagonal element relative to no loss: (1 - lam)^n, lam in [0, 1]."""
-    return _ghz_loss(_check_int(n, "n"), _check_lam(lam))
+    return _ghz_loss(_check_int(n, "n"), _check_real(lam, "lam", hi=1.0))
 
 
 def _cat_consts(params: CatParams) -> tuple[int, float, float, float]:
@@ -74,7 +74,7 @@ def cat_loss_suppression(params: CatParams, lam: float) -> float:
     At lam = 1 the value is cos(eps)^N: every qubit is traced out and each
     contributes one factor of the branch overlap.
     """
-    return _cat_loss(*_cat_consts(params), _check_lam(lam))
+    return _cat_loss(*_cat_consts(params), _check_real(lam, "lam", hi=1.0))
 
 
 def effective_size_loss(params: CatParams) -> float:
@@ -97,6 +97,5 @@ class LossCurve(_Curve):
 def loss_curve(params: CatParams, n_ref: int, lambdas: Linspace) -> LossCurve:
     """Both suppression curves on the lam grid Linspace(lambda_max, steps), lambda_max <= 1."""
     curve = LossCurve(params, n_ref, lambdas)
-    if lambdas.endpoint > 1.0:
-        raise ValueError(f"lambda grid must lie in [0, 1], got endpoint {lambdas.endpoint!r}")
+    _check_real(lambdas.endpoint, "lambda grid endpoint", hi=1.0)
     return curve

@@ -54,7 +54,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CatParams, _check_gamma_t, _check_int, _check_lam
+from .core import HALF_PI, CatParams, _check_int, _check_real
 
 __all__ = [
     "DEPHASING",
@@ -101,7 +101,7 @@ class ChannelSpec(namedtuple("ChannelSpec", "kind gamma_t")):
     def __new__(cls, kind: str, gamma_t: float) -> ChannelSpec:
         if kind not in CHANNEL_KINDS:
             raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-        return super().__new__(cls, kind, _check_gamma_t(gamma_t))
+        return super().__new__(cls, kind, _check_real(gamma_t, "gamma_t"))
 
     # _replace builds through _make, which would skip the checks of __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -128,11 +128,6 @@ class ChannelSpec(namedtuple("ChannelSpec", "kind gamma_t")):
             math.sqrt(p) * PAULI_Y,
             math.sqrt(p) * PAULI_Z,
         ]
-
-
-def _check_qubits(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise ValueError(f"{what} capped at {cap} qubits, got {n}")
 
 
 def kron_all(mats) -> np.ndarray:
@@ -173,8 +168,8 @@ def branch_vectors(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
 
 def cat_amplitudes(params: CatParams) -> np.ndarray:
     """Unnormalized amplitudes of |phi1>^(x)N + |phi2>^(x)N."""
-    _check_qubits(params.N, MAX_STATE_QUBITS, "dense state vectors")
-    powers = [kron_all([v.reshape(2, 1)] * params.N).ravel() for v in branch_vectors(params)]
+    n = _check_int(params.N, "N", hi=MAX_STATE_QUBITS)
+    powers = [kron_all([v.reshape(2, 1)] * n).ravel() for v in branch_vectors(params)]
     return powers[0] + powers[1]
 
 
@@ -186,8 +181,7 @@ def build_cat_state(params: CatParams) -> np.ndarray:
 
 def build_ghz_state(n: int) -> np.ndarray:
     """Amplitudes of (|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    n = _check_int(n, "n")
-    _check_qubits(n, MAX_STATE_QUBITS, "dense state vectors")
+    n = _check_int(n, "n", hi=MAX_STATE_QUBITS)
     vec = np.zeros(2**n)
     vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
     return vec
@@ -197,13 +191,12 @@ def _qubits(shape: tuple, ndim: int, cap: int, what: str) -> int:
     """Qubit count n of an array of shape (2^n,) * ndim, refused above cap qubits.
 
     The one size check of the array entry points; the parameter entry points
-    check their qubit count with ``_check_qubits`` and never form 2^N.
+    check their qubit count with ``core._check_int`` and never form 2^N.
     """
     n = shape[0].bit_length() - 1 if shape else -1
     if shape != (2**n,) * ndim:
         raise ValueError(f"{what} need shape (2^n,) * {ndim}, 2^n a power of two, got {shape}")
-    _check_qubits(n, cap, what)
-    return n
+    return _check_int(n, f"qubit count of {what}", lo=0, hi=cap)
 
 
 @functools.lru_cache(maxsize=8)
@@ -263,9 +256,9 @@ def partial_trace_state(state: np.ndarray, keep) -> np.ndarray:
     """Reduced density matrix of a pure state on the kept qubits (0-based)."""
     state = np.asarray(state).ravel()
     n = _qubits(state.shape, 1, MAX_STATE_QUBITS, "dense state vectors")
-    keep = list(keep)
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError("kept qubit index out of range")
+    keep = [_check_int(q, "kept qubit", lo=0, hi=n - 1) for q in keep]
+    if len(set(keep)) < len(keep):
+        raise ValueError(f"kept qubits must be distinct, got {keep}")
     rest = [q for q in range(n) if q not in keep]
     tensor = state.reshape((2,) * n)
     mat = np.transpose(tensor, keep + rest).reshape(2 ** len(keep), 2 ** len(rest))
@@ -286,8 +279,7 @@ def apply_one_qubit(state: np.ndarray, m: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 operator to one qubit slot of a state vector (0-based)."""
     state = np.asarray(state).ravel()
     n = _qubits(state.shape, 1, MAX_STATE_QUBITS, "dense state vectors")
-    if not (0 <= qubit < n):
-        raise ValueError(f"qubit index {qubit} out of range for {n} qubits")
+    qubit = _check_int(qubit, "qubit", lo=0, hi=n - 1)
     cube = state.reshape(2**qubit, 2, 2 ** (n - qubit - 1))
     return np.einsum("ij,ajb->aib", np.asarray(m), cube).ravel()
 
@@ -301,8 +293,7 @@ def biorthonormal_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
     Abar is the PSD square root from an eigendecomposition.  An eps whose
     k^2 (1 - cos eps) is subnormal, eps below ~2.1e-154, is refused.
     """
-    if params.epsilon <= 0.0:
-        raise ValueError("biorthonormal basis requires eps > 0")
+    _check_real(params.epsilon, "epsilon", lo=5e-324, hi=HALF_PI)
     phi1, phi2 = branch_vectors(params)
     basis = np.column_stack([phi1, phi2])
     k_sq = float(np.linalg.eigvalsh(basis @ basis.conj().T)[0])
@@ -330,8 +321,7 @@ def enumerate_protocol(params: CatParams) -> tuple[np.ndarray, np.ndarray, np.nd
     applications.  Each row is the same chain of operations as applying the
     mask's operators qubit by qubit with ``apply_one_qubit``.
     """
-    n = params.N
-    _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
+    n = _check_int(params.N, "N", hi=MAX_ENUM_QUBITS)
     a, a_bar = biorthonormal_filter(params)
     ops = np.stack([a_bar, a])  # indexed by the outcome bit: 0 fails, 1 succeeds
     # row p holds prefix p; appending qubit j + 1's outcome o as the low
@@ -388,9 +378,8 @@ def enumerate_loss(params: CatParams, lam: float) -> float:
     lost qubits, relative to the trace norm of the untraced block on the
     same k surviving qubits.
     """
-    lam = _check_lam(lam)
-    n = params.N
-    _check_qubits(n, MAX_ENUM_QUBITS, "exhaustive enumerations")
+    lam = _check_real(lam, "lam", hi=1.0)
+    n = _check_int(params.N, "N", hi=MAX_ENUM_QUBITS)
     ratios = _loss_ratio_sums(params)
     return sum(lam ** (n - k) * (1.0 - lam) ** k * r for k, r in enumerate(ratios))
 

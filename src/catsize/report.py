@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core import CatParams, entropy_s1, expected_n
+from .core import CatParams, _check_int, entropy_s1, expected_n
 from .decoherence import effective_size_decoherence
 from .loss import effective_size_loss
 
@@ -37,8 +37,7 @@ class EffectiveSizeReport(namedtuple("EffectiveSizeReport", [
 
 def build_effective_size_report(params: CatParams) -> EffectiveSizeReport:
     """Aggregate every effective-size measure for one (N, epsilon)."""
-    if params.N < 2:
-        raise ValueError("effective-size report requires N >= 2")
+    _check_int(params.N, "N", lo=2)
     n, eps = params.N, params.epsilon
     report = EffectiveSizeReport(
         N=n,

@@ -56,9 +56,10 @@ def test_params_record_behaviour():
         ValueError, match=r"^N must be an integer in \[1, 1\.7976931348623157e\+308\], got 0$"
     ):
         CatParams(0, 0.1)
-    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, pi/2\], got -0.001$"):
+    eps_bound = r"^epsilon must lie in \[0\.0, 1\.5707963267948966\], got "
+    with pytest.raises(ValueError, match=eps_bound + "-0.001$"):
         CatParams(4, -0.001)
-    with pytest.raises(ValueError, match=r"^epsilon must lie in \[0, pi/2\], got nan$"):
+    with pytest.raises(ValueError, match=eps_bound + "nan$"):
         CatParams(4, math.nan)
     assert p._replace(N=7) == CatParams(7, 0.5)
     with pytest.raises(ValueError, match="epsilon must lie"):
@@ -277,7 +278,8 @@ def test_entropy_invariant_under_basis_rotation():
 
 @pytest.mark.parametrize("endpoint", [0.0, -0.0, -1.0, math.inf, math.nan])
 def test_linspace_refuses_an_endpoint_not_finite_and_positive(endpoint):
-    with pytest.raises(ValueError, match="grid endpoint must be finite and > 0"):
+    bound = r"^grid endpoint must lie in \[5e-324, 1\.7976931348623157e\+308\], got "
+    with pytest.raises(ValueError, match=bound):
         Linspace(endpoint, 3)
 
 
@@ -334,7 +336,10 @@ def _integer_entry_points():
     from catsize import distillation
     from catsize.decoherence import decay_curve, ghz_offdiag_norm
     from catsize.loss import ghz_loss_suppression, loss_curve
-    from catsize.oracle import MAX_ENUM_QUBITS, MAX_STATE_QUBITS, build_ghz_state
+    from catsize.oracle import (MAX_ENUM_QUBITS, MAX_STATE_QUBITS, apply_one_qubit,
+                                build_ghz_state, cat_amplitudes, enumerate_loss,
+                                enumerate_protocol)
+    from catsize.report import build_effective_size_report
     from catsize.validation import run_validation
 
     p, largest = CatParams(8, 0.5), sys.float_info.max
@@ -349,7 +354,7 @@ def _integer_entry_points():
         ("loss_curve-n_ref", lambda v: loss_curve(p, v, Linspace(1.0, 2)), "n_ref", 1, largest),
         ("ghz_offdiag_norm-n", lambda v: ghz_offdiag_norm(v, 0.5), "n", 1, largest),
         ("ghz_loss_suppression-n", lambda v: ghz_loss_suppression(v, 0.5), "n", 1, largest),
-        ("build_ghz_state-n", build_ghz_state, "n", 1, largest),
+        ("build_ghz_state-n", build_ghz_state, "n", 1, MAX_STATE_QUBITS),
         ("Linspace-steps", lambda v: Linspace(1.0, v), "steps", 2, sys.maxsize),
         ("kron_power-n", lambda v: kron_power(np.eye(2), v), "n", 0, MAX_STATE_QUBITS),
         ("run_validation-max_n", run_validation, "max_n", 2, MAX_ENUM_QUBITS),
@@ -361,6 +366,19 @@ def _integer_entry_points():
          "N", 1, distillation.MAX_DISTRIBUTION_N),
         ("simulate_protocol-N", lambda v: distillation.simulate_protocol(unchecked(v), 10, 0),
          "N", 1, distillation.MAX_DISTRIBUTION_N),
+        ("cat_amplitudes-N", lambda v: cat_amplitudes(unchecked(v)), "N", 1, MAX_STATE_QUBITS),
+        ("enumerate_protocol-N", lambda v: enumerate_protocol(unchecked(v)),
+         "N", 1, MAX_ENUM_QUBITS),
+        ("enumerate_loss-N", lambda v: enumerate_loss(unchecked(v), 0.5),
+         "N", 1, MAX_ENUM_QUBITS),
+        ("reduced_rho1-N", lambda v: reduced_rho1(unchecked(v)), "N", 2, largest),
+        ("entropy_s1-N", lambda v: entropy_s1(unchecked(v)), "N", 2, largest),
+        ("build_effective_size_report-N", lambda v: build_effective_size_report(unchecked(v)),
+         "N", 2, largest),
+        ("apply_one_qubit-qubit", lambda v: apply_one_qubit(build_ghz_state(3), np.eye(2), v),
+         "qubit", 0, 2),
+        ("partial_trace_state-keep", lambda v: partial_trace_state(build_ghz_state(3), [v]),
+         "kept qubit", 0, 2),
     ]
 
 
@@ -372,6 +390,84 @@ def test_every_integer_input_is_refused_by_one_rule(entry):
             call(value)
         assert str(info.value).startswith(f"{name} must be an integer in [{lo}, {hi}], got ")
     assert str(info.value).endswith("got a 1101-bit integer")
+
+
+def _real_entry_points():
+    # (id, call, name, lo, hi): each real input of the library and the CLI
+    # with the bounds its refusal names; call returns what the entry point
+    # returns, or the float it keeps
+    import contextlib
+    import io
+
+    from catsize.cli import main
+    from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
+    from catsize.distillation import build_filter
+    from catsize.loss import cat_loss_suppression, ghz_loss_suppression, loss_curve
+    from catsize.oracle import DEPHASING, ChannelSpec, biorthonormal_filter, enumerate_loss
+
+    p, largest = CatParams(2, 0.5), sys.float_info.max
+
+    def unchecked(eps):
+        # a record made past CatParams' own check, so that the filter's check sees eps
+        return tuple.__new__(CatParams, (2, eps))
+
+    def grid(end):
+        # a Linspace made past its own check, so that loss_curve's check sees
+        # end; a NaN step passes the record's sorted check at any end
+        g = Linspace(1.0, 2)
+        g.endpoint, g._step = end, math.nan
+        return g
+
+    def overlap(v):
+        # --epsilon-sq-overlap through the CLI, its one error line raised again
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["effective-size", "--n", "10", f"--epsilon-sq-overlap={v}"])
+        if code:
+            assert code == 2 and err.getvalue().count("\n") == 1
+            raise ValueError(err.getvalue().removeprefix("error: "))
+
+    return [
+        ("CatParams-epsilon", lambda v: CatParams(2, v).epsilon, "epsilon", 0.0, HALF_PI),
+        ("ChannelSpec-gamma_t", lambda v: ChannelSpec(DEPHASING, v).gamma_t,
+         "gamma_t", 0.0, math.inf),
+        ("ghz_offdiag_norm-gamma_t", lambda v: ghz_offdiag_norm(2, v), "gamma_t", 0.0, math.inf),
+        ("cat_offdiag_norm-gamma_t", lambda v: cat_offdiag_norm(p, v), "gamma_t", 0.0, math.inf),
+        ("ghz_loss_suppression-lam", lambda v: ghz_loss_suppression(2, v), "lam", 0.0, 1.0),
+        ("cat_loss_suppression-lam", lambda v: cat_loss_suppression(p, v), "lam", 0.0, 1.0),
+        ("enumerate_loss-lam", lambda v: enumerate_loss(p, v), "lam", 0.0, 1.0),
+        ("Linspace-endpoint", lambda v: Linspace(v, 3).endpoint,
+         "grid endpoint", 5e-324, largest),
+        ("loss_curve-endpoint", lambda v: loss_curve(p, 1, grid(v)),
+         "lambda grid endpoint", 0.0, 1.0),
+        ("cli-epsilon_sq_overlap", overlap, "--epsilon-sq-overlap", 0.0, 1.0),
+        ("build_filter-epsilon", lambda v: build_filter(unchecked(v)),
+         "epsilon", 5e-324, HALF_PI),
+        ("biorthonormal_filter-epsilon", lambda v: biorthonormal_filter(unchecked(v)),
+         "epsilon", 5e-324, HALF_PI),
+    ]
+
+
+@pytest.mark.parametrize("entry", _real_entry_points(), ids=lambda e: e[0])
+def test_every_real_input_is_refused_by_one_rule(entry):
+    _, call, name, lo, hi = entry
+    refused = [math.nan, -math.inf, math.nextafter(lo, -math.inf)]
+    if hi < math.inf:
+        refused.append(math.nextafter(hi, math.inf))
+    if hi == sys.float_info.max:
+        refused.append(2**1024)  # past every double: float() raised OverflowError
+    for value in refused:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value).startswith(f"{name} must lie in [{lo}, {hi}], got ")
+    for value in (lo, hi):
+        try:
+            call(value)
+        except ValueError as exc:
+            # the one later check an end may meet: eps = 5e-324 has no normal k^2
+            assert str(exc).startswith("biorthonormal filter needs a normal k^2")
+    out = call(np.float64(0.5))
+    assert type(out) is float or not isinstance(out, float)  # never a numpy.float64
 
 
 def test_numpy_integers_are_taken_as_python_ints():

@@ -26,7 +26,7 @@ def test_loss_model_validation():
         lambda lam: enumerate_loss(p, lam),
     ):
         for lam in (-0.01, 1.01, math.nan):
-            with pytest.raises(ValueError, match=r"loss probability must lie in \[0, 1\], got"):
+            with pytest.raises(ValueError, match=r"^lam must lie in \[0\.0, 1\.0\], got"):
                 call(lam)
         call(0.0)
         call(1.0)
@@ -138,7 +138,8 @@ def test_loss_curve_csv():
     assert lines[0] == "lambda,ghz_suppression,cat_suppression"
     assert lines[1] == "0,1,1"
     assert len(lines) == 4
-    with pytest.raises(ValueError, match="lambda grid must lie in \\[0, 1\\], got endpoint 1.5"):
+    bound = r"^lambda grid endpoint must lie in \[0\.0, 1\.0\], got 1\.5$"
+    with pytest.raises(ValueError, match=bound):
         loss_curve(p, 2, Linspace(1.5, 2))
     # the endpoint 1 is in the domain
     last = "".join(loss_curve(p, 2, Linspace(1.0, 2)).to_csv()).splitlines()[-1]

@@ -90,7 +90,8 @@ def test_size_caps_are_hard_errors():
         enumerate_protocol(CatParams(9, 0.3))
     with pytest.raises(ValueError):
         enumerate_loss(CatParams(9, 0.3), 0.1)
-    with pytest.raises(ValueError, match="capped at 14 qubits"):
+    cap = r"^qubit count of dense state vectors must be an integer in \[0, 14\], got 15$"
+    with pytest.raises(ValueError, match=cap):
         apply_one_qubit(np.ones(2**15), np.eye(2), 0)
     # kron_all checks the product's shape before it multiplies: a vector
     # up to 14 qubits, any other product up to 10 on each side
@@ -255,6 +256,22 @@ def test_state_length_must_be_power_of_two():
     ):
         with pytest.raises(ValueError, match="power of two"):
             call(np.ones(6))
+
+
+def test_qubit_indices_are_distinct_integers():
+    # a float or bool index is refused, not read as a qubit, and a repeated
+    # kept qubit is refused before numpy sees the axes
+    s, m = build_ghz_state(3), np.eye(2)
+    for call, name in [
+        (lambda: apply_one_qubit(s, m, 1.0), "qubit"),
+        (lambda: apply_one_qubit(s, m, True), "qubit"),
+        (lambda: partial_trace_state(s, [0.0]), "kept qubit"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\], got "):
+            call()
+    with pytest.raises(ValueError, match=r"^kept qubits must be distinct, got \[0, 0\]$"):
+        partial_trace_state(s, [0, 0])
+    assert partial_trace_state(s, (np.int64(2), 0)).shape == (4, 4)
 
 
 def test_apply_product_channel_ghz_block():
@@ -426,7 +443,7 @@ def test_enumerate_protocol_equals_the_per_mask_loop(n, eps):
 def test_filter_refuses_eps_with_no_normal_k_squared(eps):
     # k^2 ~ eps^2 / 2 is 0 or subnormal here: A came back NaN, 0 or digits off
     for func in (biorthonormal_filter, enumerate_protocol):
-        with pytest.raises(ValueError, match="eps > 0|normal k"):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \[5e-324, |normal k"):
             func(CatParams(2, eps))
 
 
