@@ -49,13 +49,17 @@ __all__ = [
 HALF_PI = math.pi / 2.0
 
 
+def _got(value) -> str:
+    # a refused value as its message shows it: repr raises past 4300 digits
+    bits = int(value).bit_length() if isinstance(value, Integral) else 0
+    return f"a {bits}-bit integer" if bits > 64 else repr(value)
+
+
 def _check_int(value, name: str, lo: int = 1, hi: float = sys.float_info.max) -> int:
     """value as a Python int; ValueError unless an integer (bools rejected) in [lo, hi]."""
     if isinstance(value, Integral) and not isinstance(value, bool) and lo <= value <= hi:
         return int(value)
-    bits = int(value).bit_length() if isinstance(value, Integral) else 0
-    got = f"a {bits}-bit integer" if bits > 64 else repr(value)  # repr raises past 4300 digits
-    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {got}")
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {_got(value)}")
 
 
 def _check_real(value, name: str, lo: float = 0.0, hi: float = math.inf) -> float:
@@ -66,7 +70,7 @@ def _check_real(value, name: str, lo: float = 0.0, hi: float = math.inf) -> floa
     """
     if lo <= value <= hi:
         return float(value)
-    raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
+    raise ValueError(f"{name} must lie in [{lo}, {hi}], got {_got(value)}")
 
 
 class Linspace:

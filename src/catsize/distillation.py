@@ -73,10 +73,10 @@ def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
 # 1.2 s and 86 MiB at eps = pi/4, where the window is widest.
 MAX_DISTRIBUTION_N = 2**27
 # Largest trials accepted by simulate_protocol.  Memory does not grow with
-# the trials, the time does: 1.1 s per 2^20 trials at N = 2^27 and
-# eps = 1e-3, 1.0 s at eps = pi/4 (2-core Xeon, Python 3.11).  The cap is
-# the power of two nearest the 30 s of cli.MAX_CURVE_STEPS: distill-sim
-# with 2^25 trials at N = 2^27, eps = 1e-3 takes 41 s and 43 MiB max RSS.
+# the trials, the time does: 0.15 s per 2^20 trials at N = 2^27 and
+# eps = 1e-3, 0.17 s at eps = pi/4 (2-core Xeon, Python 3.11).  distill-sim
+# with 2^25 trials at N = 2^27 takes 5.3 s and 40 MiB max RSS at eps = 1e-3,
+# 6.2 s and 88 MiB at pi/4, well inside the 30 s of cli.MAX_CURVE_STEPS.
 MAX_TRIALS = 2**25
 # trials per block of the Monte Carlo sampler
 _MC_BLOCK = 1 << 16
@@ -301,40 +301,35 @@ class McResult(namedtuple("McResult", "params outcomes tallies trials seed")):
 def _first_success(params: CatParams, e: np.ndarray) -> np.ndarray:
     """Index j - 1 of each trial's first successful step j, or N for none.
 
-    e = -ln U holds each trial's exponential variate.  Until the first
-    success, step j (with m = N - j + 1 parties left) fails with probability
-    (c + c^m) / (1 + c^m), and the product telescopes: the log survival of
-    steps 1..J is
-
-        -ln S(J) = J a + ln(1 + c^N) - ln(1 + c^(N-J)),   a = -ln c,
-
-    increasing in J.  The first success is the smallest J with
-    -ln S(J) > e, and a vectorised bisection over J = 1..N + 1 finds it in
-    O(log N) steps, with no table of length N.
+    e = -ln U holds each trial's exponential variate.  Step j fails with
+    probability (c + c^m) / (1 + c^m), m = N - j + 1, and with a = -ln c,
+    C = c^N and Y = exp(J a) the log survival of steps 1..J telescopes to
+    -ln S(J) = ln(Y (1 + C) / (1 + C Y)).  It exceeds e exactly when
+    x = C expm1(e) < 1 and J a > t = e - log1p(-x): the first success is
+    min(floor(t / a), N), and N where x >= 1.  log1p is well conditioned at
+    that boundary, x = (1 - C) / 2, and e <= 53 ln 2, so an underflowed C
+    does no harm.
     """
-    n, log_c = params.N, params.log_c
-    a = -log_c
-    log_norm = math.log1p(math.exp(params.log_cN))
-    lo = np.ones_like(e)
-    hi = np.full_like(e, n + 1.0)  # N + 1: no success in steps 1..N
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return (lo - 1.0).astype(np.int64)
-        mid = np.floor((lo + hi) / 2.0)
-        past = mid * a + log_norm - np.log1p(np.exp((n - mid) * log_c)) > e
-        np.copyto(hi, mid, where=open_ & past)
-        np.copyto(lo, mid + 1.0, where=open_ & ~past)
+    n, a = params.N, -params.log_c
+    if a == 0.0:
+        # 1 - cos(eps) rounds to 0: no step ever succeeds
+        return np.full(e.shape, n, dtype=np.int64)
+    x = math.exp(params.log_cN) * np.expm1(e)
+    # x >= 1 gives t = inf, and a near-subnormal a overflows t / a: both give N
+    with np.errstate(divide="ignore", over="ignore"):
+        t = e - np.log1p(-np.minimum(x, 1.0))
+        return np.minimum(np.floor(t / a), n).astype(np.int64)
 
 
 def simulate_protocol(params: CatParams, trials: int, seed: int) -> McResult:
     """Monte Carlo simulation of the sequential measurement protocol.
 
-    Event-driven, in O(trials log N) time and O(_MC_BLOCK + outcomes seen)
+    Event-driven, in O(trials) time and O(_MC_BLOCK + outcomes seen)
     memory, independent of N.  One uniform U = 1 - random() in (0, 1] per
-    trial picks its first successful step j by inverse transform on the
-    closed-form log survival (_first_success); the N - j later parties
-    succeed iid with 1 - c, so one Binomial(N - j, 1 - c) draw counts them.
+    trial picks its first successful step j by the closed-form inverse of
+    the log survival (_first_success); U = 1 picks step 1 whenever
+    1 - cos(eps) > 0.  The N - j later parties succeed iid with 1 - c, so
+    one Binomial(N - j, 1 - c) draw counts them.
 
     Randomness comes from the Philox generator keyed directly with the
     seed; each block of _MC_BLOCK trials draws its uniforms, then one

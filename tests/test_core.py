@@ -470,6 +470,15 @@ def test_every_real_input_is_refused_by_one_rule(entry):
     assert type(out) is float or not isinstance(out, float)  # never a numpy.float64
 
 
+@pytest.mark.parametrize(
+    "call", [lambda v: CatParams(2, v), lambda v: Linspace(v, 3)], ids=["CatParams", "Linspace"]
+)
+def test_an_int_past_4300_digits_is_refused_by_the_rule(call):
+    # repr of such an int raises its own ValueError, so the rule gives its bit length
+    with pytest.raises(ValueError, match=r" must lie in \[.*\], got a 16610-bit integer$"):
+        call(10**5000)
+
+
 def test_numpy_integers_are_taken_as_python_ints():
     from catsize.core import _check_int
     from catsize.decoherence import decay_curve

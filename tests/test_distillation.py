@@ -529,13 +529,13 @@ def test_trials_cap(monkeypatch):
 SAMPLER_GRID = [
     (n, eps)
     for n in (1, 2, 50, 10**3, 10**6)
-    for eps in (5e-324, 1e-3, 0.05, math.pi / 4, 1.5, HALF_PI)
+    for eps in (5e-324, 1e-155, 1e-150, 1e-8, 1e-3, 0.05, math.pi / 4, 1.5, HALF_PI)
 ]
 
 
 @pytest.mark.parametrize("n,eps", SAMPLER_GRID)
 def test_first_success_matches_the_hazard_table(n, eps):
-    # the bisection on the closed-form survival against searchsorted on the
+    # the closed-form inverse of the survival against searchsorted on the
     # cumulative per-step hazards, on the same uniforms, U = 1 included
     p = CatParams(n, eps)
     table = _reference_neg_log_survival(p)
@@ -549,7 +549,8 @@ def test_first_success_matches_the_hazard_table(n, eps):
 
 
 @pytest.mark.parametrize(
-    "n,eps,trials", [(8, 0.5, 3000), (50, 1.5, 500), (10**3, 0.05, 2000), (10**6, 1e-3, 200)]
+    "n,eps,trials",
+    [(8, 0.5, 3000), (50, 1.5, 500), (10**3, 0.05, 2000), (10**6, 1e-3, 200), (10**6, 1e-8, 200)],
 )
 def test_simulation_matches_the_table_sampler(n, eps, trials):
     # same seed, same draw order: the same counts as the O(N)-table sampler
