@@ -8,8 +8,9 @@ with every closed form cross-validated against a dense brute-force oracle.
 Importing the package loads none of its submodules: each exported name is
 imported from its submodule on first access, and each name has exactly one
 home, the submodule that defines it.  The closed forms (``core``,
-``decoherence``, ``loss``, ``report``) need only the standard library;
-the array names (``distillation``, ``core.reduced_rho1`` and the oracle's
+``decoherence``, ``loss``, ``report``) and the distillation distributions
+and sampler need only the standard library; the array names
+(``distillation.build_filter``, ``core.reduced_rho1`` and the oracle's
 ``ChannelSpec`` and channel kinds) load numpy when they are first used.
 The oracle, the validation suite and the CLI are the submodules
 ``catsize.oracle``, ``catsize.validation`` and ``catsize.cli``; the oracle

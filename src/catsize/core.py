@@ -66,10 +66,14 @@ def _check_real(value, name: str, lo: float = 0.0, hi: float = math.inf) -> floa
     """value as a Python float; ValueError unless lo <= value <= hi (NaN rejected).
 
     The float conversion makes an overflowing product such as -2 gamma_t
-    round to -inf quietly, where a numpy scalar would warn.
+    round to -inf quietly, where a numpy scalar would warn.  An int past
+    the largest double is refused, also where hi is inf.
     """
     if lo <= value <= hi:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            pass
     raise ValueError(f"{name} must lie in [{lo}, {hi}], got {_got(value)}")
 
 

@@ -319,6 +319,19 @@ def test_distill_sim_trials_cap(capsys):
         assert err.startswith(f"error: trials must be an integer in [1, {cap}], got {trials}")
 
 
+def test_distill_sim_refuses_trials_past_2_pow_23(capsys):
+    # the pure-Python sampler takes up to about 3 us a trial, so 2^23 trials
+    # fit the 30 s budget and 2^24 do not; 2^23 + 1 up to the old cap 2^25
+    # exit 2
+    assert distillation.MAX_TRIALS == 2**23
+    for trials in (2**23 + 1, 2**25):
+        code, out, err = run_cli(
+            capsys, "distill-sim", "--n", "10", "--epsilon", "0.5", "--trials", str(trials)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be an integer in [1, 8388608], got {trials}\n"
+
+
 @pytest.mark.parametrize(
     "command, flag, grid_name, endpoint, steps, expected_code",
     [
@@ -421,8 +434,8 @@ def test_distill_sim_half_pi(capsys):
 def test_distill_sim_bad_flags(capsys):
     # simulate_protocol's own checks refuse the flag: exit 2, no output
     for flag, value, message in [
-        ("--trials", "0", "trials must be an integer in [1, 33554432], got 0"),
-        ("--trials", "-5", "trials must be an integer in [1, 33554432], got -5"),
+        ("--trials", "0", "trials must be an integer in [1, 8388608], got 0"),
+        ("--trials", "-5", "trials must be an integer in [1, 8388608], got -5"),
         ("--seed", "-1", "seed must be an integer in [0, 18446744073709551615], got -1"),
         ("--seed", str(2**64), "seed must be an integer in [0, 18446744073709551615], got a 65"),
     ]:

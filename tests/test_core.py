@@ -454,8 +454,10 @@ def test_every_real_input_is_refused_by_one_rule(entry):
     refused = [math.nan, -math.inf, math.nextafter(lo, -math.inf)]
     if hi < math.inf:
         refused.append(math.nextafter(hi, math.inf))
-    if hi == sys.float_info.max:
-        refused.append(2**1024)  # past every double: float() raised OverflowError
+    if hi in (sys.float_info.max, math.inf):
+        # ints past every double, e.g. ghz_offdiag_norm(2, 2**1024) and
+        # ChannelSpec(DEPHASING, 10**5000): float() raised OverflowError
+        refused += [2**1024, 10**5000]
     for value in refused:
         with pytest.raises(ValueError) as info:
             call(value)

@@ -87,7 +87,7 @@ def _filter_skipped(state, m, qubit):
 def _q0_without_factor_2(params, lo, hi):
     log_q = _LOG_Q(params, lo, hi)
     if lo == 0:
-        log_q[0] -= math.log(2.0)
+        log_q = (log_q[0] - math.log(2.0), *log_q[1:])
     return log_q
 
 
@@ -96,7 +96,7 @@ def _q0_without_factor_2_where_c_n_underflows(params, lo, hi):
     # counts the dense oracle reaches
     log_q = _LOG_Q(params, lo, hi)
     if lo == 0 and math.exp(params.log_cN) == 0.0:
-        log_q[0] -= math.log(2.0)
+        log_q = (log_q[0] - math.log(2.0), *log_q[1:])
     return log_q
 
 
@@ -119,9 +119,7 @@ def _scaled(func):
 
 def _log_q_raised(params, lo, hi):
     # ln q_k + 1e-10 for every k >= 1
-    log_q = _LOG_Q(params, lo, hi)
-    log_q[max(1 - lo, 0):] += 1e-10
-    return log_q
+    return tuple(v + 1e-10 if k >= 1 else v for k, v in enumerate(_LOG_Q(params, lo, hi), lo))
 
 
 def _cat_norm_log1p_only(s2, c2, half_n, gamma_t):

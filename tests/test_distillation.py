@@ -1,8 +1,10 @@
 import json
 import math
 import operator
+import random
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from catsize import distillation
 from catsize.core import CatParams, _check_int, expected_n
 from catsize.distillation import (
     _bd0,
+    _binomial,
     _first_success,
     _stirlerr,
     build_filter,
@@ -143,17 +146,19 @@ def _reference_neg_log_survival(params: CatParams) -> np.ndarray:
 
 
 def _reference_simulate(params: CatParams, trials: int, seed: int) -> np.ndarray:
-    """Dense counts from the table sampler, with the draw order of simulate_protocol."""
+    """Dense counts from the table sampler, with the draws of simulate_protocol.
+
+    Each trial takes its uniform, then, after a success, its binomial's
+    uniforms, from one random.Random(seed).
+    """
     n, omc = params.N, params.one_minus_c
     neg_log_surv = _reference_neg_log_survival(params)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = random.Random(seed)
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, trials, distillation._MC_BLOCK):
-        rows = min(distillation._MC_BLOCK, trials - start)
-        first = np.searchsorted(neg_log_surv, -np.log1p(-rng.random(rows)), side="right")
-        hit = first[first < n]
-        counts[0] += rows - hit.size
-        counts += np.bincount(1 + rng.binomial(n - 1 - hit, omc), minlength=n + 1)
+    for _ in range(trials):
+        e = -math.log(1.0 - rng.random())
+        first = int(np.searchsorted(neg_log_surv, e, side="right"))
+        counts[0 if first == n else 1 + _binomial(rng, n - 1 - first, omc)] += 1
     return counts
 
 
@@ -219,7 +224,8 @@ def test_outcome_distribution_sums_to_one(n, eps):
     assert np.all(q >= 0.0)
     assert abs(q.sum() - 1.0) < 1e-12
     # same conclusion through log-sum-exp over the stored log-domain window
-    finite = dist.log_q_window[np.isfinite(dist.log_q_window)]
+    window = np.array(dist.log_q_window)
+    finite = window[np.isfinite(window)]
     peak = finite.max()
     lse = peak + math.log(np.exp(finite - peak).sum())
     assert abs(math.exp(lse) - 1.0) < 1e-12
@@ -237,14 +243,14 @@ def test_window_matches_the_dense_pmf(n, eps):
     # the stored window against the same pmf evaluated over k = 0..N
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
-    dense_log_q = distillation._log_q(p, 0, n)
-    dense_q = np.exp(dense_log_q)
+    dense_log_q = np.array(distillation._log_q(p, 0, n))
+    dense_q = np.array([math.exp(v) for v in dense_log_q])
     assert list(dist.to_payload()["q"]) == list(dist.q)
     assert len(dist.q) == n + 1
     assert list(dist.q) == dense_q.tolist()
     nonzero = np.flatnonzero(dense_q)
     assert dist.lo <= nonzero[0]
-    assert nonzero[-1] < dist.lo + dist.log_q_window.size
+    assert nonzero[-1] < dist.lo + len(dist.log_q_window)
     if p.one_minus_c > 0.0:
         assert np.all(np.isfinite(dense_log_q))
     else:
@@ -253,7 +259,7 @@ def test_window_matches_the_dense_pmf(n, eps):
     # the window ends against a scan of every k: the first and the last k
     # whose ln q_k clears the floor ((0, 0) at eps = 0)
     clears = np.flatnonzero(dense_log_q >= distillation._LOG_Q_FLOOR)
-    assert (dist.lo, dist.lo + dist.log_q_window.size - 1) == (clears[0], clears[-1])
+    assert (dist.lo, dist.lo + len(dist.log_q_window) - 1) == (clears[0], clears[-1])
 
 
 SPARSE_Q_GRID = [
@@ -330,10 +336,8 @@ def _mp_stirlerr(n):
 def test_stirlerr_matches_loggamma():
     # the table covers 1..15 and the 5-term series the rest; the first
     # omitted series term is 1.1e-16 at n = 16 (stirlerr diverges at n = 0)
-    ns = list(range(1, 21)) + [10**6]
-    got = _stirlerr(np.array(ns, dtype=float))
-    for n, value in zip(ns, got):
-        assert abs(value - _mp_stirlerr(n)) <= 2e-16, n
+    for n in list(range(1, 21)) + [10**6]:
+        assert abs(_stirlerr(n) - _mp_stirlerr(n)) <= 2e-16, n
 
 
 @pytest.mark.parametrize("m", [1000.0, 0.9, 5e-320])
@@ -342,9 +346,8 @@ def test_bd0_matches_mpmath_on_both_branches(m):
     # for subnormal m, x / m overflows and the far branch must not use it
     xs = [1.0, 2.0, m * 0.5, m * 9 / 11 * (1 - 1e-9), m * 9 / 11 * (1 + 1e-9), m, m + 1e-3,
           m * 11 / 9 * (1 - 1e-9), m * 11 / 9 * (1 + 1e-9), m * 5.0]
-    xs = np.array([x for x in xs if x >= 1.0])
-    got = _bd0(xs, m)
-    for x, value in zip(xs, got):
+    for x in [x for x in xs if x >= 1.0]:
+        value = _bd0(x, m)
         with mp.workdps(40):
             ref = mp.mpf(x) * mp.log(mp.mpf(x) / mp.mpf(m)) + mp.mpf(m) - mp.mpf(x)
         assert abs(value - ref) <= 1e-14 * ref, x
@@ -381,7 +384,7 @@ def test_simulation_deterministic_and_reproducible():
     c = simulate_protocol(p, 2000, seed=43)
     assert np.array_equal(_counts(a), _counts(b))
     assert not np.array_equal(_counts(a), _counts(c))
-    assert a.tallies.sum() == 2000
+    assert sum(a.tallies) == 2000
 
 
 @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64])
@@ -400,18 +403,17 @@ def test_simulation_accepts_seed_range_ends():
         assert res.seed == int(seed) and type(res.seed) is int
 
 
-def test_array_results_compare_by_identity_and_hash():
-    # numpy-array fields would make a field-wise __eq__ raise and __hash__ fail
+def test_results_compare_and_hash_by_value():
+    # the fields are tuples of numbers, so equal inputs give equal records
     p = CatParams(8, 0.5)
-    for make in (
-        lambda: outcome_distribution(p),
-        lambda: simulate_protocol(p, 100, seed=3),
+    for make, other in (
+        (lambda: outcome_distribution(p), outcome_distribution(CatParams(8, 0.6))),
+        (lambda: simulate_protocol(p, 100, seed=3), simulate_protocol(p, 100, seed=4)),
     ):
         a, b = make(), make()
-        assert a == a
-        assert a != b
-        assert hash(a) == hash(a)
-        assert len({a, b}) == 2
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b, other}) == 2
         # slotted like every other record: no attribute can be added
         with pytest.raises(AttributeError):
             setattr(a, "other", 1)
@@ -419,12 +421,12 @@ def test_array_results_compare_by_identity_and_hash():
 
 def test_simulation_half_pi_always_succeeds():
     res = simulate_protocol(CatParams(5, HALF_PI), 500, seed=1)
-    assert (res.outcomes.tolist(), res.tallies.tolist()) == ([5], [500])
+    assert (res.outcomes, res.tallies) == ((5,), (500,))
 
 
 def test_simulation_product_state_never_succeeds():
     res = simulate_protocol(CatParams(5, 0.0), 500, seed=1)
-    assert (res.outcomes.tolist(), res.tallies.tolist()) == ([0], [500])
+    assert (res.outcomes, res.tallies) == ((0,), (500,))
 
 
 def test_simulation_matches_exact_distribution():
@@ -490,19 +492,62 @@ def test_simulation_headline_scale_pooled_chi_square():
     exp_bins = np.append(expected[:cut], expected[cut:].sum())
     obs_bins = np.append(counts[:cut], counts[cut:].sum())
     stat = float((((obs_bins - exp_bins) ** 2) / exp_bins).sum())
-    assert res.tallies.sum() == trials
+    assert sum(res.tallies) == trials
     assert np.all(exp_bins >= 5.0)
     assert _chi2_sf(stat, exp_bins.size - 1) > 1e-3
     assert elapsed < 10.0
 
 
+@pytest.mark.parametrize(
+    "n,p",
+    [
+        (50, 0.01),  # mean 0.5: inversion
+        (990, 0.01),  # mean 9.9: the longest inversion walk
+        (1010, 0.01),  # mean 10.1: BTRS
+        (21, 0.5),  # mean 10.5 at p = 1/2: BTRS with the narrowest hat
+        (40000, 0.25),  # mean 1e4
+        (100, 0.7),  # n - Binomial(n, 0.3), BTRS
+    ],
+)
+def test_binomial_matches_the_exact_pmf(n, p):
+    # chi-square of 20000 draws against C(n, k) p^k (1-p)^(n-k), with
+    # C(n, k) from math.comb and the exact step C(n, k + 1) = C(n, k) (n - k)
+    # / (k + 1), over consecutive runs of k merged until each expects 200
+    # draws; the k more than 8 sigma from the mean join the end bins
+    trials = 20000
+    rng = random.Random(n)
+    counts = Counter(_binomial(rng, n, p) for _ in range(trials))
+    sd = math.sqrt(n * p * (1 - p))
+    lo, hi = max(0, math.floor(n * p - 8 * sd)), min(n, math.ceil(n * p + 8 * sd))
+    obs_bins, exp_bins, obs, exp = [], [], sum(counts[k] for k in range(lo)), 0.0
+    comb = math.comb(n, lo)
+    for k in range(lo, hi + 1):
+        log_pmf = math.log(comb) + k * math.log(p) + (n - k) * math.log1p(-p)
+        comb = comb * (n - k) // (k + 1)
+        obs, exp = obs + counts[k], exp + trials * math.exp(log_pmf)
+        if exp >= trials / 100:
+            obs_bins.append(obs)
+            exp_bins.append(exp)
+            obs, exp = 0, 0.0
+    obs_bins[-1] += obs + sum(counts[k] for k in range(hi + 1, n + 1))
+    exp_bins[-1] += exp
+    assert sum(obs_bins) == trials and len(exp_bins) >= 4
+    stat = sum((o - e) ** 2 / e for o, e in zip(obs_bins, exp_bins))
+    assert _chi2_sf(stat, len(exp_bins) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("n,p,value", [(0, 0.3, 0), (100, 0.0, 0), (7, 1.0, 7)])
+def test_binomial_degenerate_cases(n, p, value):
+    rng = random.Random(5)
+    assert {_binomial(rng, n, p) for _ in range(1000)} == {value}
+
+
 @pytest.mark.parametrize("n", [1, 2, 10**6])
 @pytest.mark.parametrize("eps", [0.0, 5e-324, HALF_PI])
 def test_simulation_domain_edges(n, eps):
-    # p_before rounds to 1 at eps = pi/2 and to 0 at the two small angles;
-    # any numpy RuntimeWarning fails the test
+    # p_before rounds to 1 at eps = pi/2 and to 0 at the two small angles
     res = simulate_protocol(CatParams(n, eps), 1000, seed=9)
-    assert (res.outcomes.tolist(), res.tallies.tolist()) == ([n if eps == HALF_PI else 0], [1000])
+    assert (res.outcomes, res.tallies) == ((n if eps == HALF_PI else 0,), (1000,))
 
 
 def test_distribution_size_cap(monkeypatch):
@@ -513,17 +558,17 @@ def test_distribution_size_cap(monkeypatch):
     with pytest.raises(ValueError, match=r"^N must be an integer in \[1, 10\], got 11$"):
         simulate_protocol(CatParams(11, 0.5), 5, seed=0)
     assert len(outcome_distribution(CatParams(10, 0.5)).q) == 11
-    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
+    assert sum(simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies) == 5
 
 
 
 def test_trials_cap(monkeypatch):
     # the cap bounds the run time; the bound itself is accepted
-    assert distillation.MAX_TRIALS >= 10**7
+    assert distillation.MAX_TRIALS >= 2**23
     monkeypatch.setattr(distillation, "MAX_TRIALS", 5)
     with pytest.raises(ValueError, match=r"^trials must be an integer in \[1, 5\], got 6$"):
         simulate_protocol(CatParams(10, 0.5), 6, seed=0)
-    assert simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies.sum() == 5
+    assert sum(simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies) == 5
 
 
 SAMPLER_GRID = [
@@ -538,14 +583,15 @@ def test_first_success_matches_the_hazard_table(n, eps):
     # the closed-form inverse of the survival against searchsorted on the
     # cumulative per-step hazards, on the same uniforms, U = 1 included
     p = CatParams(n, eps)
+    first = _first_success(p)
     table = _reference_neg_log_survival(p)
     e = -np.log(np.append(1.0 - np.random.default_rng(n).random(4096), 1.0))
-    np.testing.assert_array_equal(_first_success(p, e), np.searchsorted(table, e, side="right"))
+    assert [first(v) for v in e.tolist()] == np.searchsorted(table, e, side="right").tolist()
     # the largest e, 53 ln 2 from U = 2^-53, ties with -ln S(106) =
     # 106 ln sqrt(2) at eps = pi/4 to within rounding, so there the two may
     # differ by one step
-    top = np.array([53 * math.log(2.0)])
-    assert abs(int(_first_success(p, top)[0]) - int(np.searchsorted(table, top[0], "right"))) <= 1
+    top = 53 * math.log(2.0)
+    assert abs(first(top) - int(np.searchsorted(table, top, "right"))) <= 1
 
 
 @pytest.mark.parametrize(
@@ -557,7 +603,7 @@ def test_simulation_matches_the_table_sampler(n, eps, trials):
     p = CatParams(n, eps)
     res = simulate_protocol(p, trials, seed=31)
     np.testing.assert_array_equal(_counts(res), _reference_simulate(p, trials, 31))
-    assert np.all(res.tallies > 0) and np.all(np.diff(res.outcomes) > 0)
+    assert all(t > 0 for t in res.tallies) and np.all(np.diff(res.outcomes) > 0)
 
 
 def test_simulation_validation():

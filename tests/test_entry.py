@@ -22,7 +22,8 @@ import catsize
 from catsize.__main__ import _BLAS_THREAD_VARS, _USER_THREAD_VARS, EXIT_BROKEN_PIPE, main
 
 SRC = os.path.dirname(os.path.dirname(catsize.__file__))
-DISTILL = ["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"]
+# a command that loads numpy, and with it the BLAS library
+NUMPY_COMMAND = ["validate", "--max-n", "2"]
 
 
 def run_probe(code: str, **env_vars: str) -> dict:
@@ -55,7 +56,7 @@ def entry_probe(argv: list[str], preload_numpy: bool = False) -> str:
 
 
 def test_entry_sets_one_blas_thread_by_default():
-    out = run_probe(entry_probe(DISTILL))
+    out = run_probe(entry_probe(NUMPY_COMMAND))
     assert out["env"] == {v: "1" if v in _BLAS_THREAD_VARS else None for v in _USER_THREAD_VARS}
     if out["threads"] is not None:
         # no BLAS worker threads beside the main thread
@@ -64,13 +65,13 @@ def test_entry_sets_one_blas_thread_by_default():
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_user_thread_setting_wins(var):
-    out = run_probe(entry_probe(DISTILL), **{var: "2"})
+    out = run_probe(entry_probe(NUMPY_COMMAND), **{var: "2"})
     assert out["env"] == {v: "2" if v == var else None for v in _USER_THREAD_VARS}
 
 
 def test_entry_leaves_the_environment_once_numpy_is_loaded():
     # too late to matter: the BLAS library read its settings on load
-    out = run_probe(entry_probe(DISTILL, preload_numpy=True))
+    out = run_probe(entry_probe(NUMPY_COMMAND, preload_numpy=True))
     assert out["env"] == dict.fromkeys(_USER_THREAD_VARS)
 
 
@@ -81,8 +82,8 @@ def test_library_and_in_process_cli_leave_the_environment_alone():
         "import catsize, catsize.__main__\n"
         "from catsize import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.main({DISTILL!r}) == 0\n"
-        "    assert cli.main(['validate', '--max-n', '2']) == 0\n"
+        f"    assert cli.main({NUMPY_COMMAND!r}) == 0\n"
+        "    assert cli.main(['distill-sim', '--n', '8', '--epsilon', '0.5']) == 0\n"
         "print(json.dumps({'same': dict(os.environ) == before}))\n"
     )
     assert out == {"same": True}
@@ -94,7 +95,7 @@ def test_entry_freezes_the_heap_at_exit():
     out = run_probe(
         "import atexit, gc, json\n"
         "atexit.register(lambda: print(json.dumps({'frozen': gc.get_freeze_count()})))\n"
-        + entry_probe(DISTILL)
+        + entry_probe(NUMPY_COMMAND)
     )
     assert out["frozen"] > 0
 
@@ -108,7 +109,7 @@ def test_entry_registers_the_freeze_once_per_process():
         "atexit.register(lambda: print(json.dumps({'calls': len(calls)})))\n"
         "from catsize.__main__ import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({DISTILL!r}) == 0\n"
+        f"    assert main({NUMPY_COMMAND!r}) == 0\n"
         "    assert main(['effective-size', '--n', '5', '--epsilon', '0.1']) == 0\n"
     )
     assert out == {"calls": 1}

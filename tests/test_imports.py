@@ -94,6 +94,7 @@ def test_oracle_loads_no_closed_form_module():
         (["loss-curve", "--n", "100", "--epsilon", "0.2", "--steps", "101"], 0),
         (["--help"], 0),
         (["decoherence-curve", "--n", "100", "--epsilon", "0.2", "--steps", "1"], 2),
+        (["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"], 0),
     ],
 )
 def test_closed_form_commands_load_no_numpy(argv, code):
@@ -122,13 +123,7 @@ def test_no_module_imports_dataclasses():
             assert not any(m.split(".")[0] == "dataclasses" for m in imported), name
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["distill-sim", "--n", "8", "--epsilon", "0.5", "--trials", "10"],
-        ["validate", "--max-n", "2"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["validate", "--max-n", "2"], ["validate"]])
 def test_array_commands_load_numpy(argv):
     run_probe(main_probe(argv, 0, numpy_loaded=True))
 

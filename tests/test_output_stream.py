@@ -41,11 +41,11 @@ def dense_distill_text(n, eps, trials, seed):
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
     exact_q = [0.0] * (n + 1)
-    exact_q[dist.lo : dist.lo + dist.log_q_window.size] = np.exp(dist.log_q_window).tolist()
+    exact_q[dist.lo : dist.lo + len(dist.log_q_window)] = map(math.exp, dist.log_q_window)
     mc = simulate_protocol(p, trials, seed)
     mc_q = [0.0] * (n + 1)
-    for k, f in zip(mc.outcomes.tolist(), (mc.tallies / mc.trials).tolist()):
-        mc_q[k] = f
+    for k, t in zip(mc.outcomes, mc.tallies):
+        mc_q[k] = t / mc.trials
 
     def block(q, source, trials, seed):
         return (
@@ -189,7 +189,7 @@ def test_loss_columns_match_the_point_functions(eps, grid):
 @pytest.mark.parametrize("window", [[0.0, math.nan], [math.inf], [-math.inf, 0.0, math.nan]])
 def test_non_finite_window_is_refused_before_any_output(capsys, monkeypatch, tmp_path, window):
     def broken(params):
-        return OutcomeDistribution(params, 3, np.array(window))
+        return OutcomeDistribution(params, 3, tuple(window))
 
     monkeypatch.setattr(cli, "outcome_distribution", broken)
     argv = ["distill-sim", "--n", "100", "--epsilon", "0.5", "--trials", "10"]
