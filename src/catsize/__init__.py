@@ -10,11 +10,10 @@ imported from its submodule on first access, and each name has exactly one
 home, the submodule that defines it.  The closed forms (``core``,
 ``decoherence``, ``loss``, ``report``) and the distillation distributions
 and sampler need only the standard library; the array names
-(``distillation.build_filter``, ``core.reduced_rho1`` and the oracle's
-``ChannelSpec`` and channel kinds) load numpy when they are first used.
-The oracle, the validation suite and the CLI are the submodules
-``catsize.oracle``, ``catsize.validation`` and ``catsize.cli``; the oracle
-imports only ``core``.
+``distillation.build_filter`` and ``core.reduced_rho1`` load numpy when
+they are first used.  The oracle, the validation suite and the CLI are the
+submodules ``catsize.oracle``, ``catsize.validation`` and ``catsize.cli``,
+none of whose names the package exports; the oracle imports only ``core``.
 
 Each concept has one form: noise rates (gamma_t, the loss probability
 lam) are floats, the filter is an (A, A_bar) pair of real 2x2 arrays, and
@@ -28,16 +27,12 @@ __version__ = "0.1.0"
 # exported name -> submodule that defines it
 _EXPORTS = {
     "CatParams": "core",
-    "ChannelSpec": "oracle",
     "DecayCurve": "decoherence",
     "EffectiveSizeReport": "report",
     "Linspace": "core",
     "LossCurve": "loss",
     "McResult": "distillation",
     "OutcomeDistribution": "distillation",
-    "CHANNEL_KINDS": "oracle",
-    "DEPHASING": "oracle",
-    "DEPOLARIZING": "oracle",
     "build_effective_size_report": "report",
     "build_filter": "distillation",
     "cat_loss_suppression": "loss",

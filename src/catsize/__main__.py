@@ -1,13 +1,12 @@
 """Process entry of the ``catsize`` command: ``python -m catsize`` and the
 installed console script both call :func:`main`.
 
-The dense matrices the commands meet are at most 256 x 256 and the
-distribution code uses elementwise ufuncs only, so a BLAS thread pool buys
-no wall time here; threaded OpenBLAS even runs each oracle SVD slower while
-burning a second core.  The entry therefore asks for one BLAS thread, in
-the environment, before numpy can load.  A thread count the user has set
-always wins, and importing the package or calling ``catsize.cli.main``
-in-process leaves ``os.environ`` alone.
+Only ``validate`` loads numpy, and its dense matrices are at most 256 x 256,
+so a BLAS thread pool buys no wall time here; threaded OpenBLAS even runs
+each oracle SVD slower while burning a second core.  The entry therefore
+asks for one BLAS thread, in the environment, before numpy can load.  A
+thread count the user has set always wins, and importing the package or
+calling ``catsize.cli.main`` in-process leaves ``os.environ`` alone.
 
 Output is written as it is produced, so a reader that closes the pipe
 early (``catsize distill-sim ... | head -c 20``) ends the command with

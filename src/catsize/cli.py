@@ -25,10 +25,9 @@ from .serialize import csv_chunks, dumps_json, json_chunks
 
 __all__ = ["main"]
 
-# The numpy-backed commands, imported on first use so that the closed-form
-# commands never load numpy.  They are module attributes like the eager
-# imports above, and the handlers look them up on the module (_CLI), so a
-# caller may replace any of them.
+# Imported on first use: distillation (about 3 ms of -X importtime) stays
+# out of the query commands and numpy out of all but validate.  The handlers
+# look them up on the module (_CLI): perfbench/tracing.py replaces them.
 _LAZY = {
     "outcome_distribution": ".distillation",
     "simulate_protocol": ".distillation",

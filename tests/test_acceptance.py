@@ -21,10 +21,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from catsize.core import CatParams, entropy_s1, expected_n, reduced_rho1
-from catsize.decoherence import cat_offdiag_norm, effective_size_decoherence, ghz_offdiag_norm
+from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
 from catsize.distillation import build_filter, outcome_distribution, simulate_protocol
 from catsize.loss import cat_loss_suppression, effective_size_loss
 from catsize.oracle import (
@@ -44,12 +43,12 @@ from catsize.oracle import (
     partial_trace_state,
 )
 from catsize.report import build_effective_size_report
+from domain import HALF_PI
 
 GRID_N = range(2, 9)
 GRID_EPS = (0.1, 0.3, math.pi / 4, math.pi / 2 - 0.1)
 GRID_GT = (0.05, 0.5, 2.0)
 GRID_LAM = (0.1, 0.3, 0.7)
-HALF_PI = math.pi / 2
 
 
 def _verdict(label: str, ok: bool, detail: str) -> None:

@@ -23,12 +23,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from catsize import cli, distillation
+from domain import EPS, HALF_PI
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-
-HALF_PI = math.pi / 2
 
 
 def _mostly(valid, anything):
@@ -38,9 +37,9 @@ def _mostly(valid, anything):
     return st.sampled_from([valid, valid, valid, anything]).flatmap(lambda s: s)
 
 
-# every float, nan and the infinities included, and the ends of the domain
+# every float, nan and the infinities included, the eps table and both flags' ends
 FLOATS = st.floats() | st.sampled_from(
-    [0.0, -0.0, 5e-324, HALF_PI, math.nextafter(HALF_PI, 4.0), 1.0, math.nextafter(1.0, 2.0)]
+    [*EPS, -0.0, math.nextafter(HALF_PI, 4.0), 1.0, math.nextafter(1.0, 2.0)]
 )
 # counts up to the largest double are valid
 MAX_COUNT = int(sys.float_info.max)

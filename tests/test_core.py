@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 import sys
@@ -14,8 +15,8 @@ from catsize.oracle import (
     kron_power,
     partial_trace_state,
 )
-
-HALF_PI = math.pi / 2
+import domain
+from domain import HALF_PI
 
 EPS_GRID = [1e-6, 0.01, 0.1, 0.3, math.pi / 4, 1.2, HALF_PI - 0.1, HALF_PI]
 N_GRID = [1, 2, 3, 7, 100, 10**5]
@@ -93,6 +94,16 @@ def test_counts_beyond_largest_double_are_refused():
             with pytest.raises(ValueError, match=bound):
                 call(n)
         call(int(sys.float_info.max))
+
+
+def test_the_domain_table():
+    # each point has a reason, is taken as it is and comes once, ascending; no predicate keeps all
+    assert [CatParams(2, e).epsilon for e in domain.EPS] == sorted(set(domain.EPS)) == domain.EPS
+    assert [CatParams(n, 0.5).N for n in domain.NS] == sorted(set(domain.NS)) == domain.NS
+    assert all(reason for _, reason in (*domain.EPS_POINTS, *domain.N_POINTS))
+    for keep in filter(inspect.isfunction, vars(domain).values()):
+        points = domain.EPS if keep.__code__.co_varnames[0] == "eps" else domain.NS
+        assert 0 < sum(map(keep, points)) < len(points), keep.__name__
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)

@@ -19,8 +19,7 @@ from catsize.oracle import (
     dense_trace_norm,
     kron_power,
 )
-
-HALF_PI = math.pi / 2
+from domain import HALF_PI
 
 
 def initial_decay_rate(norm, h=1e-6):

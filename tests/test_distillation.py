@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp
 
 from catsize import distillation
-from catsize.core import CatParams, _check_int, expected_n
+from catsize.core import CatParams, expected_n
 from catsize.distillation import (
     _bd0,
     _binomial,
@@ -24,8 +24,8 @@ from catsize.distillation import (
 from catsize.oracle import biorthonormal_filter, branch_vectors
 from catsize.report import build_effective_size_report
 from catsize.serialize import dumps_json
+from domain import EPS, HALF_PI, NS, coarse, dense, distributable, has_filter, product_state, small
 
-HALF_PI = math.pi / 2
 PI_3 = math.pi / 3
 
 EPS_GRID = [0.05, 0.3, PI_3, math.pi / 4, HALF_PI - 0.1, HALF_PI]
@@ -97,9 +97,7 @@ def _reference_filter(eps: float):
         return a, m / mp.sqrt(m[0, 0] + m[1, 1])
 
 
-@pytest.mark.parametrize(
-    "eps", [5e-324, 1e-300, 1e-161, 1e-8, 0.3, math.pi / 4, HALF_PI - 1e-8, HALF_PI]
-)
+@pytest.mark.parametrize("eps", [*filter(has_filter, EPS), 0.3])
 def test_filter_matches_closed_form_at_full_precision(eps):
     a, a_bar = build_filter(CatParams(3, eps))
     ref_a, ref_a_bar = _reference_filter(eps)
@@ -108,22 +106,6 @@ def test_filter_matches_closed_form_at_full_precision(eps):
         for i in range(2):
             for j in range(2):
                 assert abs(mp.mpf(float(got[i, j].real)) - ref[i, j]) <= 1e-15
-
-
-def success_probability(params: CatParams, j: int, any_prior_success: bool) -> float:
-    """Probability of the A outcome in the j-th measurement (1-based).
-
-    Before the first success: p = (1 - c) / (1 + c^(N-j+1)).
-    After any success the remaining parties are iid: p = 1 - c.
-    """
-    j = _check_int(j, "measurement index")
-    if j > params.N:
-        raise ValueError(f"measurement index {j} out of range 1..{params.N}")
-    omc = params.one_minus_c
-    if any_prior_success:
-        return omc
-    remaining = params.N - j + 1
-    return omc / (1.0 + math.exp(remaining * params.log_c))
 
 
 def _reference_neg_log_survival(params: CatParams) -> np.ndarray:
@@ -160,30 +142,6 @@ def _reference_simulate(params: CatParams, trials: int, seed: int) -> np.ndarray
         first = int(np.searchsorted(neg_log_surv, e, side="right"))
         counts[0 if first == n else 1 + _binomial(rng, n - 1 - first, omc)] += 1
     return counts
-
-
-def test_success_probability_values():
-    p = CatParams(2, PI_3)
-    # (1 - c) / (1 + c^2) with c = 1/2
-    assert success_probability(p, 1, False) == pytest.approx(0.4, abs=1e-15)
-    assert success_probability(p, 2, False) == pytest.approx(0.5 / 1.5, abs=1e-15)
-    assert success_probability(p, 1, True) == pytest.approx(0.5, abs=1e-15)
-    hp = CatParams(7, HALF_PI)
-    for j in range(1, 8):
-        assert success_probability(hp, j, False) == pytest.approx(1.0, abs=1e-12)
-    for eps in EPS_GRID:
-        q = CatParams(4, eps)
-        assert success_probability(q, 3, True) == pytest.approx(
-            q.one_minus_c, abs=1e-15
-        )
-
-
-def test_success_probability_range_checks():
-    p = CatParams(3, 0.5)
-    with pytest.raises(ValueError):
-        success_probability(p, 0, False)
-    with pytest.raises(ValueError):
-        success_probability(p, 4, False)
 
 
 def _dense_q(dist) -> np.ndarray:
@@ -231,11 +189,12 @@ def test_outcome_distribution_sums_to_one(n, eps):
     assert abs(math.exp(lse) - 1.0) < 1e-12
 
 
-WINDOW_GRID = [
+# every table point at N <= 1e3, the coarse ones up to 1e6, and N eps^2 = 1
+WINDOW_GRID = sorted({
     (n, eps)
-    for n in (1, 2, 8, 10**3, 10**6)
-    for eps in (0.0, 5e-324, 1e-3, 1 / math.sqrt(n), math.pi / 4, HALF_PI - 1e-8, HALF_PI)
-]
+    for n in (*filter(dense, NS), 8)
+    for eps in (*(e for e in EPS if small(n) or coarse(e)), 1 / math.sqrt(n))
+})
 
 
 @pytest.mark.parametrize("n,eps", WINDOW_GRID)
@@ -262,12 +221,9 @@ def test_window_matches_the_dense_pmf(n, eps):
     assert (dist.lo, dist.lo + len(dist.log_q_window) - 1) == (clears[0], clears[-1])
 
 
-SPARSE_Q_GRID = [
-    (n, eps)
-    for n in (1, 2, 10, 10**3, 10**6, 10**7, 2**27)
-    for eps in (0.0, 5e-324, 1e-300, 1e-3, 1 / math.sqrt(n), math.pi / 4,
-                math.nextafter(HALF_PI, 0.0), HALF_PI)
-]
+SPARSE_Q_GRID = sorted(
+    {(n, eps) for n in (*filter(distributable, NS), 10) for eps in (*EPS, 1 / math.sqrt(n))}
+)
 
 
 @pytest.mark.parametrize("n,eps", SPARSE_Q_GRID)
@@ -419,16 +375,6 @@ def test_results_compare_and_hash_by_value():
             setattr(a, "other", 1)
 
 
-def test_simulation_half_pi_always_succeeds():
-    res = simulate_protocol(CatParams(5, HALF_PI), 500, seed=1)
-    assert (res.outcomes, res.tallies) == ((5,), (500,))
-
-
-def test_simulation_product_state_never_succeeds():
-    res = simulate_protocol(CatParams(5, 0.0), 500, seed=1)
-    assert (res.outcomes, res.tallies) == ((0,), (500,))
-
-
 def test_simulation_matches_exact_distribution():
     p = CatParams(2, PI_3)
     trials = 10**5
@@ -542,10 +488,10 @@ def test_binomial_degenerate_cases(n, p, value):
     assert {_binomial(rng, n, p) for _ in range(1000)} == {value}
 
 
-@pytest.mark.parametrize("n", [1, 2, 10**6])
-@pytest.mark.parametrize("eps", [0.0, 5e-324, HALF_PI])
+@pytest.mark.parametrize("n", [*filter(distributable, NS)])
+@pytest.mark.parametrize("eps", [*filter(product_state, EPS), HALF_PI])
 def test_simulation_domain_edges(n, eps):
-    # p_before rounds to 1 at eps = pi/2 and to 0 at the two small angles
+    # p_before rounds to 1 at eps = pi/2 and to 0 where 1 - c does
     res = simulate_protocol(CatParams(n, eps), 1000, seed=9)
     assert (res.outcomes, res.tallies) == ((n if eps == HALF_PI else 0,), (1000,))
 
@@ -571,11 +517,7 @@ def test_trials_cap(monkeypatch):
     assert sum(simulate_protocol(CatParams(10, 0.5), 5, seed=0).tallies) == 5
 
 
-SAMPLER_GRID = [
-    (n, eps)
-    for n in (1, 2, 50, 10**3, 10**6)
-    for eps in (5e-324, 1e-155, 1e-150, 1e-8, 1e-3, 0.05, math.pi / 4, 1.5, HALF_PI)
-]
+SAMPLER_GRID = [(n, eps) for n in (*filter(dense, NS), 50) for eps in (*EPS, 0.05, 1.5)]
 
 
 @pytest.mark.parametrize("n,eps", SAMPLER_GRID)

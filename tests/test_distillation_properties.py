@@ -14,21 +14,18 @@ from catsize import distillation
 from catsize.core import CatParams
 from catsize.distillation import outcome_distribution, simulate_protocol
 from catsize.serialize import json_chunks
+from domain import EPS, HALF_PI
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-HALF_PI = math.pi / 2
-
-_EDGE_EPS = [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(HALF_PI, 0.0), HALF_PI]
+# the table's edge points and every angle between them
+DOMAIN_EPS = st.sampled_from(EPS) | st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.integers(1, 5000),
-    eps=st.sampled_from(_EDGE_EPS) | st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True),
-)
+@given(n=st.integers(1, 5000), eps=DOMAIN_EPS)
 def test_distributions_over_the_input_domain(n, eps):
     p = CatParams(n, eps)
     with warnings.catch_warnings():
@@ -43,10 +40,7 @@ def test_distributions_over_the_input_domain(n, eps):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    n=st.integers(1, 5000),
-    eps=st.sampled_from(_EDGE_EPS) | st.floats(0.0, HALF_PI, exclude_min=True, exclude_max=True),
-)
+@given(n=st.integers(1, 5000), eps=DOMAIN_EPS)
 def test_written_payload_over_the_input_domain(n, eps):
     # the JSON the CLI writes, parsed back: N + 1 finite entries per list,
     # and the exact q sums to 1

@@ -13,8 +13,7 @@ from catsize.loss import (
 )
 from catsize.oracle import enumerate_loss
 from catsize.serialize import fmt_float
-
-HALF_PI = math.pi / 2
+from domain import HALF_PI
 
 
 def test_loss_model_validation():

@@ -23,8 +23,8 @@ from catsize.distillation import OutcomeDistribution, outcome_distribution, simu
 from catsize.loss import cat_loss_suppression, ghz_loss_suppression, loss_curve
 from catsize.report import build_effective_size_report
 from catsize.serialize import dumps_json, fmt_float, json_chunks
+from domain import EPS, HALF_PI, NS, small
 
-HALF_PI = math.pi / 2
 MiB = 2**20
 
 
@@ -126,8 +126,8 @@ def test_readme_validate_command(capsys, monkeypatch):
     assert out == "\n".join(["status,name,max_err,tol", *rows]) + "\n"
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 5000])
-@pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-3, math.pi / 4, HALF_PI])
+@pytest.mark.parametrize("n", [*filter(small, NS), 8, 5000])
+@pytest.mark.parametrize("eps", EPS)
 def test_distill_sim_bytes(capsys, n, eps):
     out = run(capsys, ["distill-sim", "--n", str(n), "--epsilon", repr(eps),
                        "--trials", "1000", "--seed", "3"])

@@ -11,12 +11,9 @@ import pytest
 
 from catsize.core import CatParams
 from catsize.report import EffectiveSizeReport, build_effective_size_report
+from domain import EPS, NS, reportable
 
-HALF_PI = math.pi / 2
-
-# ascending, both ends included
-EPS = [0.0, 5e-324, 1e-300, 1e-8, 1e-3, math.pi / 4, math.nextafter(HALF_PI, 0.0), HALF_PI]
-N = [2, *(10**k for k in (1, 2, 3, 6, 9, 12, 15, 18, 30, 100)), 2**53 + 1, int(1e300)]
+N = sorted({*filter(reportable, NS), *(10**k for k in (1, 2, 3, 6, 9, 12, 15, 18, 30, 100))})
 # the effective sizes; -N eps^2 log2(eps) / 2 is an asymptote, not bounded by N
 SIZES = [
     name
