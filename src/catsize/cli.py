@@ -198,10 +198,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    # through the process entry, which sets the BLAS thread default
-    from .__main__ import main as _entry
-
-    sys.exit(_entry())

@@ -77,10 +77,11 @@ def build_filter(params: CatParams) -> tuple[np.ndarray, np.ndarray]:
 # do not grow with N (the window grows like sqrt(N)); what does is the
 # output of distill-sim, two JSON lists of N + 1 entries, almost all "0, ":
 # 6 bytes per N.  The cap is the largest power of two at which the output
-# stays under 1 GiB: 768 MiB at 2^27.  Measured there with the default
-# 10^4 trials (2-core Xeon, Python 3.11, stdout to /dev/null, medians of
-# 5): 0.13 s and 15 MiB max RSS at eps = 1e-3, and 1.56 s and 71 MiB at
-# eps = pi/4, where the window of 405 800 entries is widest.
+# stays under 1 GiB: 768 MiB at 2^27, whatever eps.  Measured there with
+# the default 10^4 trials (2-core Xeon, Python 3.11, stdout to /dev/null,
+# medians of 11): 0.22 s and 15 MiB max RSS at eps = 1e-3, 2.4 s and
+# 71 MiB at pi/4 (405 800 window entries), and 2.6 s and 73 MiB at pi/3,
+# where c = 1/2 makes the window widest (445 819 entries).
 MAX_DISTRIBUTION_N = 2**27
 # Largest trials accepted by simulate_protocol: the largest power of two
 # whose worst case fits the 30 s of cli.MAX_CURVE_STEPS.  Memory does not

@@ -2,6 +2,12 @@
 that sweeps the edges of eps or N reads its points here, and so does the CI
 console loop (``python tests/domain.py eps``, or ``n``).  A test that cannot
 take a point leaves it out through a named predicate.
+
+``REFUSED`` is the one table of the inputs outside the domain that catsize
+itself refuses: each row is an argv and the one line catsize prints for it
+after ``error: ``, with exit 2 and nothing on stdout.  test_cli.py runs every
+row in-process and the CI console loop through the console script
+(``python tests/domain.py refused``).  A change that adds a refusal adds a row.
 """
 
 import math
@@ -44,6 +50,82 @@ N_POINTS = (
 EPS = [eps for eps, _ in EPS_POINTS]
 NS = [n for n, _ in N_POINTS]
 
+_N = "N must be an integer in [1, 1.7976931348623157e+308], got "
+_N_REF = "n_ref must be an integer in [1, 1.7976931348623157e+308], got "
+_EPSILON = "epsilon must lie in [0.0, 1.5707963267948966], got "
+_OVERLAP = "--epsilon-sq-overlap must lie in [0.0, 1.0], got "
+_STEPS = "--steps must be an integer in [2, 16777216], got "
+_ENDPOINT = "grid endpoint must lie in [5e-324, 1.7976931348623157e+308], got "
+_LAMBDA_MAX = "lambda grid endpoint must lie in [0.0, 1.0], got "
+_TRIALS = "trials must be an integer in [1, 8388608], got "
+_SEED = "seed must be an integer in [0, 18446744073709551615], got "
+_MAX_N = "max_n must be an integer in [2, 8], got "
+_OVERFLOW = "n_distill_upper_asymptotic overflows a double at N = "
+_MAX_INT = int(sys.float_info.max)
+# (argv, the error line without "error: "), grouped by command
+REFUSED = (
+    ("effective-size --n 0 --epsilon 0.1", _N + "0"),
+    (f"effective-size --n {10**400} --epsilon 0.1", _N + "a 1329-bit integer"),
+    ("effective-size --n 1 --epsilon 0.1",
+     "N must be an integer in [2, 1.7976931348623157e+308], got 1"),
+    ("effective-size --n 10 --epsilon 1.8", _EPSILON + "1.8"),
+    ("effective-size --n 10 --epsilon 2", _EPSILON + "2.0"),
+    ("effective-size --n 10 --epsilon nan", _EPSILON + "nan"),
+    ("effective-size --n 10 --epsilon inf", _EPSILON + "inf"),
+    ("effective-size --n 10 --epsilon=-inf", _EPSILON + "-inf"),
+    ("effective-size --n 10 --epsilon-sq-overlap 1.5", _OVERLAP + "1.5"),
+    ("effective-size --n 10 --epsilon-sq-overlap nan", _OVERLAP + "nan"),
+    ("effective-size --n 10 --epsilon-sq-overlap=-inf", _OVERLAP + "-inf"),
+    ("effective-size --n 10 --epsilon-sq-overlap=-5e-324", _OVERLAP + "-5e-324"),
+    ("effective-size --n 10 --epsilon-sq-overlap=1.0000000000000002",
+     _OVERLAP + "1.0000000000000002"),
+    # N eps^2 past the largest double: the first field in report order that overflows
+    (f"effective-size --n {2**1023} --epsilon 1.5",
+     _OVERFLOW + "8.9884656743115795e+307, epsilon = 1.5"),
+    (f"effective-size --n {2**1023} --epsilon 1.5707963267948966",
+     _OVERFLOW + "8.9884656743115795e+307, epsilon = 1.5707963267948966"),
+    (f"effective-size --n {_MAX_INT} --epsilon 1.5",
+     _OVERFLOW + "1.7976931348623157e+308, epsilon = 1.5"),
+    (f"effective-size --n {_MAX_INT} --epsilon 1.5707963267948966",
+     _OVERFLOW + "1.7976931348623157e+308, epsilon = 1.5707963267948966"),
+    ("decoherence-curve --n 8 --epsilon 0.5 --steps 1", _STEPS + "1"),
+    ("decoherence-curve --n 100 --epsilon 0.2 --steps 16777217", _STEPS + "16777217"),
+    ("decoherence-curve --n 100 --epsilon 0.2 --steps 1000000000000", _STEPS + "1000000000000"),
+    ("decoherence-curve --n 10 --epsilon 0.5 --gamma-t-max 0", _ENDPOINT + "0.0"),
+    ("decoherence-curve --n 10 --epsilon 0.5 --gamma-t-max nan", _ENDPOINT + "nan"),
+    ("decoherence-curve --n 100 --epsilon 0.1 --gamma-t-max inf --steps 4", _ENDPOINT + "inf"),
+    # at a subnormal endpoint the step can round up so far that the point
+    # before the last passes the endpoint
+    ("decoherence-curve --n 10 --epsilon 0.3 --gamma-t-max 1.2846e-320 --steps 1001",
+     "gamma_t grid must be sorted ascending"),
+    (f"decoherence-curve --n 10 --epsilon 0.1 --steps 3 --n-ref {10**400}",
+     _N_REF + "a 1329-bit integer"),
+    ("loss-curve --n 10 --epsilon 0.5 --steps 1", _STEPS + "1"),
+    ("loss-curve --n 100 --epsilon 0.2 --steps 16777217", _STEPS + "16777217"),
+    ("loss-curve --n 100 --epsilon 0.2 --steps 1000000000000", _STEPS + "1000000000000"),
+    ("loss-curve --n 8 --epsilon 0.5 --lambda-max 1.2", _LAMBDA_MAX + "1.2"),
+    ("loss-curve --n 10 --epsilon 0.5 --lambda-max 1.5", _LAMBDA_MAX + "1.5"),
+    ("loss-curve --n 10 --epsilon 0.5 --lambda-max nan", _ENDPOINT + "nan"),
+    ("loss-curve --n 10 --epsilon 0.5 --lambda-max inf", _ENDPOINT + "inf"),
+    ("loss-curve --n 10 --epsilon 0.3 --lambda-max 4.4e-323 --steps 7",
+     "lambda grid must be sorted ascending"),
+    (f"loss-curve --n 10 --epsilon 0.1 --steps 3 --n-ref {10**400}",
+     _N_REF + "a 1329-bit integer"),
+    ("distill-sim --n 10 --epsilon nan", _EPSILON + "nan"),
+    ("distill-sim --n 134217729 --epsilon 0.5",
+     "N must be an integer in [1, 134217728], got 134217729"),
+    ("distill-sim --n 2 --epsilon 0.5 --trials 0", _TRIALS + "0"),
+    ("distill-sim --n 2 --epsilon 0.5 --trials -5", _TRIALS + "-5"),
+    ("distill-sim --n 10 --epsilon 0.5 --trials 8388609", _TRIALS + "8388609"),
+    ("distill-sim --n 10 --epsilon 0.5 --trials 33554432", _TRIALS + "33554432"),
+    ("distill-sim --n 10 --epsilon 0.5 --trials 1000000000000000", _TRIALS + "1000000000000000"),
+    ("distill-sim --n 2 --epsilon 0.5 --seed -1", _SEED + "-1"),
+    (f"distill-sim --n 2 --epsilon 0.5 --seed {2**64}", _SEED + "a 65-bit integer"),
+    ("validate --max-n 1", _MAX_N + "1"),
+    ("validate --max-n 9", _MAX_N + "9"),
+    ("validate --max-n 20", _MAX_N + "20"),
+)
+
 
 # named predicates: a test that cannot take a point leaves it out through one
 def has_filter(eps): return eps > 0.0  # build_filter refuses eps = 0, where |phi1> = |phi2>
@@ -58,4 +140,7 @@ def distributable(n): return n <= distillation.MAX_DISTRIBUTION_N  # the distrib
 
 
 if __name__ == "__main__":
-    print(*map(repr, {"eps": EPS, "n": filter(reportable, NS)}[sys.argv[1]]))
+    if sys.argv[1] == "refused":
+        print(*(f"{argv}\t{message}" for argv, message in REFUSED), sep="\n")
+    else:
+        print(*map(repr, {"eps": EPS, "n": filter(reportable, NS)}[sys.argv[1]]))

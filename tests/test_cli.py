@@ -2,21 +2,23 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
+import re
 import sys
 import time
 import types
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 from catsize import distillation
-from catsize.cli import MAX_CURVE_STEPS, main
+from catsize.cli import main
 from catsize.core import CatParams, Linspace, expected_n
 from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
 from catsize.distillation import outcome_distribution
 from catsize.report import build_effective_size_report
+from domain import REFUSED
 
 PI_3 = math.pi / 3
 
@@ -32,9 +34,9 @@ REPORT_KEYS = [
 ]
 
 
-# command, endpoint flag and grid name of each curve
-DECAY_GRID = ("decoherence-curve", "--gamma-t-max", "gamma_t grid")
-LOSS_GRID = ("loss-curve", "--lambda-max", "lambda grid")
+# command and endpoint flag of each curve
+DECAY_GRID = ("decoherence-curve", "--gamma-t-max")
+LOSS_GRID = ("loss-curve", "--lambda-max")
 
 
 def run_cli(capsys, *argv):
@@ -52,8 +54,6 @@ def test_report_builder_invariants():
             assert 0.0 <= size <= n
         if 0.0 < eps < math.pi / 2:
             assert r.n_loss <= r.n_decoherence
-    with pytest.raises(ValueError):
-        build_effective_size_report(CatParams(1, 0.2))
 
 
 def test_effective_size_headline(capsys):
@@ -115,10 +115,6 @@ def test_epsilon_sq_overlap_alternative(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "--epsilon" in err and "Traceback" not in err
-    code, _, err = run_cli(
-        capsys, "effective-size", "--n", "50", "--epsilon-sq-overlap", "1.5"
-    )
-    assert code == 2
 
 
 @pytest.mark.parametrize(
@@ -133,6 +129,30 @@ def test_negative_zero_epsilon_prints_zero(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert '"epsilon": 0,' in out and '"epsilon": -0' not in out
+
+
+class _NoStdout(io.TextIOBase):
+    # the first write fails the test, so a row that stopped being refused
+    # cannot fill memory with its output
+    def write(self, text):
+        raise AssertionError(f"a refused input wrote {text[:80]!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    REFUSED,
+    ids=[re.sub(r"\d{30,}", lambda m: f"{len(m[0])}-digit-int", argv) for argv, _ in REFUSED],
+)
+def test_refused_input_exits_2_with_one_error_line(argv, message):
+    # each row of the one table: exit 2 within 0.5 s, nothing on stdout,
+    # exactly its error line on stderr and no warning
+    err = io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(), redirect_stdout(_NoStdout()), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv.split())
+    assert time.perf_counter() - start < 0.5
+    assert (code, err.getvalue()) == (2, f"error: {message}\n")
 
 
 def test_invalid_parameters_exit_2(capsys):
@@ -292,20 +312,6 @@ def test_effective_size_at_largest_n(capsys, n, eps):
         assert "Traceback" not in err
 
 
-def test_curve_steps_cap(capsys):
-    # refused before the grid is built: 10**12 steps would need ~360 TB
-    for command in ("decoherence-curve", "loss-curve"):
-        for steps in (10**12, MAX_CURVE_STEPS + 1):
-            start = time.perf_counter()
-            code, out, err = run_cli(
-                capsys, command, "--n", "100", "--epsilon", "0.2", "--steps", str(steps)
-            )
-            assert time.perf_counter() - start < 0.5
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error:") and "--steps" in err
-
-
 def test_distill_sim_trials_cap(capsys):
     # refused before any sampling: 10**15 trials would run for decades
     cap = distillation.MAX_TRIALS
@@ -319,21 +325,8 @@ def test_distill_sim_trials_cap(capsys):
         assert err.startswith(f"error: trials must be an integer in [1, {cap}], got {trials}")
 
 
-def test_distill_sim_refuses_trials_past_2_pow_23(capsys):
-    # the pure-Python sampler takes up to about 3 us a trial, so 2^23 trials
-    # fit the 30 s budget and 2^24 do not; 2^23 + 1 up to the old cap 2^25
-    # exit 2
-    assert distillation.MAX_TRIALS == 2**23
-    for trials in (2**23 + 1, 2**25):
-        code, out, err = run_cli(
-            capsys, "distill-sim", "--n", "10", "--epsilon", "0.5", "--trials", str(trials)
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: trials must be an integer in [1, 8388608], got {trials}\n"
-
-
 @pytest.mark.parametrize(
-    "command, flag, grid_name, endpoint, steps, expected_code",
+    "command, flag, endpoint, steps, expected_code",
     [
         # ids: steps-exit code
         pytest.param(*DECAY_GRID, "1.2846e-320", 3, 0, id="3-0"),
@@ -342,20 +335,18 @@ def test_distill_sim_refuses_trials_past_2_pow_23(capsys):
     ],
 )
 def test_curve_grid_whose_step_rounds_up(
-    capsys, command, flag, grid_name, endpoint, steps, expected_code
+    capsys, command, flag, endpoint, steps, expected_code
 ):
     # at a subnormal endpoint the step can round up so far that the point
     # before the last passes the endpoint (at 1001 steps, not at 3): an
-    # unsorted grid, refused as such by either curve
+    # unsorted grid, refused by either curve with its REFUSED row's line
     with np.errstate(over="ignore"):
         grid = np.linspace(0.0, float(endpoint), steps)
     assert bool(np.all(np.diff(grid) >= 0)) == (expected_code == 0)
-    code, out, err = run_cli(
+    code, _, _ = run_cli(
         capsys, command, "--n", "10", "--epsilon", "0.3", flag, endpoint, "--steps", str(steps),
     )
     assert code == expected_code
-    if code:
-        assert (out, err) == ("", f"error: {grid_name} must be sorted ascending\n")
 
 
 def test_n_beyond_largest_double_exit_2(capsys):
@@ -378,28 +369,6 @@ def test_n_ref_beyond_largest_double_exit_2(capsys, command):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: n_ref") and "[1, 1.7976931348623157e+308], got a 1329-bit" in err
-
-
-def test_import_loads_only_the_library():
-    import catsize
-
-    probe = (
-        "import sys, catsize\n"
-        "loaded = [m for m in ('catsize.cli', 'catsize.validation', 'catsize.oracle')"
-        " if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
-        "import catsize.cli, catsize.report, catsize.validation\n"
-        "assert catsize.EffectiveSizeReport is catsize.report.EffectiveSizeReport\n"
-        "assert catsize.build_effective_size_report is catsize.report.build_effective_size_report\n"
-        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "assert not scipy, scipy\n"
-    )
-    src = os.path.dirname(os.path.dirname(catsize.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_distill_sim_payload(capsys):
@@ -431,22 +400,6 @@ def test_distill_sim_half_pi(capsys):
     assert json.loads(out)["mc"]["q"][4] == 1.0
 
 
-def test_distill_sim_bad_flags(capsys):
-    # simulate_protocol's own checks refuse the flag: exit 2, no output
-    for flag, value, message in [
-        ("--trials", "0", "trials must be an integer in [1, 8388608], got 0"),
-        ("--trials", "-5", "trials must be an integer in [1, 8388608], got -5"),
-        ("--seed", "-1", "seed must be an integer in [0, 18446744073709551615], got -1"),
-        ("--seed", str(2**64), "seed must be an integer in [0, 18446744073709551615], got a 65"),
-    ]:
-        code, out, err = run_cli(
-            capsys, "distill-sim", "--n", "2", "--epsilon", "0.5", flag, value
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and message in err
-
-
 def test_loss_curve(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -457,10 +410,6 @@ def test_loss_curve(capsys):
     lines = out.splitlines()
     assert lines[0] == "lambda,ghz_suppression,cat_suppression"
     assert lines[1] == "0,1,1"
-    code, _, _ = run_cli(
-        capsys, "loss-curve", "--n", "8", "--epsilon", "0.5", "--lambda-max", "1.2"
-    )
-    assert code == 2
 
 
 def test_validate_small_grid(capsys):

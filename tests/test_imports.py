@@ -100,9 +100,9 @@ def test_oracle_loads_no_closed_form_module():
 def test_closed_form_commands_load_no_numpy(argv, code):
     # nor dataclasses and the inspect, ast and dis it would load, some 13 ms
     # of a command that computes for microseconds, nor json, whose string
-    # quoting the serializer does itself
+    # quoting the serializer does itself, nor scipy, which the package dropped
     probe = main_probe(argv, code, numpy_loaded=False)
-    run_probe(probe + "assert not {'dataclasses', 'inspect', 'json'} & set(sys.modules)\n")
+    run_probe(probe + "assert not {'dataclasses', 'inspect', 'json', 'scipy'} & set(sys.modules)\n")
 
 
 def test_no_module_imports_dataclasses():

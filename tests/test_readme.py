@@ -48,3 +48,8 @@ def test_readme_command_runs(capsys, argv):
 def test_readme_quick_start_runs(capsys):
     exec(compile(block_after("## Library quick start", "python"), "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+if __name__ == "__main__":
+    # the commands one per line, for the CI console loop
+    print(*map(" ".join, COMMANDS), sep="\n")
