@@ -166,12 +166,13 @@ class CatParams(namedtuple("CatParams", "N epsilon")):
 
 class _Curve(namedtuple("_Curve", "params n_ref grid")):
     """A GHZ reference curve (n_ref qubits) and a cat curve on one noise grid,
-    a Linspace from 0 checked when the record is made.  to_csv is the one way
-    to read it: the rows are computed as its text is consumed, so a long curve
-    is never held in memory.
+    a Linspace from 0 to at most _grid_hi, checked when the record is made.
+    to_csv is the one way to read it: the rows are computed as its text is
+    consumed, so a long curve is never held in memory.
     """
 
     __slots__ = ()
+    _grid_hi = math.inf
 
     def __new__(cls, params: CatParams, n_ref: int, grid: Linspace) -> _Curve:
         n_ref = _check_int(n_ref, "n_ref")
@@ -181,6 +182,7 @@ class _Curve(namedtuple("_Curve", "params n_ref grid")):
         # one passes the endpoint; where the step underflows to 0 none can
         if (grid._div - 1) * grid._step > grid.endpoint:
             raise ValueError(f"{cls._grid_name} must be sorted ascending")
+        _check_real(grid.endpoint, f"{cls._grid_name} endpoint", hi=cls._grid_hi)
         return super().__new__(cls, params, n_ref, grid)
 
     # _replace builds through _make, which would skip the checks of __new__
@@ -193,7 +195,7 @@ class _Curve(namedtuple("_Curve", "params n_ref grid")):
         # imported here: the oracle imports core and must not load serialize
         from .serialize import csv_chunks
 
-        # _points looks the point functions up when called, so a replacement is seen
+        # _points looks the point maps up when called, so a replacement is seen
         ghz, cat = self._points()
         rows = zip(self.grid, map(ghz, self.grid), map(cat, self.grid))
         return csv_chunks(self._header, "%.17g,%.17g,%.17g\n", rows)
@@ -226,16 +228,6 @@ def reduced_rho1(params: CatParams) -> np.ndarray:
     )
 
 
-def _binary_entropy_bits(lam_minus: float, disc: float) -> float:
-    # entropy of eigenvalues {(1-disc)/2, (1+disc)/2} given the smaller one
-    # explicitly, stable when lam_minus is tiny
-    s = 0.0
-    if lam_minus > 0.0:
-        s -= lam_minus * math.log2(lam_minus)
-    s += 0.5 * (1.0 + disc) * (-math.log1p(-lam_minus)) / math.log(2.0)
-    return s
-
-
 def entropy_s1(params: CatParams) -> float:
     """Von Neumann entropy of reduced_rho1 in bits, in [0, 1].
 
@@ -258,7 +250,12 @@ def entropy_s1(params: CatParams) -> float:
     det = s2 * one_minus_c2Nm2 / (2.0 + 2.0 * cN) ** 2
     disc = math.sqrt(max(1.0 - 4.0 * det, 0.0))
     lam_minus = 2.0 * det / (1.0 + disc)
-    return _binary_entropy_bits(lam_minus, disc)
+    # the entropy of the eigenvalues {(1-disc)/2, (1+disc)/2} with the smaller
+    # one taken explicitly, stable when lam_minus is tiny
+    s = 0.0
+    if lam_minus > 0.0:
+        s -= lam_minus * math.log2(lam_minus)
+    return s + 0.5 * (1.0 + disc) * (-math.log1p(-lam_minus)) / math.log(2.0)
 
 
 def expected_n(params: CatParams) -> float:

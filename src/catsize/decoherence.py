@@ -18,7 +18,6 @@ GHZ size
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from .core import CatParams, Linspace, _check_int, _check_real, _Curve
 
@@ -31,36 +30,38 @@ __all__ = [
 ]
 
 
-# The point functions below are unchecked: the public functions check their
+# The point maps below are unchecked: the public functions check their
 # arguments, and DecayCurve checks its grid once.
 
 
-def _ghz_norm(n: int, gamma_t: float) -> float:
-    return math.exp(-float(n) * gamma_t)
+def _ghz_norm(n: int):
+    """The map gamma_t -> exp(-n gamma_t)."""
+    minus_n = -float(n)
+    return lambda gamma_t: math.exp(minus_n * gamma_t)
 
 
 def ghz_offdiag_norm(n: int, gamma_t: float) -> float:
     """Scaled off-diagonal trace norm exp(-n gamma_t) of an n-qubit GHZ state."""
-    return _ghz_norm(_check_int(n, "n"), _check_real(gamma_t, "gamma_t"))
+    return _ghz_norm(_check_int(n, "n"))(_check_real(gamma_t, "gamma_t"))
 
 
-def _cat_consts(params: CatParams) -> tuple[float, float, float]:
-    # the leading arguments of _cat_norm
-    return params.s_eps**2, params.c_eps**2, 0.5 * params.N
-
-
-def _cat_norm(s2: float, c2: float, half_n: float, gamma_t: float) -> float:
-    """d^(N/2) with d = c2 + s2 exp(-2 gamma_t), s2 = sin(eps)^2, c2 = cos(eps)^2.
+def _cat_norm(params: CatParams):
+    """The map gamma_t -> d^(N/2), d = c2 + s2 exp(-2 gamma_t), s2 = sin(eps)^2, c2 = cos(eps)^2.
 
     d - 1 = s2 (exp(-2 gamma_t) - 1); the log1p/expm1 pair keeps full
     precision for small eps and small gamma_t.  Where d < 1/2, d is taken
     as the sum of nonnegative terms instead: at eps = pi/2, s2 rounds to 1
     and expm1 to -1 once gamma_t > ~18.4.
     """
-    shrink = s2 * math.expm1(-2.0 * gamma_t)
-    if shrink >= -0.5:
-        return math.exp(half_n * math.log1p(shrink))
-    return math.exp(half_n * math.log(c2 + s2 * math.exp(-2.0 * gamma_t)))
+    s2, c2, half_n = params.s_eps**2, params.c_eps**2, 0.5 * params.N
+
+    def norm(gamma_t: float) -> float:
+        shrink = s2 * math.expm1(-2.0 * gamma_t)
+        if shrink >= -0.5:
+            return math.exp(half_n * math.log1p(shrink))
+        return math.exp(half_n * math.log(c2 + s2 * math.exp(-2.0 * gamma_t)))
+
+    return norm
 
 
 def cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
@@ -71,7 +72,7 @@ def cat_offdiag_norm(params: CatParams, gamma_t: float) -> float:
     ``decoherence_closed_form_<kind>`` rows and acceptance criterion 1
     compare the block evolved under each kind with this one value.
     """
-    return _cat_norm(*_cat_consts(params), _check_real(gamma_t, "gamma_t"))
+    return _cat_norm(params)(_check_real(gamma_t, "gamma_t"))
 
 
 def effective_size_decoherence(params: CatParams) -> float:
@@ -88,7 +89,7 @@ class DecayCurve(_Curve):
     _grid_name = "gamma_t grid"
 
     def _points(self):
-        return partial(_ghz_norm, self.n_ref), partial(_cat_norm, *_cat_consts(self.params))
+        return _ghz_norm(self.n_ref), _cat_norm(self.params)
 
 
 def decay_curve(params: CatParams, n_ref: int, grid: Linspace) -> DecayCurve:

@@ -178,87 +178,58 @@ def _bd0(x: float, m: float) -> float:
     return x * log_ratio + m - x
 
 
-def _log_binom_pmf(
-    n: int, p: float, q: float, log_p: float, log_q: float, lo: int, hi: int
-) -> list[float]:
-    """ln of the binomial pmf C(n, k) p^k q^(n-k) for k = lo..hi.
+def _log_q(params: CatParams, ks) -> tuple[float, ...]:
+    """ln q_k for each k of ks, integers in 0..N.
 
-    Loader's saddle-point form ("Fast and Accurate Computation of Binomial
-    Probabilities", 2000, the algorithm behind R's dbinom):
+    For k >= 1, ln q_k = ln pmf(k) - ln(1 + c^N), where pmf is the binomial
+    pmf C(N, k) p^k c^(N-k) with p = 1 - c in Loader's saddle-point form
+    ("Fast and Accurate Computation of Binomial Probabilities", 2000, the
+    algorithm behind R's dbinom):
 
-        ln pmf(k) = stirlerr(n) - stirlerr(k) - stirlerr(n-k)
-                    - bd0(k, n p) - bd0(n-k, n q) - ln(2 pi k (n-k) / n) / 2.
+        ln pmf(k) = stirlerr(N) - stirlerr(k) - stirlerr(N-k)
+                    - bd0(k, N p) - bd0(N-k, N c) - ln(2 pi k (N-k) / N) / 2,
 
-    p and q = 1 - p are passed separately, with their logs, so that neither
-    is formed by a cancelling difference; the endpoints are n ln q and
-    n ln p.  Requires p, q > 0 and 0 <= lo <= hi <= n.  Each entry is the
-    same sequence of float operations whatever the window, so a window's
-    entries are bit-identical to the same k of the whole pmf (lo = 0,
-    hi = n).  The error in ln pmf is mostly the rounding of p and q, times
-    |k - n p|: 3e-13 at n = 1e7 and p = 1 - cos(pi/4), three sigma from the
-    mode.
+    and N ln p at k = N; ln q_0 = ln 2 + N ln c - ln(1 + c^N).  p and c
+    are read from params separately, with their logs, so that neither is
+    formed by a cancelling difference.  Each entry is the same sequence of
+    float operations whatever the other ks, so a window's entries are
+    bit-identical to the same k of a scan of 0..N.  The error in ln pmf is
+    mostly the rounding of p and c, times |k - N p|: 3e-13 at N = 1e7 and
+    p = 1 - cos(pi/4), three sigma from the mode.
     """
-    mean_p, mean_q = n * p, n * q
+    n, p, c = params.N, params.one_minus_c, params.c_eps
+    if p == 0.0:
+        # eps = 0 (or so small that 1 - c rounds to 0): q_0 = 1
+        return tuple(0.0 if k == 0 else -math.inf for k in ks)
+    # ln(1 - c) as CatParams.log_c takes ln c: log1p where its argument is small
+    log_p = math.log1p(-c) if c < 0.5 else math.log(p)
+    log_norm = math.log1p(math.exp(params.log_cN))
+    mean_p, mean_c = n * p, n * c
     stirlerr_n, log_2pi_over_n = _stirlerr(n), _LN_2PI - math.log(n)
     out = []
-    for k in range(lo, hi + 1):
+    for k in ks:
         if k == 0:
-            out.append(n * log_q)
+            out.append(_LN2 + params.log_cN - log_norm)
         elif k == n:
-            out.append(n * log_p)
+            out.append(n * log_p - log_norm)
         else:
             n_k = n - k
-            # ln(2 pi k (n-k) / n) / 2
+            # ln(2 pi k (N-k) / N) / 2
             lf = (math.log(k) + math.log(n_k) + log_2pi_over_n) * 0.5
             out.append(stirlerr_n - _stirlerr(k) - _stirlerr(n_k)
-                       - _bd0(k, mean_p) - _bd0(n_k, mean_q) - lf)
-    return out
-
-
-def _log_q(params: CatParams, lo: int, hi: int) -> tuple[float, ...]:
-    """ln q_k for k = lo..hi: ln pmf - ln(1 + c^N), and ln 2 + N ln c - ln(1 + c^N) at k = 0."""
-    if params.one_minus_c == 0.0:
-        # eps = 0 (or so small that 1 - c rounds to 0): q_0 = 1
-        return tuple(0.0 if k == 0 else -math.inf for k in range(lo, hi + 1))
-    c = params.c_eps
-    # ln(1 - c) as CatParams.log_c takes ln c: log1p where its argument is small
-    log_p = math.log1p(-c) if c < 0.5 else math.log(params.one_minus_c)
-    log_pmf = _log_binom_pmf(params.N, params.one_minus_c, c, log_p, params.log_c, lo, hi)
-    log_norm = math.log1p(math.exp(params.log_cN))
-    log_q = [v - log_norm for v in log_pmf]
-    if lo == 0:
-        log_q[0] = _LN2 + params.log_cN - log_norm
-    return tuple(log_q)
-
-
-def _window(params: CatParams) -> tuple[int, int]:
-    # the k range where log_q >= _LOG_Q_FLOOR.  ln pmf is concave in k, so
-    # it rises to the mode and falls after it, and a bisection on each side
-    # finds the ends.  q_0 carries an extra factor 2; every q_k from k = 1
-    # to the mode is at least q_0 / 2, so when q_0 clears the floor the
-    # window simply extends to 0
-    n = params.N
-    if params.one_minus_c == 0.0:
-        return 0, 0
-
-    def clears(k: int) -> bool:
-        return _log_q(params, k, k)[0] >= _LOG_Q_FLOOR
-
-    mode = min(max(math.floor((n + 1) * params.one_minus_c), 1), n)
-    lo = 1 + bisect_left(range(1, mode), True, key=clears)
-    hi = n - bisect_left(range(n, mode, -1), True, key=clears)
-    return (0 if clears(0) else lo), hi
+                       - _bd0(k, mean_p) - _bd0(n_k, mean_c) - lf - log_norm)
+    return tuple(out)
 
 
 def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     """Exact outcome distribution over n = 0..N.
 
-    One log-domain path: log_q = ln pmf - ln(1 + c^N), with ln pmf the
-    saddle-point binomial pmf with p = 1 - c (see _log_binom_pmf), then
-    log_q[0] = ln 2 + N ln c - ln(1 + c^N) and q = exp(log_q).  The
-    saddle-point form keeps sum(q) = 1 to 1e-12 at N = 1e6, where a
-    log-gamma assembly drifts to ~4e-10 because the absolute error of
-    lgamma grows with |lgamma|.
+    One log-domain path, _log_q: ln q_k = ln pmf - ln(1 + c^N), with ln pmf
+    the saddle-point binomial pmf with p = 1 - c, and
+    ln q_0 = ln 2 + N ln c - ln(1 + c^N); q = exp(ln q).  The saddle-point
+    form keeps sum(q) = 1 to 1e-12 at N = 1e6, where a log-gamma assembly
+    drifts to ~4e-10 because the absolute error of lgamma grows with
+    |lgamma|.
 
     Only the window of k where log_q >= -750 is computed and stored; exp
     gives exactly 0.0 below about -745.  Two bisections on the concave
@@ -267,9 +238,21 @@ def outcome_distribution(params: CatParams) -> OutcomeDistribution:
     157 entries at N = 1e6 and eps = 1e-3 (instead of N + 1), 35080 at
     eps = pi/4, 448 at N = 2^26 and eps = 1e-3.
     """
-    _check_int(params.N, "N", hi=MAX_DISTRIBUTION_N)
-    lo, hi = _window(params)
-    return OutcomeDistribution(params, lo, _log_q(params, lo, hi))
+    n = _check_int(params.N, "N", hi=MAX_DISTRIBUTION_N)
+    lo = hi = 0  # eps = 0, or 1 - c rounds to 0: q_0 = 1
+    if params.one_minus_c != 0.0:
+        # ln pmf is concave in k, so it rises to the mode and falls after it,
+        # and a bisection on each side finds the ends.  q_0 carries an extra
+        # factor 2; every q_k from k = 1 to the mode is at least q_0 / 2, so
+        # when q_0 clears the floor the window simply extends to 0
+        def clears(k: int) -> bool:
+            return _log_q(params, (k,))[0] >= _LOG_Q_FLOOR
+
+        mode = min(max(math.floor((n + 1) * params.one_minus_c), 1), n)
+        hi = n - bisect_left(range(n, mode, -1), True, key=clears)
+        if not clears(0):
+            lo = 1 + bisect_left(range(1, mode), True, key=clears)
+    return OutcomeDistribution(params, lo, _log_q(params, range(lo, hi + 1)))
 
 
 class McResult(namedtuple("McResult", "params outcomes tallies trials seed")):

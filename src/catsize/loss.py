@@ -20,7 +20,6 @@ the public functions check it with ``core._check_real``.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 from .core import CatParams, Linspace, _check_int, _check_real, _Curve
 
@@ -33,39 +32,41 @@ __all__ = [
 ]
 
 
-# The point functions below are unchecked: the public functions check their
+# The point maps below are unchecked: the public functions check their
 # arguments, and LossCurve checks its grid once.
 
 
-def _ghz_loss(n: int, lam: float) -> float:
-    return 0.0 if lam == 1.0 else math.exp(float(n) * math.log1p(-lam))
+def _ghz_loss(n: int):
+    """The map lam -> (1 - lam)^n."""
+    n = float(n)
+    return lambda lam: 0.0 if lam == 1.0 else math.exp(n * math.log1p(-lam))
 
 
 def ghz_loss_suppression(n: int, lam: float) -> float:
     """Expected off-diagonal element relative to no loss: (1 - lam)^n, lam in [0, 1]."""
-    return _ghz_loss(_check_int(n, "n"), _check_real(lam, "lam", hi=1.0))
+    return _ghz_loss(_check_int(n, "n"))(_check_real(lam, "lam", hi=1.0))
 
 
-def _cat_consts(params: CatParams) -> tuple[int, float, float, float]:
-    # the leading arguments of _cat_loss
-    return params.N, params.one_minus_c, params.c_eps, params.log_cN
+def _cat_loss(params: CatParams):
+    """The map lam -> (1 - lam (1 - cos eps))^N, in log domain."""
+    n, omc, c, log_cn = params.N, params.one_minus_c, params.c_eps, params.log_cN
 
+    def suppression(lam: float) -> float:
+        if lam == 1.0:
+            return math.exp(log_cn)
+        shrink = lam * omc
+        if shrink <= 0.5:
+            log_base = math.log1p(-shrink)
+        else:
+            # rewrite 1 - lam (1 - c) = (1 - lam) + lam c: both terms nonnegative,
+            # so no cancellation where log1p's argument would approach -1
+            base = (1.0 - lam) + lam * c
+            if base <= 0.0:
+                return 0.0
+            log_base = math.log(base)
+        return math.exp(n * log_base)
 
-def _cat_loss(n: int, omc: float, c: float, log_cn: float, lam: float) -> float:
-    """(1 - lam omc)^n in log domain, with omc = 1 - cos(eps), c = cos(eps), log_cn = n ln c."""
-    if lam == 1.0:
-        return math.exp(log_cn)
-    shrink = lam * omc
-    if shrink <= 0.5:
-        log_base = math.log1p(-shrink)
-    else:
-        # rewrite 1 - lam (1 - c) = (1 - lam) + lam c: both terms nonnegative,
-        # so no cancellation where log1p's argument would approach -1
-        base = (1.0 - lam) + lam * c
-        if base <= 0.0:
-            return 0.0
-        log_base = math.log(base)
-    return math.exp(n * log_base)
+    return suppression
 
 
 def cat_loss_suppression(params: CatParams, lam: float) -> float:
@@ -74,7 +75,7 @@ def cat_loss_suppression(params: CatParams, lam: float) -> float:
     At lam = 1 the value is cos(eps)^N: every qubit is traced out and each
     contributes one factor of the branch overlap.
     """
-    return _cat_loss(*_cat_consts(params), _check_real(lam, "lam", hi=1.0))
+    return _cat_loss(params)(_check_real(lam, "lam", hi=1.0))
 
 
 def effective_size_loss(params: CatParams) -> float:
@@ -89,13 +90,12 @@ class LossCurve(_Curve):
     __slots__ = ()
     _header = "lambda,ghz_suppression,cat_suppression"
     _grid_name = "lambda grid"
+    _grid_hi = 1.0
 
     def _points(self):
-        return partial(_ghz_loss, self.n_ref), partial(_cat_loss, *_cat_consts(self.params))
+        return _ghz_loss(self.n_ref), _cat_loss(self.params)
 
 
 def loss_curve(params: CatParams, n_ref: int, lambdas: Linspace) -> LossCurve:
     """Both suppression curves on the lam grid Linspace(lambda_max, steps), lambda_max <= 1."""
-    curve = LossCurve(params, n_ref, lambdas)
-    _check_real(lambdas.endpoint, "lambda grid endpoint", hi=1.0)
-    return curve
+    return LossCurve(params, n_ref, lambdas)

@@ -231,31 +231,6 @@ def test_decoherence_curve_values_match_closed_forms(capsys):
         assert c == pytest.approx(cat_offdiag_norm(p, t), rel=1e-12)
 
 
-def test_decoherence_curve_bad_flags(capsys):
-    code, _, _ = run_cli(
-        capsys, "decoherence-curve", "--n", "8", "--epsilon", "0.5", "--steps", "1"
-    )
-    assert code == 2
-    code, _, _ = run_cli(
-        capsys,
-        "decoherence-curve",
-        "--n", "8", "--epsilon", "0.5", "--gamma-t-max", "0",
-    )
-    assert code == 2
-
-
-def test_decoherence_curve_rejects_infinite_endpoint(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "decoherence-curve",
-        "--n", "100", "--epsilon", "0.1", "--gamma-t-max", "inf", "--steps", "4",
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert "Warning" not in err
-
-
 def test_decoherence_curve_ghz_limit_at_long_times(capsys):
     # at eps = pi/2 the log1p argument rounds to -1 past gamma_t ~ 18.4
     code, out, err = run_cli(

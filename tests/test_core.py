@@ -382,7 +382,7 @@ def _real_entry_points():
     from catsize.cli import main
     from catsize.decoherence import cat_offdiag_norm, ghz_offdiag_norm
     from catsize.distillation import build_filter
-    from catsize.loss import cat_loss_suppression, ghz_loss_suppression, loss_curve
+    from catsize.loss import LossCurve, cat_loss_suppression, ghz_loss_suppression, loss_curve
     from catsize.oracle import DEPHASING, ChannelSpec, biorthonormal_filter, enumerate_loss
 
     p, largest = CatParams(2, 0.5), sys.float_info.max
@@ -392,7 +392,7 @@ def _real_entry_points():
         return tuple.__new__(CatParams, (2, eps))
 
     def grid(end):
-        # a Linspace made past its own check, so that loss_curve's check sees
+        # a Linspace made past its own check, so that the curve's check sees
         # end; a NaN step passes the record's sorted check at any end
         g = Linspace(1.0, 2)
         g.endpoint, g._step = end, math.nan
@@ -419,6 +419,11 @@ def _real_entry_points():
         ("Linspace-endpoint", lambda v: Linspace(v, 3).endpoint,
          "grid endpoint", 5e-324, largest),
         ("loss_curve-endpoint", lambda v: loss_curve(p, 1, grid(v)),
+         "lambda grid endpoint", 0.0, 1.0),
+        ("LossCurve-endpoint", lambda v: LossCurve(p, 1, grid(v)),
+         "lambda grid endpoint", 0.0, 1.0),
+        ("LossCurve._replace-endpoint",
+         lambda v: loss_curve(p, 1, Linspace(1.0, 2))._replace(grid=grid(v)),
          "lambda grid endpoint", 0.0, 1.0),
         ("cli-epsilon_sq_overlap", overlap, "--epsilon-sq-overlap", 0.0, 1.0),
         ("build_filter-epsilon", lambda v: build_filter(unchecked(v)),

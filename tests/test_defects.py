@@ -84,20 +84,17 @@ def _filter_skipped(state, m, qubit):
     return state
 
 
-def _q0_without_factor_2(params, lo, hi):
-    log_q = _LOG_Q(params, lo, hi)
-    if lo == 0:
-        log_q = (log_q[0] - math.log(2.0), *log_q[1:])
-    return log_q
+def _q0_without_factor_2(params, ks):
+    ks = tuple(ks)
+    return tuple(v - math.log(2.0) if k == 0 else v for k, v in zip(ks, _LOG_Q(params, ks)))
 
 
-def _q0_without_factor_2_where_c_n_underflows(params, lo, hi):
+def _q0_without_factor_2_where_c_n_underflows(params, ks):
     # q_0 loses its factor 2 only where c^N underflows, far past the qubit
     # counts the dense oracle reaches
-    log_q = _LOG_Q(params, lo, hi)
-    if lo == 0 and math.exp(params.log_cN) == 0.0:
-        log_q = (log_q[0] - math.log(2.0), *log_q[1:])
-    return log_q
+    if math.exp(params.log_cN) == 0.0:
+        return _q0_without_factor_2(params, ks)
+    return _LOG_Q(params, ks)
 
 
 def _channel_without_rotation(op, ch):
@@ -117,15 +114,17 @@ def _scaled(func):
     return lambda *args: func(*args) * _SCALE
 
 
-def _log_q_raised(params, lo, hi):
+def _log_q_raised(params, ks):
     # ln q_k + 1e-10 for every k >= 1
-    return tuple(v + 1e-10 if k >= 1 else v for k, v in enumerate(_LOG_Q(params, lo, hi), lo))
+    ks = tuple(ks)
+    return tuple(v + 1e-10 if k >= 1 else v for k, v in zip(ks, _LOG_Q(params, ks)))
 
 
-def _cat_norm_log1p_only(s2, c2, half_n, gamma_t):
+def _cat_norm_log1p_only(params):
     # d^(N/2) always through log1p(d - 1), a math domain error where d - 1
     # rounds to -1 (eps = pi/2, gamma_t > ~18.4)
-    return math.exp(half_n * math.log1p(s2 * math.expm1(-2.0 * gamma_t)))
+    s2, half_n = params.s_eps**2, 0.5 * params.N
+    return lambda gamma_t: math.exp(half_n * math.log1p(s2 * math.expm1(-2.0 * gamma_t)))
 
 
 def _one_minus_c_half_angle(params):
@@ -197,7 +196,8 @@ DEFECTS = [
 
 @pytest.mark.parametrize("defect", [
     pytest.param(d, id=d.name,
-                 marks=pytest.mark.xfail(strict=True, reason=d.gap) if d.gap else ())
+                 marks=pytest.mark.xfail(strict=True, reason=d.gap, raises=AssertionError)
+                 if d.gap else ())
     for d in DEFECTS
 ])
 def test_validate_fails_exactly_the_rows_of_each_defect(monkeypatch, defect):

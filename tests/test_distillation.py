@@ -202,7 +202,7 @@ def test_window_matches_the_dense_pmf(n, eps):
     # the stored window against the same pmf evaluated over k = 0..N
     p = CatParams(n, eps)
     dist = outcome_distribution(p)
-    dense_log_q = np.array(distillation._log_q(p, 0, n))
+    dense_log_q = np.array(distillation._log_q(p, range(n + 1)))
     dense_q = np.array([math.exp(v) for v in dense_log_q])
     assert list(dist.to_payload()["q"]) == list(dist.q)
     assert len(dist.q) == n + 1
@@ -270,7 +270,7 @@ def test_outcome_distribution_matches_mpmath(n, eps):
     sigma = math.sqrt(n * p.one_minus_c * p.c_eps)
     for k in sorted({0, 1, 2, mode, min(n, mode + math.ceil(3 * sigma)), n // 2, n}):
         q_ref, log_ref = _mp_outcome(n, eps, k)
-        ln_q = distillation._log_q(p, k, k)[0]
+        ln_q = distillation._log_q(p, (k,))[0]
         assert abs(ln_q - log_ref) <= 1e-12 * max(1.0, abs(log_ref)), k
         if q_ref >= sys.float_info.min:
             assert abs(_q_at(dist, k) - q_ref) <= 1e-12 * q_ref, k

@@ -32,7 +32,7 @@ def test_distributions_over_the_input_domain(n, eps):
         warnings.simplefilter("error", RuntimeWarning)
         dist = outcome_distribution(p)
         q = dist.to_payload()["q"]
-        dense_q = list(map(math.exp, distillation._log_q(p, 0, n)))
+        dense_q = list(map(math.exp, distillation._log_q(p, range(n + 1))))
         mc = simulate_protocol(p, 300, seed=n)
     assert list(q) == dense_q
     assert abs(math.fsum(q) - 1.0) <= 1e-12

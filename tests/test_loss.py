@@ -16,21 +16,6 @@ from catsize.serialize import fmt_float
 from domain import HALF_PI
 
 
-def test_loss_model_validation():
-    # every function of a loss probability refuses one outside [0, 1]
-    p = CatParams(4, 0.3)
-    for call in (
-        lambda lam: ghz_loss_suppression(4, lam),
-        lambda lam: cat_loss_suppression(p, lam),
-        lambda lam: enumerate_loss(p, lam),
-    ):
-        for lam in (-0.01, 1.01, math.nan):
-            with pytest.raises(ValueError, match=r"^lam must lie in \[0\.0, 1\.0\], got"):
-                call(lam)
-        call(0.0)
-        call(1.0)
-
-
 def test_ghz_suppression_values():
     assert ghz_loss_suppression(3, 0.0) == 1.0
     assert ghz_loss_suppression(5, 1.0) == 0.0

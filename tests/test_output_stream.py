@@ -210,7 +210,7 @@ def test_curve_failing_mid_stream(capsys, monkeypatch, tmp_path, command):
         "decoherence-curve": (decoherence, "_cat_norm"),
         "loss-curve": (loss, "_cat_loss"),
     }[command]
-    monkeypatch.setattr(module, point, lambda *args: math.inf if args[-1] > 0.9 else 0.5)
+    monkeypatch.setattr(module, point, lambda params: lambda x: math.inf if x > 0.9 else 0.5)
     argv = [command, "--n", "10", "--epsilon", "0.2", "--steps", "10001"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
